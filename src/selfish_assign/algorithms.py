@@ -1,16 +1,18 @@
 """Constructive algorithms for the assignment game.
 
-Exact solvers: two O(n log m) greedy builders for identical-weight tasks (one
-for the optimum, one for the cheapest Nash equilibrium), a greedy equilibrium
-builder for arbitrary weights, and three dynamic programs covering identical
-delays, few distinct delays, and few distinct weights.  Approximate solvers
-round weights (or delays) up onto a geometric grid and run the matching DP;
-the result, re-costed under the original instance, is within 1+epsilon of
-optimal.  Everything is exact rational arithmetic.
+Exact solvers: two O(n + m log m) greedy builders for identical-weight tasks
+(one for the optimum, one for the cheapest Nash equilibrium), seeded in closed
+form from the fractional optimum, an O(n log m + classes * m) greedy
+equilibrium builder for arbitrary weights, and three dynamic programs
+covering identical delays, few distinct delays, and few distinct weights.
+Approximate solvers round weights (or delays) up onto a geometric grid and
+run the matching DP; the result, re-costed under the original instance, is
+within 1+epsilon of optimal.  Everything is exact rational arithmetic.
 """
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,22 +52,40 @@ def _require_identical_weights(inst: Instance):
         raise ValueError("this algorithm needs all task weights to be identical")
 
 
+def _marginal_greedy(inst: Instance, slope: int, key) -> CountAssignment:
+    """Place the n identical tasks one at a time, each on a resource whose
+    next marginal (slope * c_k + 1) * d_k is lowest, ties broken by
+    key(marginal, c_k, k); the heap holds one entry per resource.
+
+    Each resource's marginals grow with c_k, so the placements are the n
+    smallest marginals in heap order.  Those strictly below the fractional
+    threshold slope * (n - m) / throughput are a prefix of that order, fewer
+    than n of them, and are counted in closed form; the heap places the
+    rest, at most 2m tasks.
+    """
+    _require_identical_weights(inst)
+    delays = inst.delays
+    threshold = Fraction(slope * (inst.n - inst.m)) / inst.throughput
+    counts = [max(0, math.ceil((threshold / d - 1) / slope)) for d in delays]
+    heap = [key((slope * c + 1) * d, c, k) for k, (c, d) in enumerate(zip(counts, delays))]
+    heapq.heapify(heap)
+    for _ in range(inst.n - sum(counts)):
+        k = heap[0][-1]
+        counts[k] += 1
+        heapq.heapreplace(heap, key((slope * counts[k] + 1) * delays[k], counts[k], k))
+    return CountAssignment(tuple(counts))
+
+
 def find_opt(inst: Instance) -> CountAssignment:
     """Lowest-cost assignment for identical-weight tasks.
 
     Places one task at a time on a resource k minimizing (2*c_k + 1) * d_k,
     which is proportional to the cost increase of adding a task to k; ties
-    go to the lowest resource index.  A heap keeps each step at O(log m).
+    go to the lowest resource index.  The placements below the fractional
+    optimum's marginal 2(n - m)/throughput are counted in closed form, so
+    the heap makes at most 1.5m steps: O(n + m log m).
     """
-    _require_identical_weights(inst)
-    counts = [0] * inst.m
-    heap = [(d, k) for k, d in enumerate(inst.delays)]
-    heapq.heapify(heap)
-    for _ in range(inst.n):
-        _, k = heapq.heappop(heap)
-        counts[k] += 1
-        heapq.heappush(heap, ((2 * counts[k] + 1) * inst.delays[k], k))
-    return CountAssignment(tuple(counts))
+    return _marginal_greedy(inst, 2, lambda marginal, c, k: (marginal, k))
 
 
 def find_opt_nash(inst: Instance) -> CountAssignment:
@@ -74,17 +94,10 @@ def find_opt_nash(inst: Instance) -> CountAssignment:
     Places one task at a time on a resource k minimizing (c_k + 1) * d_k,
     proportional to the load the new task would incur, which keeps every
     prefix in equilibrium; ties break by fewest tasks, then lowest resource
-    index.
+    index.  The placements below (n - m)/throughput are counted in closed
+    form, so the heap makes at most 2m steps: O(n + m log m).
     """
-    _require_identical_weights(inst)
-    counts = [0] * inst.m
-    heap = [(d, 0, k) for k, d in enumerate(inst.delays)]
-    heapq.heapify(heap)
-    for _ in range(inst.n):
-        _, _, k = heapq.heappop(heap)
-        counts[k] += 1
-        heapq.heappush(heap, ((counts[k] + 1) * inst.delays[k], counts[k], k))
-    return CountAssignment(tuple(counts))
+    return _marginal_greedy(inst, 1, lambda marginal, c, k: (marginal, c, k))
 
 
 def greedy_nash(inst: Instance) -> Assignment:
@@ -93,16 +106,25 @@ def greedy_nash(inst: Instance) -> Assignment:
     Considers tasks in non-increasing weight order (ties by task index) and
     puts each on the resource where it would incur the least load (ties by
     lowest resource index).  Because later tasks are never heavier, no task
-    ever gains by moving afterwards, so the result is an equilibrium.
+    ever gains by moving afterwards, so the result is an equilibrium.  Within
+    a weight class a heap keyed by (load the task would incur, resource)
+    finds that resource; it is rebuilt when the weight changes:
+    O(n log m + classes * m).
     """
-    order = sorted(range(inst.n), key=lambda i: (-inst.weights[i], i))
+    delays, weights = inst.delays, inst.weights
     sums = [Fraction(0)] * inst.m
     target = [0] * inst.n
-    for i in order:
-        w = inst.weights[i]
-        best = min(range(inst.m), key=lambda r: (inst.delays[r] * (sums[r] + w), r))
-        sums[best] += w
-        target[i] = best + 1
+    heap, w = [], None
+    # a stable sort keeps equal weights in task order
+    for i in sorted(range(inst.n), key=weights.__getitem__, reverse=True):
+        if weights[i] != w:
+            w = weights[i]
+            heap = [(d * (s + w), r) for r, (d, s) in enumerate(zip(delays, sums))]
+            heapq.heapify(heap)
+        r = heap[0][1]
+        sums[r] += w
+        heapq.heapreplace(heap, (delays[r] * (sums[r] + w), r))
+        target[i] = r + 1
     return Assignment(tuple(target))
 
 

@@ -8,6 +8,7 @@ exactly one JSON report; diagnostics go to stderr.  Exit codes: 0 success,
 """
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -42,9 +43,23 @@ class _CliError(Exception):
         self.exit_code = exit_code
 
 
+#: Decimal context for approximations beyond float range: 17 significant
+#: digits, as many as a float round-trips, and an exponent of any size.
+_WIDE_DECIMAL = decimal.Context(prec=17, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
 def _rat(x: Fraction) -> dict:
-    """A rational for the report: exact "p/q" plus a labeled approximation."""
-    return {"exact": format_rational(x), "approximate": float(x)}
+    """A rational for the report: exact "p/q" plus a labeled approximation.
+
+    The approximation is a float; beyond float range it is a decimal string
+    in scientific notation with 17 significant digits, correctly rounded.
+    """
+    try:
+        approximate = float(x)
+    except OverflowError:
+        numerator, denominator = decimal.Decimal(x.numerator), decimal.Decimal(x.denominator)
+        approximate = f"{_WIDE_DECIMAL.divide(numerator, denominator):.16e}"
+    return {"exact": format_rational(x), "approximate": approximate}
 
 
 def _instance_digest(inst: Instance) -> dict:
@@ -211,11 +226,13 @@ def _cmd_nash(args) -> dict:
         raise _CliError(EXIT_PRECONDITION, str(exc)) from exc
     elapsed = (time.perf_counter() - started) * 1000
 
+    # the count vector, where there is one, evaluates in O(m)
+    evaluated = assignment if counts is None else counts
     result = {
         "mode": args.mode,
-        "cost": _rat(cost(inst, assignment)),
+        "cost": _rat(cost(inst, evaluated)),
         "assignment": list(assignment.target),
-        "is_nash": is_nash(inst, assignment),
+        "is_nash": is_nash(inst, evaluated),
     }
     if counts is not None:
         result["counts"] = list(counts.counts)
@@ -225,7 +242,9 @@ def _cmd_nash(args) -> dict:
 def _cmd_ratio(args) -> dict:
     inst, _ = _load_instance_file(args.instance)
     try:
-        budget = oracle.EnumerationBudget(args.budget if args.budget else _default_budget())
+        budget = oracle.EnumerationBudget(
+            args.budget if args.budget is not None else _default_budget()
+        )
     except ValueError as exc:
         raise _CliError(EXIT_PRECONDITION, str(exc)) from exc
     started = time.perf_counter()

@@ -243,11 +243,28 @@ def cost(inst: Instance, a: AnyAssignment) -> Fraction:
     )
 
 
+def _improving_moves_of(delays, sums, resource: int, w: Fraction, own: Fraction):
+    """The deviation scan: every move of a weight-`w` task off the 0-based
+    `resource` that would incur a load below `own`, as (new load, 0-based
+    target) in target order, given the per-resource weight sums.  Its
+    minimum is the best move: lowest load, lowest target index on ties."""
+    for other, d in enumerate(delays):
+        if other != resource:
+            load = d * (sums[other] + w)
+            if load < own:
+                yield load, other
+
+
 def is_nash(inst: Instance, a: AnyAssignment) -> bool:
     """True iff no task can strictly lower its own load by moving alone.
 
     A move to a resource where the task would incur an equal load does not
-    break equilibrium.  For count vectors this reduces to
+    break equilibrium.  All tasks on a resource incur its load d_r * S_r,
+    while a move to r' costs d_r' * (S_r' + w), which grows with the task's
+    weight w; so only the lightest task on each resource can be tempted, and
+    one deviation scan per occupied resource decides, stopping at the first
+    improving move: O(n + m^2).  Slow resources, the likeliest to lose a
+    task, are scanned first.  For count vectors this reduces to
     c_i * d_i <= (c_j + 1) * d_j for all resource pairs i, j.
     """
     if isinstance(a, CountAssignment):
@@ -255,14 +272,17 @@ def is_nash(inst: Instance, a: AnyAssignment) -> bool:
         occupied = [(c, d) for c, d in zip(counts, inst.delays) if c > 0]
         best_move = min((c + 1) * d for c, d in zip(counts, inst.delays))
         return all(c * d <= best_move for c, d in occupied)
-    counts, sums = _weight_on_resources(inst, a)
-    for i, resource in enumerate(a.target):
-        own = inst.delays[resource - 1] * sums[resource - 1]
-        w = inst.weights[i]
-        for other in range(inst.m):
-            if other == resource - 1:
-                continue
-            if inst.delays[other] * (sums[other] + w) < own:
+    _, sums = _weight_on_resources(inst, a)
+    lightest = [None] * inst.m
+    for w, resource in zip(inst.weights, a.target):
+        if lightest[resource - 1] is None or w < lightest[resource - 1]:
+            lightest[resource - 1] = w
+    delays = inst.delays
+    for resource in range(inst.m - 1, -1, -1):
+        w = lightest[resource]
+        if w is not None:
+            own = delays[resource] * sums[resource]
+            if next(_improving_moves_of(delays, sums, resource, w, own), None):
                 return False
     return True
 
@@ -271,22 +291,26 @@ def improving_moves(inst: Instance, a: Assignment):
     """One best improving move per deviating task: (task, resource, new load).
 
     Empty iff the assignment is a Nash equilibrium.  The witness move is the
-    one minimizing the task's new load, lowest resource index on ties.
+    one minimizing the task's new load, lowest resource index on ties.  It
+    depends only on the task's resource and weight, so the deviation scan
+    runs once per distinct (resource, weight) pair, lightest first; as in
+    `is_nash`, once a weight on a resource has no improving move, no heavier
+    task there has one.  O(n + p*m) for p scanned pairs.
     """
     _, sums = _weight_on_resources(inst, a)
+    tasks_by_weight = [{} for _ in range(inst.m)]
+    for task, (w, resource) in enumerate(zip(inst.weights, a.target), start=1):
+        tasks_by_weight[resource - 1].setdefault(w, []).append(task)
     moves = []
-    for i, resource in enumerate(a.target):
-        own = inst.delays[resource - 1] * sums[resource - 1]
-        w = inst.weights[i]
-        best = None
-        for other in range(inst.m):
-            if other == resource - 1:
-                continue
-            new_load = inst.delays[other] * (sums[other] + w)
-            if new_load < own and (best is None or new_load < best[1]):
-                best = (other + 1, new_load)
-        if best is not None:
-            moves.append((i + 1, best[0], best[1]))
+    for resource, groups in enumerate(tasks_by_weight):
+        own = inst.delays[resource] * sums[resource]
+        for w in sorted(groups):
+            best = min(_improving_moves_of(inst.delays, sums, resource, w, own), default=None)
+            if best is None:
+                break
+            load, other = best
+            moves.extend((task, other + 1, load) for task in groups[w])
+    moves.sort()
     return moves
 
 

@@ -1,6 +1,7 @@
 """Naive reference implementations for cross-checking, written from first
 principles (no reuse of the package's cost/equilibrium code paths)."""
 
+import heapq
 from fractions import Fraction
 from itertools import product
 
@@ -59,3 +60,67 @@ def nash_targets(inst):
         for t in all_targets(inst.n, inst.m)
         if naive_is_nash(inst.weights, inst.delays, t)
     ]
+
+
+# Reference loops kept from the straightforward implementations: each one
+# tests every (task, resource) pair or places one task per heap step.
+
+def scan_improving_moves(weights, delays, target):
+    """Per-task scan: each task's cheapest strictly improving move
+    (lowest resource index on ties), as (task, resource, new load)."""
+    m = len(delays)
+    sums = [Fraction(0)] * m
+    for w, r in zip(weights, target):
+        sums[r - 1] += w
+    moves = []
+    for i, r in enumerate(target):
+        own = delays[r - 1] * sums[r - 1]
+        best = None
+        for alt in range(m):
+            if alt == r - 1:
+                continue
+            load = delays[alt] * (sums[alt] + weights[i])
+            if load < own and (best is None or load < best[1]):
+                best = (alt + 1, load)
+        if best is not None:
+            moves.append((i + 1, best[0], best[1]))
+    return moves
+
+
+def scan_greedy_nash(weights, delays):
+    """Heaviest task first (ties by index), each onto the resource where it
+    would incur the least load (ties by index), scanning every resource."""
+    m = len(delays)
+    sums = [Fraction(0)] * m
+    target = [0] * len(weights)
+    for i in sorted(range(len(weights)), key=lambda i: (-weights[i], i)):
+        w = weights[i]
+        best = min(range(m), key=lambda r: (delays[r] * (sums[r] + w), r))
+        sums[best] += w
+        target[i] = best + 1
+    return tuple(target)
+
+
+def heap_find_opt(n, delays):
+    """n heap steps, each placing a task on the lowest (2c+1)*d, then index."""
+    counts = [0] * len(delays)
+    heap = [(d, k) for k, d in enumerate(delays)]
+    heapq.heapify(heap)
+    for _ in range(n):
+        _, k = heapq.heappop(heap)
+        counts[k] += 1
+        heapq.heappush(heap, ((2 * counts[k] + 1) * delays[k], k))
+    return tuple(counts)
+
+
+def heap_find_opt_nash(n, delays):
+    """n heap steps, each placing a task on the lowest (c+1)*d, then fewest
+    tasks, then index."""
+    counts = [0] * len(delays)
+    heap = [(d, 0, k) for k, d in enumerate(delays)]
+    heapq.heapify(heap)
+    for _ in range(n):
+        _, _, k = heapq.heappop(heap)
+        counts[k] += 1
+        heapq.heappush(heap, ((counts[k] + 1) * delays[k], counts[k], k))
+    return tuple(counts)

@@ -147,6 +147,15 @@ class TestRatio:
         assert report is None
         assert "8" in err  # message states the required state count
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_non_positive_budget_fails_precondition(self, tmp_path, capsys, budget):
+        inst = Instance(weights=(F(1), F(2), F(3)), delays=(F(1), F(2)))
+        path = write_instance(tmp_path, inst)
+        code, report, err = run_cli(capsys, "ratio", path, "--budget", budget)
+        assert code == 3
+        assert report is None
+        assert err.startswith("error:")
+
     def test_budget_env_override(self, tmp_path, capsys, monkeypatch):
         inst = Instance(weights=(F(1), F(2), F(3)), delays=(F(1), F(2)))
         path = write_instance(tmp_path, inst)
@@ -270,6 +279,27 @@ class TestReportShape:
         assert digest["total_weight"]["exact"] == "4/1"
         assert digest["throughput"]["exact"] == "3/2"
         assert isinstance(report["elapsed_ms"], float)
+
+    def test_rational_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"weights": ["1e400", 1], "delays": [1, 2]}', encoding="utf-8")
+        code, report, err = run_cli(capsys, "solve", str(path))
+        assert code == 0 and err == ""
+        digest = report["instance"]
+        # beyond float range: a scientific-notation string, exactly rounded
+        assert digest["weight_spread"] == {"exact": "1" + "0" * 400 + "/1",
+                                           "approximate": "1.0000000000000000e+400"}
+        assert digest["average_load"]["approximate"] == "5.0000000000000000e+399"
+        assert report["result"]["cost"]["approximate"] == "1.0000000000000000e+400"
+        # in range: still a float
+        assert digest["throughput"]["approximate"] == 1.5
+
+    def test_approximation_rounds_to_seventeen_digits(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"weights": ["2e400", 3], "delays": [1]}', encoding="utf-8")
+        code, report, _ = run_cli(capsys, "solve", str(path))
+        assert code == 0
+        assert report["instance"]["weight_spread"]["approximate"] == "6.6666666666666667e+399"
 
     def test_stdout_is_single_json_document(self, tmp_path, capsys):
         path = write_instance(tmp_path, gen_uniform_gap(F(1, 10)))
