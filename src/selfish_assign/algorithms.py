@@ -3,16 +3,21 @@
 Exact solvers: two O(n + m log m) greedy builders for identical-weight tasks
 (one for the optimum, one for the cheapest Nash equilibrium), seeded in closed
 form from the fractional optimum, an O(n log m + classes * m) greedy
-equilibrium builder for arbitrary weights, and three dynamic programs
-covering identical delays, few distinct delays, and few distinct weights.
-Approximate solvers round weights (or delays) up onto a geometric grid and
-run the matching DP; the result, re-costed under the original instance, is
-within 1+epsilon of optimal.  Everything is exact rational arithmetic.
+equilibrium builder for arbitrary weights, and dynamic programs for few
+distinct delays (identical delays being its one-class case) and for few
+distinct weights.  Approximate solvers round weights (or delays) up onto a
+geometric grid and run the matching DP; the result, re-costed under the
+original instance, is within 1+epsilon of optimal.
+
+Everything is exact.  Inputs and results are Fractions; inside, the DPs run
+on Python ints: weights and delays each multiplied by the LCM of their
+denominators, the optimum divided back out at the end.
 """
 
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,9 +28,6 @@ DEFAULT_DISTINCT_VALUES = 4
 
 #: Hard cap on DP table entries; guards against accidental blow-ups.
 MAX_TABLE_STATES = 10**8
-
-_INFINITY = float("inf")
-
 
 @dataclass(frozen=True)
 class DPSolution:
@@ -128,65 +130,107 @@ def greedy_nash(inst: Instance) -> Assignment:
     return Assignment(tuple(target))
 
 
-def _by_descending_weight(inst: Instance):
-    """Task indices sorted by non-increasing weight, plus the weights and
-    their prefix sums in that order."""
-    order = sorted(range(inst.n), key=lambda i: (-inst.weights[i], i))
-    weights = [inst.weights[i] for i in order]
-    prefix = [Fraction(0)]
-    for w in weights:
-        prefix.append(prefix[-1] + w)
-    return order, weights, prefix
+def _scaled(values):
+    """Ints proportional to the positive rationals `values`, and the LCM of
+    their denominators they were multiplied by.  Scaling by a positive
+    constant keeps every comparison and tie."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _classes(values, kind: str, alpha: int):
+    """Distinct values, increasing, and the indices holding each one;
+    refuses more than `alpha` distinct values."""
+    members = {}
+    for i, v in enumerate(values):
+        members.setdefault(v, []).append(i)
+    if len(members) > alpha:
+        raise ValueError(
+            f"instance has {len(members)} distinct {kind} values, above the bound {alpha}"
+        )
+    values = sorted(members)
+    return values, [members[v] for v in values]
+
+
+def _count_vectors(members, rows: int):
+    """Count vectors over the classes `members` as mixed-radix ints, first
+    class most significant so that index order is itertools.product order:
+    (radix, strides, number of vectors).  Refuses a table of `rows` entries
+    per vector above MAX_TABLE_STATES."""
+    radix = [len(idx) + 1 for idx in members]
+    vectors = math.prod(radix)
+    if rows * vectors > MAX_TABLE_STATES:
+        raise ValueError(f"dynamic programming table would need {rows * vectors} states")
+    strides = list(itertools.accumulate(reversed(radix[1:]), operator.mul, initial=1))
+    return radix, strides[::-1], vectors
+
+
+def _delay_class_dp(inst: Instance, values, members) -> DPSolution:
+    """Optimal assignment on resources of the delays `values`, class c being
+    the 0-based resources `members[c]`.
+
+    With tasks sorted by non-increasing weight there is an optimal assignment
+    whose resource groups are consecutive runs of that order.  table[v][j] is
+    the cheapest placement of the j heaviest tasks on the resources counted
+    by vector v: the last run goes on one more resource of some class, the
+    first minimum over (class, run size).  choice[v][j] = size * classes +
+    class; at j = 0 the resources left stay empty, first class first.
+    """
+    n, beta = inst.n, len(values)
+    radix, strides, vectors = _count_vectors(members, n + 1)
+    order = sorted(range(n), key=lambda i: (-inst.weights[i], i))
+    weights, weight_scale = _scaled([inst.weights[i] for i in order])
+    delays, delay_scale = _scaled(values)
+    prefix = list(itertools.accumulate(weights, initial=0))
+    table = [[0] * (n + 1) for _ in range(vectors)]
+    choice = [[0] * (n + 1) for _ in range(vectors)]
+    steps = []
+    # count vectors by resources used, then in product order
+    for vec in sorted(itertools.product(*map(range, radix)), key=sum)[1:]:
+        v = sum(map(operator.mul, vec, strides))
+        moves = [(cls, v - strides[cls]) for cls in range(beta) if vec[cls]]
+        choice[v][0] = moves[0][0]
+        steps.append((v, moves))
+    for j in range(1, n + 1):
+        # runs[cls][s]: cost of the s tasks ending at position j on one resource of class cls
+        group = [s * (prefix[j] - prefix[j - s]) for s in range(j + 1)]
+        runs = [[d * g for g in group] for d in delays]
+        for v, moves in steps:
+            best = None
+            for cls, prev in moves:
+                if prev:
+                    candidates = list(map(operator.add, table[prev][j::-1], runs[cls]))
+                    value = min(candidates)
+                    size = candidates.index(value)
+                else:  # the first resource used takes all j tasks
+                    value, size = runs[cls][j], j
+                if best is None or value < best:
+                    best, pick = value, size * beta + cls
+            table[v][j], choice[v][j] = best, pick
+
+    target = [0] * n
+    remaining = [list(idx) for idx in members]
+    j, v = n, vectors - 1
+    while v:
+        size, cls = divmod(choice[v][j], beta)
+        resource = remaining[cls].pop() + 1
+        for pos in range(j - size, j):
+            target[order[pos]] = resource
+        j -= size
+        v -= strides[cls]
+    return DPSolution(Fraction(table[-1][n], weight_scale * delay_scale), Assignment(tuple(target)))
 
 
 def dp_identical_delays(inst: Instance) -> DPSolution:
     """Optimal assignment when all resource delays are equal, any weights.
 
-    With tasks sorted by non-increasing weight there is an optimal assignment
-    whose resource groups are consecutive runs of that order, so a table over
-    (tasks handled, resources used) with the best size of the last group
-    solves the problem in O(n^2 m).
+    The delay-class program with one class: a table over (resources used,
+    tasks handled) with the best size of the last run of tasks in weight
+    order, O(n^2 m).
     """
     if not inst.identical_delays:
         raise ValueError("this dynamic program needs all resource delays to be identical")
-    d = inst.delays[0]
-    n, m = inst.n, inst.m
-    order, _, prefix = _by_descending_weight(inst)
-
-    table = [[_INFINITY] * (m + 1) for _ in range(n + 1)]
-    choice = [[0] * (m + 1) for _ in range(n + 1)]
-    for k in range(m + 1):
-        table[0][k] = Fraction(0)
-    for k in range(1, m + 1):
-        for j in range(1, n + 1):
-            best, best_size = _INFINITY, 0
-            for size in range(j + 1):
-                prev = table[j - size][k - 1]
-                if prev == _INFINITY:
-                    continue
-                candidate = prev + size * d * (prefix[j] - prefix[j - size])
-                if candidate < best:
-                    best, best_size = candidate, size
-            table[j][k] = best
-            choice[j][k] = best_size
-
-    target = [0] * n
-    j = n
-    for k in range(m, 0, -1):
-        size = choice[j][k]
-        for pos in range(j - size, j):
-            target[order[pos]] = k
-        j -= size
-    return DPSolution(table[n][m], Assignment(tuple(target)))
-
-
-def _delay_classes(inst: Instance):
-    """Distinct delay values with their multiplicities and resource indices."""
-    values = list(inst.distinct_delay_values)
-    members = {v: [] for v in values}
-    for r, d in enumerate(inst.delays):
-        members[d].append(r + 1)
-    return values, [len(members[v]) for v in values], [members[v] for v in values]
+    return _delay_class_dp(inst, *_classes(inst.delays, "delay", 1))
 
 
 def dp_few_delays(inst: Instance, alpha: int = DEFAULT_DISTINCT_VALUES) -> DPSolution:
@@ -196,72 +240,7 @@ def dp_few_delays(inst: Instance, alpha: int = DEFAULT_DISTINCT_VALUES) -> DPSol
     of each delay class have been used, and each step peels the lightest
     remaining run of tasks onto a resource of some class.
     """
-    values, mult, members = _delay_classes(inst)
-    beta = len(values)
-    if beta > alpha:
-        raise ValueError(
-            f"instance has {beta} distinct delay values, above the bound {alpha}"
-        )
-    n = inst.n
-    states = (n + 1) * _product(c + 1 for c in mult)
-    if states > MAX_TABLE_STATES:
-        raise ValueError(f"dynamic programming table would need {states} states")
-
-    order, _, prefix = _by_descending_weight(inst)
-    zero = (0,) * beta
-    table = {zero: [Fraction(0)] + [_INFINITY] * n}
-    choice = {}
-    vectors = sorted(
-        itertools.product(*(range(c + 1) for c in mult)), key=lambda v: sum(v)
-    )
-    for vec in vectors:
-        if vec == zero:
-            continue
-        row = [_INFINITY] * (n + 1)
-        row[0] = Fraction(0)
-        for cls in range(beta):
-            if vec[cls] == 0:
-                continue
-            prev_vec = vec[:cls] + (vec[cls] - 1,) + vec[cls + 1:]
-            prev_row = table[prev_vec]
-            delay = values[cls]
-            for j in range(1, n + 1):
-                for size in range(j + 1):
-                    prev = prev_row[j - size]
-                    if prev == _INFINITY:
-                        continue
-                    candidate = prev + size * delay * (prefix[j] - prefix[j - size])
-                    if candidate < row[j]:
-                        row[j] = candidate
-                        choice[(j, vec)] = (size, cls)
-        table[vec] = row
-
-    full = tuple(mult)
-    target = [0] * n
-    remaining = [list(idx) for idx in members]
-    j, vec = n, full
-    while vec != zero:
-        if j == 0:
-            # leftover resources stay empty, consume them class by class
-            cls = next(c for c in range(beta) if vec[c] > 0)
-            size = 0
-        else:
-            size, cls = choice[(j, vec)]
-        resource = remaining[cls].pop()
-        for pos in range(j - size, j):
-            target[order[pos]] = resource
-        j -= size
-        vec = vec[:cls] + (vec[cls] - 1,) + vec[cls + 1:]
-    return DPSolution(table[full][n], Assignment(tuple(target)))
-
-
-def _weight_classes(inst: Instance):
-    """Distinct weight values with their counts and task indices."""
-    values = list(inst.distinct_weight_values)
-    members = {v: [] for v in values}
-    for i, w in enumerate(inst.weights):
-        members[w].append(i)
-    return values, [len(members[v]) for v in values], [members[v] for v in values]
+    return _delay_class_dp(inst, *_classes(inst.delays, "delay", alpha))
 
 
 def dp_few_weights(inst: Instance, alpha: int = DEFAULT_DISTINCT_VALUES) -> DPSolution:
@@ -269,65 +248,45 @@ def dp_few_weights(inst: Instance, alpha: int = DEFAULT_DISTINCT_VALUES) -> DPSo
 
     The state is the number of tasks of each weight class already placed on
     the first k resources; each step chooses how many tasks of each class the
-    k-th resource receives.
+    k-th resource receives, the first minimum in itertools.product order.
     """
-    values, counts, members = _weight_classes(inst)
-    beta = len(values)
-    if beta > alpha:
-        raise ValueError(
-            f"instance has {beta} distinct weight values, above the bound {alpha}"
-        )
-    states = (inst.m + 1) * _product(c + 1 for c in counts)
-    if states > MAX_TABLE_STATES:
-        raise ValueError(f"dynamic programming table would need {states} states")
-
-    zero = (0,) * beta
-    vectors = list(itertools.product(*(range(c + 1) for c in counts)))
-    previous = {vec: (Fraction(0) if vec == zero else _INFINITY) for vec in vectors}
-    choice = {}
-    for k in range(1, inst.m + 1):
-        delay = inst.delays[k - 1]
-        current = {}
-        for vec in vectors:
-            best, best_take = _INFINITY, zero
-            for take in itertools.product(*(range(c + 1) for c in vec)):
-                prev = previous[tuple(a - b for a, b in zip(vec, take))]
-                if prev == _INFINITY:
-                    continue
-                group_size = sum(take)
-                group_weight = sum(
-                    (v * t for v, t in zip(values, take)), Fraction(0)
-                )
-                candidate = prev + group_size * delay * group_weight
-                if candidate < best:
-                    best, best_take = candidate, take
-            current[vec] = best
-            choice[(k, vec)] = best_take
-        previous = current
-
-    full = tuple(counts)
-    groups = []
-    vec = full
-    for k in range(inst.m, 0, -1):
-        take = choice[(k, vec)]
-        groups.append(take)
-        vec = tuple(a - b for a, b in zip(vec, take))
-    groups.reverse()
+    values, members = _classes(inst.weights, "weight", alpha)
+    m = inst.m
+    radix, strides, vectors = _count_vectors(members, m + 1)
+    weights, weight_scale = _scaled(values)
+    delays, delay_scale = _scaled(inst.delays)
+    # group[t]: tasks in take vector t times their weight, before the delay
+    group = [sum(t) * sum(map(operator.mul, t, weights))
+             for t in itertools.product(*map(range, radix))]
+    # table[k][v]: cheapest placement of the tasks counted by v on resources
+    # 1..k+1, choice[k][v] the take of resource k+1.  Entry v reads entries
+    # u <= v of the previous resource only, so v can run outermost.
+    table = [[0] * vectors for _ in range(m)]
+    choice = [[0] * vectors for _ in range(m)]
+    for v, vec in enumerate(itertools.product(*map(range, radix))):
+        takes = [0]  # take vectors t <= v, in product order
+        for c, stride in zip(vec, strides):
+            takes = [t + x * stride for t in takes for x in range(c + 1)]
+        rest = [v - t for t in takes]
+        costs = [group[t] for t in takes]
+        table[0][v], choice[0][v] = delays[0] * group[v], v
+        for k in range(1, m):
+            candidates = list(map(operator.add, map(table[k - 1].__getitem__, rest),
+                                  map(delays[k].__mul__, costs)))
+            table[k][v] = min(candidates)
+            choice[k][v] = takes[candidates.index(table[k][v])]
 
     target = [0] * inst.n
-    queues = [list(idx) for idx in members]
-    for k, take in enumerate(groups, start=1):
-        for cls, how_many in enumerate(take):
-            for _ in range(how_many):
-                target[queues[cls].pop(0)] = k
-    return DPSolution(previous[full], Assignment(tuple(target)))
-
-
-def _product(factors) -> int:
-    out = 1
-    for f in factors:
-        out *= f
-    return out
+    queues = [iter(idx) for idx in members]
+    v, taken = vectors - 1, []
+    for k in range(m - 1, -1, -1):
+        taken.append(choice[k][v])
+        v -= taken[-1]
+    for k, t in enumerate(reversed(taken), start=1):
+        for queue, stride, base in zip(queues, strides, radix):
+            for _ in range(t // stride % base):
+                target[next(queue)] = k
+    return DPSolution(Fraction(table[-1][-1], weight_scale * delay_scale), Assignment(tuple(target)))
 
 
 def _int_kth_root(x: int, k: int):

@@ -7,6 +7,7 @@ individual tasks.  Equilibrium checks hinge on exact ties, so every quantity
 is a fractions.Fraction and nothing is ever rounded.
 """
 
+import decimal
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,16 +43,30 @@ def parse_rational(value) -> Fraction:
     raise ValueError(f"not a rational number: {value!r}")
 
 
+def _digits(k: int) -> str:
+    """Exact decimal digits of an int.  decimal renders them also beyond
+    Python's int-to-string digit limit (4300 digits by default)."""
+    try:
+        return str(k)
+    except ValueError:
+        return format(decimal.Decimal(k), "f")
+
+
 def format_rational(x: Fraction) -> str:
     """Render a rational as "p/q", always with an explicit denominator."""
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
 
 
 def _json_number(x: Fraction):
-    """Canonical instance-file encoding: plain int when integral, else "p/q"."""
-    if x.denominator == 1:
+    """Canonical instance-file encoding: plain int when integral, else "p/q".
+
+    json writes ints through str(), which refuses more than 4300 digits by
+    default; an integer above 14000 bits (4215 digits) is written as a "p/1"
+    string instead.
+    """
+    if x.denominator == 1 and x.numerator.bit_length() <= 14000:
         return x.numerator
-    return f"{x.numerator}/{x.denominator}"
+    return format_rational(x)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ import heapq
 from fractions import Fraction
 from itertools import product
 
+from selfish_assign import Assignment, DPSolution
+
 
 def naive_cost(weights, delays, target):
     """Sum over tasks of (delay of its resource) * (total weight there)."""
@@ -124,3 +126,140 @@ def heap_find_opt_nash(n, delays):
         counts[k] += 1
         heapq.heappush(heap, ((counts[k] + 1) * delays[k], counts[k], k))
     return tuple(counts)
+
+
+# Reference dynamic programs: the straightforward Fraction implementations
+# the package's integer kernels must agree with, answer and tie-breaks alike.
+
+def _reference_product(factors):
+    out = 1
+    for f in factors:
+        out *= f
+    return out
+
+
+def _reference_order(inst):
+    order = sorted(range(inst.n), key=lambda i: (-inst.weights[i], i))
+    prefix = [Fraction(0)]
+    for i in order:
+        prefix.append(prefix[-1] + inst.weights[i])
+    return order, prefix
+
+
+def reference_dp_identical_delays(inst):
+    """O(n^2 m) table over (tasks handled, resources used), tasks in
+    non-increasing weight order, with the smallest best last-group size."""
+    d = inst.delays[0]
+    n, m = inst.n, inst.m
+    order, prefix = _reference_order(inst)
+    table = [[None] * (m + 1) for _ in range(n + 1)]
+    choice = [[0] * (m + 1) for _ in range(n + 1)]
+    for k in range(m + 1):
+        table[0][k] = Fraction(0)
+    for k in range(1, m + 1):
+        for j in range(1, n + 1):
+            best, best_size = None, 0
+            for size in range(j + 1):
+                prev = table[j - size][k - 1]
+                if prev is None:
+                    continue
+                candidate = prev + size * d * (prefix[j] - prefix[j - size])
+                if best is None or candidate < best:
+                    best, best_size = candidate, size
+            table[j][k] = best
+            choice[j][k] = best_size
+    target = [0] * n
+    j = n
+    for k in range(m, 0, -1):
+        size = choice[j][k]
+        for pos in range(j - size, j):
+            target[order[pos]] = k
+        j -= size
+    return DPSolution(table[n][m], Assignment(tuple(target)))
+
+
+def reference_dp_few_delays(inst):
+    """Table over (resources used per delay class, tasks handled); each step
+    peels the lightest remaining run onto a resource of some class."""
+    values = sorted(set(inst.delays))
+    members = [[r + 1 for r, d in enumerate(inst.delays) if d == v] for v in values]
+    mult = [len(idx) for idx in members]
+    beta, n = len(values), inst.n
+    order, prefix = _reference_order(inst)
+    zero = (0,) * beta
+    table = {zero: [Fraction(0)] + [None] * n}
+    choice = {}
+    vectors = sorted(product(*(range(c + 1) for c in mult)), key=sum)
+    for vec in vectors[1:]:
+        row = [Fraction(0)] + [None] * n
+        for cls in range(beta):
+            if vec[cls] == 0:
+                continue
+            prev_row = table[vec[:cls] + (vec[cls] - 1,) + vec[cls + 1:]]
+            for j in range(1, n + 1):
+                for size in range(j + 1):
+                    prev = prev_row[j - size]
+                    if prev is None:
+                        continue
+                    candidate = prev + size * values[cls] * (prefix[j] - prefix[j - size])
+                    if row[j] is None or candidate < row[j]:
+                        row[j] = candidate
+                        choice[(j, vec)] = (size, cls)
+        table[vec] = row
+    full = tuple(mult)
+    target = [0] * n
+    remaining = [list(idx) for idx in members]
+    j, vec = n, full
+    while vec != zero:
+        if j == 0:
+            cls, size = next(c for c in range(beta) if vec[c] > 0), 0
+        else:
+            size, cls = choice[(j, vec)]
+        resource = remaining[cls].pop()
+        for pos in range(j - size, j):
+            target[order[pos]] = resource
+        j -= size
+        vec = vec[:cls] + (vec[cls] - 1,) + vec[cls + 1:]
+    return DPSolution(table[full][n], Assignment(tuple(target)))
+
+
+def reference_dp_few_weights(inst):
+    """Table over tasks of each weight class placed on the first k resources;
+    each step picks resource k's take, first minimum in product order."""
+    values = sorted(set(inst.weights))
+    members = [[i for i, w in enumerate(inst.weights) if w == v] for v in values]
+    counts = [len(idx) for idx in members]
+    zero = (0,) * len(values)
+    vectors = list(product(*(range(c + 1) for c in counts)))
+    previous = {vec: (Fraction(0) if vec == zero else None) for vec in vectors}
+    choice = {}
+    for k in range(1, inst.m + 1):
+        delay = inst.delays[k - 1]
+        current = {}
+        for vec in vectors:
+            best, best_take = None, zero
+            for take in product(*(range(c + 1) for c in vec)):
+                prev = previous[tuple(a - b for a, b in zip(vec, take))]
+                if prev is None:
+                    continue
+                weight = sum((v * t for v, t in zip(values, take)), Fraction(0))
+                candidate = prev + sum(take) * delay * weight
+                if best is None or candidate < best:
+                    best, best_take = candidate, take
+            current[vec] = best
+            choice[(k, vec)] = best_take
+        previous = current
+    full = tuple(counts)
+    groups, vec = [], full
+    for k in range(inst.m, 0, -1):
+        take = choice[(k, vec)]
+        groups.append(take)
+        vec = tuple(a - b for a, b in zip(vec, take))
+    groups.reverse()
+    target = [0] * inst.n
+    queues = [list(idx) for idx in members]
+    for k, take in enumerate(groups, start=1):
+        for cls, how_many in enumerate(take):
+            for _ in range(how_many):
+                target[queues[cls].pop(0)] = k
+    return DPSolution(previous[full], Assignment(tuple(target)))

@@ -8,6 +8,7 @@ from selfish_assign import (
     Assignment,
     CountAssignment,
     Instance,
+    algorithms,
     approx_solve_delays,
     approx_solve_weights,
     cost,
@@ -176,6 +177,15 @@ class TestDpIdenticalDelays:
         inst = Instance(weights=(F(1), F(1)), delays=(F(1), F(2)))
         with pytest.raises(ValueError):
             dp_identical_delays(inst)
+
+    def test_table_guard(self, monkeypatch):
+        # (n + 1) * (m + 1) = 12 table states
+        inst = Instance(weights=(F(3), F(2), F(1)), delays=(F(1),) * 2)
+        monkeypatch.setattr(algorithms, "MAX_TABLE_STATES", 11)
+        with pytest.raises(ValueError, match="12 states"):
+            dp_identical_delays(inst)
+        monkeypatch.setattr(algorithms, "MAX_TABLE_STATES", 12)
+        assert dp_identical_delays(inst).cost == F(9)
 
     def test_groups_are_weight_ordered_intervals(self):
         # resource groups can be laid end to end in weight order

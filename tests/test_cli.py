@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from selfish_assign import Instance, dumps_instance, gen_uniform_gap
+from selfish_assign import Instance, algorithms, dumps_instance, gen_uniform_gap
 from selfish_assign.cli import main
 
 
@@ -60,6 +60,14 @@ class TestSolve:
         assert code == 0
         assert report["result"]["approximate"] is True
         assert report["result"]["epsilon"]["exact"] == "1/2"
+
+    def test_dp_table_guard_fails_precondition(self, tmp_path, capsys, monkeypatch):
+        inst = Instance(weights=(F(4), F(1), F(1)), delays=(F(1), F(1)))
+        monkeypatch.setattr(algorithms, "MAX_TABLE_STATES", 5)
+        code, report, err = run_cli(capsys, "solve", write_instance(tmp_path, inst))
+        assert code == 3
+        assert report is None
+        assert err == "error: dynamic programming table would need 12 states\n"
 
     def test_approx_without_epsilon_fails_precondition(self, tmp_path, capsys):
         inst = Instance(weights=(F(3), F(2), F(1)), delays=(F(1), F(2)))
@@ -293,6 +301,18 @@ class TestReportShape:
         assert report["result"]["cost"]["approximate"] == "1.0000000000000000e+400"
         # in range: still a float
         assert digest["throughput"]["approximate"] == 1.5
+
+    def test_rational_beyond_int_string_limit(self, tmp_path, capsys):
+        # 5001 digits, above Python's default int-to-string limit of 4300
+        path = tmp_path / "huge.json"
+        path.write_text('{"weights": ["1e5000", 1], "delays": [1, 2]}', encoding="utf-8")
+        code, report, err = run_cli(capsys, "solve", str(path))
+        assert code == 0 and err == ""
+        assert report["result"]["algorithm"] == "dp-delays"
+        assert report["result"]["assignment"] == [1, 2]
+        assert report["result"]["cost"] == {"exact": "1" + "0" * 4999 + "2/1",
+                                            "approximate": "1.0000000000000000e+5000"}
+        assert report["instance"]["total_weight"]["exact"] == "1" + "0" * 4999 + "1/1"
 
     def test_approximation_rounds_to_seventeen_digits(self, tmp_path, capsys):
         path = tmp_path / "huge.json"

@@ -1,5 +1,6 @@
 """Core model: rational parsing, instance validation, loads, cost, equilibria."""
 
+import json
 from fractions import Fraction as F
 from itertools import product
 
@@ -51,6 +52,12 @@ class TestParseRational:
         assert format_rational(F(1, 2)) == "1/2"
         assert format_rational(F(2)) == "2/1"
         assert format_rational(F(-3, 4)) == "-3/4"
+
+    def test_format_beyond_int_string_limit(self):
+        # Python's default int-to-string limit is 4300 digits
+        assert format_rational(F(-(10**5000), 3)) == "-1" + "0" * 5000 + "/3"
+        text = dumps_instance(Instance(weights=(F(10**5000), F(7)), delays=(F(1),)))
+        assert json.loads(text)["weights"] == ["1" + "0" * 5000 + "/1", 7]
 
 
 class TestInstance:
