@@ -9,6 +9,7 @@ exactly one JSON report; diagnostics go to stderr.  Exit codes: 0 success,
 
 import argparse
 import decimal
+import functools
 import json
 import os
 import sys
@@ -412,9 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call; parsing returns a
+    fresh namespace each time and leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.func(args)
     except _CliError as exc:

@@ -9,6 +9,8 @@ is a fractions.Fraction and nothing is ever rounded.
 
 import decimal
 import json
+import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -36,11 +38,31 @@ def parse_rational(value) -> Fraction:
             f"non-integer JSON number {value!r} is inexact; quote it as a string"
         )
     if isinstance(value, str):
+        text = value.strip()
         try:
-            return Fraction(value.strip())
+            try:
+                return Fraction(text)
+            except ValueError:
+                if not _PLAIN_RATIONAL.fullmatch(text):
+                    raise
+                return _wide_rational(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational number: {value!r}") from exc
     raise ValueError(f"not a rational number: {value!r}")
+
+
+#: "p/q", integer and decimal strings without digit separators; Fraction
+#: refuses these only when an integer in them exceeds Python's int-to-string
+#: digit limit (4300 digits by default).
+_PLAIN_RATIONAL = re.compile(r"[-+]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def _wide_rational(text: str) -> Fraction:
+    """Fraction(text) for a plain rational string beyond the digit limit:
+    decimal reads each side exactly and is not subject to the limit."""
+    numerator, _, denominator = text.partition("/")
+    value = Fraction(decimal.Decimal(numerator))
+    return value / int(decimal.Decimal(denominator)) if denominator else value
 
 
 def _digits(k: int) -> str:
@@ -270,6 +292,28 @@ def _improving_moves_of(delays, sums, resource: int, w: Fraction, own: Fraction)
                 yield load, other
 
 
+def _counts_are_nash(counts, delays) -> bool:
+    """The equilibrium test of a count vector of identical-weight tasks:
+    c_i * d_i <= (c_j + 1) * d_j for all resource pairs i, j.  Works on
+    Fractions and on scaled ints alike."""
+    loads = list(map(operator.mul, counts, delays))
+    return max(loads) <= min(map(operator.add, loads, delays))
+
+
+def _lightest_tasks_stay(delays, sums, lightest) -> bool:
+    """The lightest-task equilibrium check, given per-resource weight sums
+    and lightest weights (a false value for an empty resource): one
+    deviation scan per occupied resource, slowest first, stopping at the
+    first improving move.  Works on Fractions and on scaled ints alike."""
+    for resource in range(len(delays) - 1, -1, -1):
+        w = lightest[resource]
+        if w:
+            own = delays[resource] * sums[resource]
+            if next(_improving_moves_of(delays, sums, resource, w, own), None):
+                return False
+    return True
+
+
 def is_nash(inst: Instance, a: AnyAssignment) -> bool:
     """True iff no task can strictly lower its own load by moving alone.
 
@@ -283,23 +327,13 @@ def is_nash(inst: Instance, a: AnyAssignment) -> bool:
     c_i * d_i <= (c_j + 1) * d_j for all resource pairs i, j.
     """
     if isinstance(a, CountAssignment):
-        counts = _as_counts(inst, a)
-        occupied = [(c, d) for c, d in zip(counts, inst.delays) if c > 0]
-        best_move = min((c + 1) * d for c, d in zip(counts, inst.delays))
-        return all(c * d <= best_move for c, d in occupied)
+        return _counts_are_nash(_as_counts(inst, a), inst.delays)
     _, sums = _weight_on_resources(inst, a)
     lightest = [None] * inst.m
     for w, resource in zip(inst.weights, a.target):
         if lightest[resource - 1] is None or w < lightest[resource - 1]:
             lightest[resource - 1] = w
-    delays = inst.delays
-    for resource in range(inst.m - 1, -1, -1):
-        w = lightest[resource]
-        if w is not None:
-            own = delays[resource] * sums[resource]
-            if next(_improving_moves_of(delays, sums, resource, w, own), None):
-                return False
-    return True
+    return _lightest_tasks_stay(inst.delays, sums, lightest)
 
 
 def improving_moves(inst: Instance, a: Assignment):

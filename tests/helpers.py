@@ -1,11 +1,20 @@
-"""Naive reference implementations for cross-checking, written from first
-principles (no reuse of the package's cost/equilibrium code paths)."""
+"""Reference implementations for cross-checking.  The naive_* and brute_*
+functions are written from first principles (no reuse of the package's
+cost/equilibrium code paths); the other references are the package's
+earlier, straightforward implementations."""
 
 import heapq
 from fractions import Fraction
 from itertools import product
 
-from selfish_assign import Assignment, DPSolution
+from selfish_assign import (
+    Assignment,
+    CountAssignment,
+    DPSolution,
+    RatioReport,
+    cost,
+    is_nash,
+)
 
 
 def naive_cost(weights, delays, target):
@@ -263,3 +272,67 @@ def reference_dp_few_weights(inst):
             for _ in range(how_many):
                 target[queues[cls].pop(0)] = k
     return DPSolution(previous[full], Assignment(tuple(target)))
+
+
+# Reference enumeration: every state rebuilt as an assignment and evaluated
+# with the package's public cost and is_nash, extremes kept with an explicit
+# lexicographic tie-break.
+
+def reference_count_vectors(n, m):
+    if m == 1:
+        yield (n,)
+        return
+    for first in range(n, -1, -1):
+        for rest in reference_count_vectors(n - first, m - 1):
+            yield (first,) + rest
+
+
+class _ReferenceExtreme:
+    def __init__(self, prefer_high):
+        self.prefer_high = prefer_high
+        self.cost = None
+        self.witness = None
+
+    def offer(self, value, witness):
+        if self.cost is None:
+            self.cost, self.witness = value, witness
+            return
+        better = value > self.cost if self.prefer_high else value < self.cost
+        if better or (value == self.cost and witness < self.witness):
+            self.cost, self.witness = value, witness
+
+
+def reference_enumerate_extremes(inst):
+    """Per-state Fraction enumeration: count vectors for identical weights,
+    all m^n assignments otherwise."""
+    best = _ReferenceExtreme(prefer_high=False)
+    best_nash = _ReferenceExtreme(prefer_high=False)
+    worst_nash = _ReferenceExtreme(prefer_high=True)
+    if inst.identical_weights:
+        for vec in reference_count_vectors(inst.n, inst.m):
+            counts = CountAssignment(vec)
+            value = cost(inst, counts)
+            witness = counts.to_assignment().target
+            best.offer(value, witness)
+            if is_nash(inst, counts):
+                best_nash.offer(value, witness)
+                worst_nash.offer(value, witness)
+    else:
+        for target in all_targets(inst.n, inst.m):
+            a = Assignment(target)
+            value = cost(inst, a)
+            best.offer(value, target)
+            if is_nash(inst, a):
+                best_nash.offer(value, target)
+                worst_nash.offer(value, target)
+    return RatioReport(
+        min_cost=best.cost,
+        min_nash_cost=best_nash.cost,
+        max_nash_cost=worst_nash.cost,
+        coordination_ratio=worst_nash.cost / best.cost,
+        nash_gap=worst_nash.cost / best_nash.cost,
+        opt_gap=best_nash.cost / best.cost,
+        min_cost_witness=Assignment(best.witness),
+        min_nash_witness=Assignment(best_nash.witness),
+        max_nash_witness=Assignment(worst_nash.witness),
+    )

@@ -164,6 +164,18 @@ class TestRatio:
         assert report is None
         assert err.startswith("error:")
 
+    def test_runs_in_one_process_echo_only_their_own_arguments(self, tmp_path, capsys):
+        inst = Instance(weights=(F(1), F(2), F(3)), delays=(F(1), F(2)))
+        path = write_instance(tmp_path, inst)
+        code, report, _ = run_cli(capsys, "ratio", path, "--budget", "1")
+        assert code == 4 and report is None
+        code, report, _ = run_cli(capsys, "ratio", path)
+        assert code == 0
+        assert report["arguments"] == {"instance": path}
+        code, report, _ = run_cli(capsys, "solve", path)
+        assert code == 0
+        assert report["arguments"] == {"algorithm": "auto", "instance": path}
+
     def test_budget_env_override(self, tmp_path, capsys, monkeypatch):
         inst = Instance(weights=(F(1), F(2), F(3)), delays=(F(1), F(2)))
         path = write_instance(tmp_path, inst)
@@ -313,6 +325,14 @@ class TestReportShape:
         assert report["result"]["cost"] == {"exact": "1" + "0" * 4999 + "2/1",
                                             "approximate": "1.0000000000000000e+5000"}
         assert report["instance"]["total_weight"]["exact"] == "1" + "0" * 4999 + "1/1"
+
+    def test_written_integer_beyond_int_string_limit_reads_back(self, tmp_path, capsys):
+        # dumps_instance writes 10**5000 as a "p/1" string of 5001 digits
+        inst = Instance(weights=(F(10**5000), F(1)), delays=(F(1), F(2)))
+        code, report, err = run_cli(capsys, "solve", write_instance(tmp_path, inst))
+        assert code == 0 and err == ""
+        assert report["result"]["assignment"] == [1, 2]
+        assert report["result"]["cost"]["exact"] == "1" + "0" * 4999 + "2/1"
 
     def test_approximation_rounds_to_seventeen_digits(self, tmp_path, capsys):
         path = tmp_path / "huge.json"

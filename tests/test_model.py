@@ -316,6 +316,21 @@ class TestInstanceFiles:
         assert dumps_instance(reparsed) == text
         assert '"1/2"' in text and "3" in text  # ints stay ints, ratios quoted
 
+    def test_round_trip_beyond_int_string_limit(self):
+        # Python's default int-to-string limit is 4300 digits
+        huge = 10**5000 + 7
+        inst = Instance(weights=(F(huge), F(1, 3)), delays=(F(huge + 1, huge - 2), F(2)))
+        text = dumps_instance(inst)
+        reparsed, _ = loads_instance(text)
+        assert reparsed == inst
+        assert dumps_instance(reparsed) == text
+        assert parse_rational("-0." + "0" * 4999 + "5") == F(-1, 2 * 10**4999)
+
+    @pytest.mark.parametrize("bad", ["1" * 5000 + "/0", "1" * 5000 + "/-3", "1" * 5000 + "/2.5"])
+    def test_rejects_beyond_int_string_limit(self, bad):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+
     def test_reference_assignments_round_trip(self):
         inst = Instance(weights=(F(1), F(1)), delays=(F(1), F(1)))
         refs = {"split": Assignment((1, 2))}

@@ -1,6 +1,7 @@
 """Exhaustive enumeration cross-checked against an independent naive scan."""
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -59,6 +60,37 @@ class TestEnumerateExtremes:
             enumerate_extremes(inst, EnumerationBudget(max_states=14))
         assert err.value.required == 15  # C(6, 2)
         enumerate_extremes(inst, EnumerationBudget(max_states=15))
+
+    def test_budget_is_checked_before_any_work(self):
+        # 3^40 assignments and C(109, 9) count vectors: refused at once
+        mixed = Instance(weights=tuple(F(1 + i % 2) for i in range(40)), delays=(F(1),) * 3)
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_extremes(mixed)
+        assert err.value.required == 3**40
+        identical = Instance(weights=(F(2),) * 100, delays=tuple(F(k) for k in range(1, 11)))
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_extremes(identical)
+        assert err.value.required == comb(109, 9)
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_nash_count_vectors(identical)
+        assert err.value.required == comb(109, 9)
+
+    def test_one_resource_many_tasks(self):
+        # a single state; the walk keeps its own stack, so depth is no limit
+        weights = tuple(F(1 + i % 5, 1 + i % 3) for i in range(3000))
+        inst = Instance(weights=weights, delays=(F(3, 2),))
+        report = enumerate_extremes(inst)
+        expected = 3000 * F(3, 2) * sum(weights)
+        assert report.min_cost == report.min_nash_cost == report.max_nash_cost == expected
+        assert report.min_cost_witness == report.max_nash_witness == Assignment((1,) * 3000)
+
+    def test_count_vectors_over_many_resources(self):
+        # one task on 1500 resources: 1500 count vectors of 1500 entries each
+        inst = Instance(weights=(F(1),), delays=tuple(F(k) for k in range(1, 1501)))
+        report = enumerate_extremes(inst)
+        assert report.min_cost == report.min_nash_cost == report.max_nash_cost == F(1)
+        assert report.max_nash_witness == Assignment((1,))
+        assert len(enumerate_nash_count_vectors(inst)) == 1
 
     def test_matches_naive_scan_mixed_weights(self):
         for seed in range(25):

@@ -1,6 +1,6 @@
-"""Property tests: the fast equilibrium scan, greedy builders and integer
-dynamic programs against the straightforward loops in helpers.py and against
-brute force, on generated instances.
+"""Property tests: the fast equilibrium scan, greedy builders, integer
+dynamic programs and the incremental oracle walk against the straightforward
+loops in helpers.py and against brute force, on generated instances.
 
 Examples are derandomized and bounded, so every run checks the same cases.
 Values are drawn either from small integers (many exact ties) or from
@@ -23,11 +23,14 @@ from selfish_assign import (
     dp_few_delays,
     dp_few_weights,
     dp_identical_delays,
+    enumerate_extremes,
+    enumerate_nash_count_vectors,
     find_opt,
     find_opt_nash,
     greedy_nash,
     improving_moves,
     is_nash,
+    iter_count_vectors,
     round_delays,
     round_weights,
 )
@@ -38,9 +41,11 @@ from helpers import (
     heap_find_opt_nash,
     naive_cost,
     naive_is_nash,
+    reference_count_vectors,
     reference_dp_few_delays,
     reference_dp_few_weights,
     reference_dp_identical_delays,
+    reference_enumerate_extremes,
     scan_greedy_nash,
     scan_improving_moves,
 )
@@ -214,3 +219,34 @@ def test_approximation_within_factor_of_optimum(inst, epsilon):
     for solution in (approx_solve_weights(inst, epsilon), approx_solve_delays(inst, epsilon)):
         assert optimum <= solution.cost <= (1 + epsilon) * optimum
         assert naive_cost(inst.weights, inst.delays, solution.assignment.target) == solution.cost
+
+
+@PROPERTY
+@given(st.one_of(instances(max_n=5, max_m=4), few_valued_instances(max_n=5, max_m=4)))
+@example(Instance((F(3),), (F(2),)))  # n = 1, m = 1
+@example(Instance((F(2), F(1), F(3), F(1)), (F(5, 2),)))  # m = 1
+@example(Instance((F(7, 3),), (F(1), F(2), F(2), F(9, 4))))  # n = 1
+@example(Instance((F(1), F(2)), (F(1), F(1), F(3), F(3), F(3))))  # m > n, tied delays
+@example(Instance((F(2), F(1, 3), F(3), F(1, 3)), (F(4, 3),) * 3))  # identical delays
+@example(Instance((F(1), F(1), F(2), F(2)), (F(1), F(1), F(1))))  # tied costs everywhere
+@example(Instance((F(10**12, 7), F(1, 10**9), F(10**12, 7)), (F(97, 5), F(10**9, 11), F(3))))
+def test_oracle_walk_equals_reference(inst):
+    assert enumerate_extremes(inst) == reference_enumerate_extremes(inst)
+
+
+@PROPERTY
+@given(identical_weight_instances(max_n=9, max_m=4))
+@example(Instance((F(3),), (F(2),)))  # n = 1, m = 1
+@example(Instance((F(5, 3),) * 9, (F(7),)))  # m = 1
+@example(Instance((F(2),), (F(3), F(1), F(2))))  # n = 1
+@example(Instance((F(2),) * 3, (F(1),) * 7))  # m > n, all delays tied
+@example(Instance((F(10**12, 7),) * 6, (F(97, 5), F(10**9, 11), F(1, 10**9))))
+def test_count_vector_walk_equals_reference(inst):
+    assert enumerate_extremes(inst) == reference_enumerate_extremes(inst)
+    vectors = list(iter_count_vectors(inst.n, inst.m))
+    assert vectors == list(reference_count_vectors(inst.n, inst.m))
+    assert enumerate_nash_count_vectors(inst) == [
+        CountAssignment(vec)
+        for vec in vectors
+        if is_nash(inst, CountAssignment(vec).to_assignment())  # the per-task check
+    ]
