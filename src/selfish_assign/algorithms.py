@@ -9,11 +9,13 @@ distinct weights.  Approximate solvers round weights (or delays) up onto a
 geometric grid and run the matching DP; the result, re-costed under the
 original instance, is within 1+epsilon of optimal.
 
-Everything is exact.  Inputs and results are Fractions; inside, the DPs run
-on Python ints: weights and delays each multiplied by the LCM of their
-denominators, the optimum divided back out at the end.
+Everything is exact.  Inputs and results are Fractions; inside, the greedy
+builders and the DPs run on the instance's ints (`Instance._kernel`):
+weights and delays each multiplied by the LCM of their denominators, the
+cost divided back out at the end.
 """
 
+import bisect
 import heapq
 import itertools
 import math
@@ -28,6 +30,10 @@ DEFAULT_DISTINCT_VALUES = 4
 
 #: Hard cap on DP table entries; guards against accidental blow-ups.
 MAX_TABLE_STATES = 10**8
+
+#: Hard cap on the steps k of a geometric rounding grid: each rounded value
+#: is found by comparing k-th powers, whose size grows with k.
+MAX_GRID_STEPS = 10**4
 
 @dataclass(frozen=True)
 class DPSolution:
@@ -62,13 +68,14 @@ def _marginal_greedy(inst: Instance, slope: int, key) -> CountAssignment:
     Each resource's marginals grow with c_k, so the placements are the n
     smallest marginals in heap order.  Those strictly below the fractional
     threshold slope * (n - m) / throughput are a prefix of that order, fewer
-    than n of them, and are counted in closed form; the heap places the
-    rest, at most 2m tasks.
+    than n of them, and are counted in closed form (O(m) Fractions); the
+    heap, keyed on the instance's scaled-int delays, places the rest, at
+    most 2m tasks.
     """
     _require_identical_weights(inst)
-    delays = inst.delays
     threshold = Fraction(slope * (inst.n - inst.m)) / inst.throughput
-    counts = [max(0, math.ceil((threshold / d - 1) / slope)) for d in delays]
+    counts = [max(0, math.ceil((threshold / d - 1) / slope)) for d in inst.delays]
+    delays = inst._kernel.delays
     heap = [key((slope * c + 1) * d, c, k) for k, (c, d) in enumerate(zip(counts, delays))]
     heapq.heapify(heap)
     for _ in range(inst.n - sum(counts)):
@@ -111,10 +118,11 @@ def greedy_nash(inst: Instance) -> Assignment:
     ever gains by moving afterwards, so the result is an equilibrium.  Within
     a weight class a heap keyed by (load the task would incur, resource)
     finds that resource; it is rebuilt when the weight changes:
-    O(n log m + classes * m).
+    O(n log m + classes * m).  Sums and heap keys are the instance's
+    scaled ints.
     """
-    delays, weights = inst.delays, inst.weights
-    sums = [Fraction(0)] * inst.m
+    delays, weights = inst._kernel.delays, inst._kernel.weights
+    sums = [0] * inst.m
     target = [0] * inst.n
     heap, w = [], None
     # a stable sort keeps equal weights in task order
@@ -130,17 +138,10 @@ def greedy_nash(inst: Instance) -> Assignment:
     return Assignment(tuple(target))
 
 
-def _scaled(values):
-    """Ints proportional to the positive rationals `values`, and the LCM of
-    their denominators they were multiplied by.  Scaling by a positive
-    constant keeps every comparison and tie."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def _classes(values, kind: str, alpha: int):
     """Distinct values, increasing, and the indices holding each one;
-    refuses more than `alpha` distinct values."""
+    refuses more than `alpha` distinct values.  Given the instance's scaled
+    ints, the distinct values are the scaled ints of the classes."""
     members = {}
     for i, v in enumerate(values):
         members.setdefault(v, []).append(i)
@@ -165,9 +166,9 @@ def _count_vectors(members, rows: int):
     return radix, strides[::-1], vectors
 
 
-def _delay_class_dp(inst: Instance, values, members) -> DPSolution:
-    """Optimal assignment on resources of the delays `values`, class c being
-    the 0-based resources `members[c]`.
+def _delay_class_dp(inst: Instance, delays, members) -> DPSolution:
+    """Optimal assignment on resources of the scaled-int `delays`, class c
+    being the 0-based resources `members[c]`.
 
     With tasks sorted by non-increasing weight there is an optimal assignment
     whose resource groups are consecutive runs of that order.  table[v][j] is
@@ -176,12 +177,11 @@ def _delay_class_dp(inst: Instance, values, members) -> DPSolution:
     first minimum over (class, run size).  choice[v][j] = size * classes +
     class; at j = 0 the resources left stay empty, first class first.
     """
-    n, beta = inst.n, len(values)
+    n, beta = inst.n, len(delays)
     radix, strides, vectors = _count_vectors(members, n + 1)
-    order = sorted(range(n), key=lambda i: (-inst.weights[i], i))
-    weights, weight_scale = _scaled([inst.weights[i] for i in order])
-    delays, delay_scale = _scaled(values)
-    prefix = list(itertools.accumulate(weights, initial=0))
+    weights = inst._kernel.weights
+    order = sorted(range(n), key=lambda i: (-weights[i], i))
+    prefix = list(itertools.accumulate(map(weights.__getitem__, order), initial=0))
     table = [[0] * (n + 1) for _ in range(vectors)]
     choice = [[0] * (n + 1) for _ in range(vectors)]
     steps = []
@@ -218,7 +218,7 @@ def _delay_class_dp(inst: Instance, values, members) -> DPSolution:
             target[order[pos]] = resource
         j -= size
         v -= strides[cls]
-    return DPSolution(Fraction(table[-1][n], weight_scale * delay_scale), Assignment(tuple(target)))
+    return DPSolution(inst._kernel.rational(table[-1][n]), Assignment(tuple(target)))
 
 
 def dp_identical_delays(inst: Instance) -> DPSolution:
@@ -230,7 +230,7 @@ def dp_identical_delays(inst: Instance) -> DPSolution:
     """
     if not inst.identical_delays:
         raise ValueError("this dynamic program needs all resource delays to be identical")
-    return _delay_class_dp(inst, *_classes(inst.delays, "delay", 1))
+    return _delay_class_dp(inst, *_classes(inst._kernel.delays, "delay", 1))
 
 
 def dp_few_delays(inst: Instance, alpha: int = DEFAULT_DISTINCT_VALUES) -> DPSolution:
@@ -240,7 +240,7 @@ def dp_few_delays(inst: Instance, alpha: int = DEFAULT_DISTINCT_VALUES) -> DPSol
     of each delay class have been used, and each step peels the lightest
     remaining run of tasks onto a resource of some class.
     """
-    return _delay_class_dp(inst, *_classes(inst.delays, "delay", alpha))
+    return _delay_class_dp(inst, *_classes(inst._kernel.delays, "delay", alpha))
 
 
 def dp_few_weights(inst: Instance, alpha: int = DEFAULT_DISTINCT_VALUES) -> DPSolution:
@@ -250,11 +250,9 @@ def dp_few_weights(inst: Instance, alpha: int = DEFAULT_DISTINCT_VALUES) -> DPSo
     the first k resources; each step chooses how many tasks of each class the
     k-th resource receives, the first minimum in itertools.product order.
     """
-    values, members = _classes(inst.weights, "weight", alpha)
-    m = inst.m
+    weights, members = _classes(inst._kernel.weights, "weight", alpha)
+    delays, m = inst._kernel.delays, inst.m
     radix, strides, vectors = _count_vectors(members, m + 1)
-    weights, weight_scale = _scaled(values)
-    delays, delay_scale = _scaled(inst.delays)
     # group[t]: tasks in take vector t times their weight, before the delay
     group = [sum(t) * sum(map(operator.mul, t, weights))
              for t in itertools.product(*map(range, radix))]
@@ -286,7 +284,7 @@ def dp_few_weights(inst: Instance, alpha: int = DEFAULT_DISTINCT_VALUES) -> DPSo
         for queue, stride, base in zip(queues, strides, radix):
             for _ in range(t // stride % base):
                 target[next(queue)] = k
-    return DPSolution(Fraction(table[-1][-1], weight_scale * delay_scale), Assignment(tuple(target)))
+    return DPSolution(inst._kernel.rational(table[-1][-1]), Assignment(tuple(target)))
 
 
 def _int_kth_root(x: int, k: int):
@@ -315,11 +313,51 @@ def _rational_kth_root(q: Fraction, k: int):
     return Fraction(num, den)
 
 
+def _grid_steps(ratio: Fraction, epsilon: Fraction) -> int:
+    """The smallest k >= 1 with (1 + epsilon)**k >= ratio, by doubling and
+    then bisection; refuses k above MAX_GRID_STEPS.  The bound is checked
+    first through (1 + epsilon)**K <= 1 / (1 - K * epsilon), which holds
+    for K * epsilon < 1 and costs no power."""
+    base, most = 1 + epsilon, MAX_GRID_STEPS * epsilon
+    if most < 1 and ratio * (1 - most) > 1:
+        raise ValueError(_grid_steps_refusal(ratio, epsilon))
+    low, high = 0, 1  # base**low < ratio
+    while base**high < ratio:
+        if high == MAX_GRID_STEPS:
+            raise ValueError(_grid_steps_refusal(ratio, epsilon))
+        low, high = high, min(2 * high, MAX_GRID_STEPS)
+    return low + 1 + bisect.bisect_left(
+        range(low + 1, high + 1), True, key=lambda k: base**k >= ratio)
+
+
+def _log_log1p(x: Fraction) -> float:
+    """ln(ln(1 + x)) for a rational x > 0 of any size, approximately."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if f == math.inf:  # ln(1 + x) ~ ln x
+        return math.log(math.log(x.numerator) - math.log(x.denominator))
+    if f < 1e-300:  # ln(1 + x) ~ x
+        return math.log(x.numerator) - math.log(x.denominator)
+    return math.log(math.log1p(f))
+
+
+def _grid_steps_refusal(ratio: Fraction, epsilon: Fraction) -> str:
+    log10_k = (_log_log1p(ratio - 1) - _log_log1p(epsilon)) / math.log(10)
+    exponent = math.floor(log10_k)
+    return (
+        f"geometric rounding needs about {10 ** (log10_k - exponent):.1f}e{exponent}"
+        f" grid steps, above the bound {MAX_GRID_STEPS}; use a larger epsilon"
+    )
+
+
 def _round_up_geometric(values, epsilon: Fraction):
     """Round each value up onto the geometric grid lo * (hi/lo)**(t/k).
 
     k is the smallest positive integer with (1 + epsilon)**k >= hi/lo, so
-    consecutive grid points differ by at most a factor 1 + epsilon.  Each
+    consecutive grid points differ by at most a factor 1 + epsilon; a k
+    above MAX_GRID_STEPS raises ValueError.  Each
     value maps to the smallest grid point at or above it; the grid point is
     materialized exactly when rational, otherwise as the largest original
     value in the same grid cell (still an upper bound within 1 + epsilon).
@@ -332,20 +370,13 @@ def _round_up_geometric(values, epsilon: Fraction):
     ratio = hi / lo
     if ratio == 1:
         return list(values), 1
-    k = 1
-    power = 1 + epsilon
-    while power < ratio:
-        k += 1
-        power *= 1 + epsilon
+    k = _grid_steps(ratio, epsilon)
 
     def cell_index(v: Fraction) -> int:
         # smallest t in 0..k with v <= lo * ratio**(t/k), compared exactly
-        # via v**k <= lo**(k-t) * hi**t
+        # via v**k <= lo**(k-t) * hi**t, which grows with t
         vk = v**k
-        for t in range(k + 1):
-            if vk <= lo ** (k - t) * hi**t:
-                return t
-        raise AssertionError("value above the top of its own grid")
+        return bisect.bisect_left(range(k + 1), True, key=lambda t: vk <= lo ** (k - t) * hi**t)
 
     cells = {}
     for v in set(values):

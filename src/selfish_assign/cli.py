@@ -4,6 +4,7 @@ Subcommands: solve (optimal or approximate assignment), nash (equilibrium
 construction), ratio (exhaustive extreme-cost report), gen (instance files),
 verify (cost and equilibrium check of a given assignment).  Stdout carries
 exactly one JSON report; diagnostics go to stderr.  Exit codes: 0 success,
+1 stdout closed by its reader before the report was written (no traceback),
 2 unparsable input, 3 precondition violation, 4 enumeration budget exceeded.
 """
 
@@ -27,10 +28,12 @@ from .model import (
     is_nash,
     loads_instance,
     parse_rational,
-    resource_load,
+    resource_load,  # unused here; kept as a module attribute perfbench/spans.py wraps
+    resource_loads,
 )
 
 EXIT_OK = 0
+EXIT_STDOUT_CLOSED = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
@@ -285,7 +288,7 @@ def _cmd_verify(args) -> dict:
 
     result = {
         "cost": _rat(cost(inst, assignment)),
-        "resource_loads": [_rat(resource_load(inst, assignment, r)) for r in range(1, inst.m + 1)],
+        "resource_loads": [_rat(load) for load in resource_loads(inst, assignment)],
         "is_nash": not moves,
         "improving_moves": [
             {"task": task, "to_resource": resource, "new_load": _rat(load)}
@@ -434,7 +437,15 @@ def main(argv=None) -> int:
 
 
 def entry_point():
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the
+        # interpreter's final flush of the unwritten rest stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_STDOUT_CLOSED
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -3,17 +3,25 @@
 Each task carries a positive rational weight and picks exactly one resource.
 A resource with delay d and total assigned weight S imposes load d*S on every
 task that uses it; the social cost is the sum of the loads incurred by the
-individual tasks.  Equilibrium checks hinge on exact ties, so every quantity
-is a fractions.Fraction and nothing is ever rounded.
+individual tasks.  Equilibrium checks hinge on exact ties, so nothing is
+ever rounded: every value the API takes or returns is a fractions.Fraction.
+
+Inside, each instance is scaled to ints once (`Instance._kernel`): weights
+and delays each multiplied by the LCM of their denominators, which keeps
+every comparison and tie.  The evaluators here, the greedy builders, the
+dynamic programs and the oracle all compute on those ints and build a
+Fraction only for the values they return.
 """
 
 import decimal
+import functools
 import json
+import math
 import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 #: Exact rational number: p/q in lowest terms, q > 0.  All weights, delays,
 #: loads, costs and ratios in this package are Rationals.
@@ -91,6 +99,33 @@ def _json_number(x: Fraction):
     return format_rational(x)
 
 
+def _scaled(values):
+    """Ints proportional to the positive rationals `values`, and the LCM of
+    their denominators they were multiplied by.  Scaling by a positive
+    constant keeps every comparison and tie."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
+
+
+def _as_fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+class _Kernel(NamedTuple):
+    """An instance on ints: weights times `weight_scale` and delays times
+    `delay_scale`, each scale the LCM of the denominators.  A load or cost
+    computed on these ints is the true one times weight_scale * delay_scale."""
+
+    weights: tuple
+    weight_scale: int
+    delays: tuple
+    delay_scale: int
+
+    def rational(self, value: int) -> Fraction:
+        """The true value of a load or cost computed on the ints."""
+        return Fraction(value, self.weight_scale * self.delay_scale)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A problem instance: task weights plus resource delays.
@@ -104,18 +139,25 @@ class Instance:
     delays: tuple
 
     def __post_init__(self):
-        weights = tuple(Fraction(w) for w in self.weights)
-        delays = tuple(sorted(Fraction(d) for d in self.delays))
+        weights = tuple(map(_as_fraction, self.weights))
+        delays = tuple(sorted(map(_as_fraction, self.delays)))
         if not weights:
             raise ValueError("an instance needs at least one task")
         if not delays:
             raise ValueError("an instance needs at least one resource")
-        if any(w <= 0 for w in weights):
+        if any(w.numerator <= 0 for w in weights):
             raise ValueError("task weights must be positive")
-        if any(d <= 0 for d in delays):
+        if any(d.numerator <= 0 for d in delays):
             raise ValueError("resource delays must be positive")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "delays", delays)
+
+    @functools.cached_property
+    def _kernel(self) -> _Kernel:
+        """The instance scaled to ints, computed on first use (threads that
+        race compute equal values).  Not a field: equality, hashing and repr
+        see weights and delays only."""
+        return _Kernel(*_scaled(self.weights), *_scaled(self.delays))
 
     @property
     def n(self) -> int:
@@ -127,7 +169,8 @@ class Instance:
 
     @property
     def total_weight(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
+        kernel = self._kernel
+        return Fraction(sum(kernel.weights), kernel.weight_scale)
 
     @property
     def throughput(self) -> Fraction:
@@ -144,7 +187,8 @@ class Instance:
     @property
     def weight_spread(self) -> Fraction:
         """Ratio of the largest task weight to the smallest."""
-        return max(self.weights) / min(self.weights)
+        weights = self._kernel.weights
+        return Fraction(max(weights), min(weights))
 
     @property
     def delay_spread(self) -> Fraction:
@@ -153,11 +197,13 @@ class Instance:
 
     @property
     def identical_weights(self) -> bool:
-        return min(self.weights) == max(self.weights)
+        weights = self._kernel.weights
+        return weights.count(weights[0]) == len(weights)
 
     @property
     def unit_weights(self) -> bool:
-        return all(w == 1 for w in self.weights)
+        # identical weights w = p/q scale to p with weight_scale q
+        return self.identical_weights and self._kernel.weights[0] == self._kernel.weight_scale
 
     @property
     def identical_delays(self) -> bool:
@@ -231,37 +277,50 @@ def _as_counts(inst: Instance, a: CountAssignment) -> tuple:
 
 
 def _weight_on_resources(inst: Instance, a: Assignment):
-    """Per-resource (count, weight sum) pairs, validating the assignment."""
-    if len(a.target) != inst.n:
-        raise ValueError(f"assignment has {len(a.target)} entries, instance has {inst.n} tasks")
-    counts = [0] * inst.m
-    sums = [Fraction(0)] * inst.m
-    for i, resource in enumerate(a.target):
-        if resource > inst.m:
-            raise ValueError(f"task {i + 1} uses resource {resource}, instance has {inst.m}")
+    """Per-resource task counts and weight sums on the instance's ints,
+    validating the assignment."""
+    target, m = a.target, inst.m
+    if len(target) != inst.n:
+        raise ValueError(f"assignment has {len(target)} entries, instance has {inst.n} tasks")
+    if max(target) > m:
+        i = next(i for i, resource in enumerate(target) if resource > m)
+        raise ValueError(f"task {i + 1} uses resource {target[i]}, instance has {m}")
+    counts = [0] * m
+    sums = [0] * m
+    for w, resource in zip(inst._kernel.weights, target):
         counts[resource - 1] += 1
-        sums[resource - 1] += inst.weights[i]
+        sums[resource - 1] += w
     return counts, sums
+
+
+def _loads_on_resources(inst: Instance, a: AnyAssignment) -> list:
+    """Per-resource loads d_r * S_r on the instance's ints, in one pass."""
+    kernel = inst._kernel
+    if isinstance(a, CountAssignment):
+        w = kernel.weights[0]
+        return [d * c * w for d, c in zip(kernel.delays, _as_counts(inst, a))]
+    _, sums = _weight_on_resources(inst, a)
+    return list(map(operator.mul, kernel.delays, sums))
 
 
 def resource_load(inst: Instance, a: AnyAssignment, resource: int) -> Fraction:
     """Load of the 1-based `resource`: its delay times the weight assigned to it."""
     if not 1 <= resource <= inst.m:
         raise IndexError(f"resource index {resource} out of range 1..{inst.m}")
-    if isinstance(a, CountAssignment):
-        counts = _as_counts(inst, a)
-        return inst.delays[resource - 1] * counts[resource - 1] * inst.weights[0]
-    _, sums = _weight_on_resources(inst, a)
-    return inst.delays[resource - 1] * sums[resource - 1]
+    return inst._kernel.rational(_loads_on_resources(inst, a)[resource - 1])
+
+
+def resource_loads(inst: Instance, a: AnyAssignment) -> list:
+    """Loads of all resources in index order, in one pass over the tasks."""
+    return list(map(inst._kernel.rational, _loads_on_resources(inst, a)))
 
 
 def task_load(inst: Instance, a: Assignment, task: int) -> Fraction:
     """Load incurred by the 1-based `task`: the load of the resource it uses."""
     if not 1 <= task <= inst.n:
         raise IndexError(f"task index {task} out of range 1..{inst.n}")
-    _, sums = _weight_on_resources(inst, a)
-    resource = a.target[task - 1]
-    return inst.delays[resource - 1] * sums[resource - 1]
+    loads = _loads_on_resources(inst, a)
+    return inst._kernel.rational(loads[a.target[task - 1] - 1])
 
 
 def cost(inst: Instance, a: AnyAssignment) -> Fraction:
@@ -269,18 +328,16 @@ def cost(inst: Instance, a: AnyAssignment) -> Fraction:
 
     For a count vector with common task weight w this is w * sum(c_l^2 * d_l).
     """
+    kernel = inst._kernel
     if isinstance(a, CountAssignment):
         counts = _as_counts(inst, a)
-        unit = sum((Fraction(c * c) * d for c, d in zip(counts, inst.delays)), Fraction(0))
-        return inst.weights[0] * unit
+        unit = sum(map(operator.mul, map(operator.mul, counts, counts), kernel.delays))
+        return kernel.rational(kernel.weights[0] * unit)
     counts, sums = _weight_on_resources(inst, a)
-    return sum(
-        (c * d * s for c, d, s in zip(counts, inst.delays, sums)),
-        Fraction(0),
-    )
+    return kernel.rational(sum(map(operator.mul, map(operator.mul, counts, kernel.delays), sums)))
 
 
-def _improving_moves_of(delays, sums, resource: int, w: Fraction, own: Fraction):
+def _improving_moves_of(delays, sums, resource: int, w: int, own: int):
     """The deviation scan: every move of a weight-`w` task off the 0-based
     `resource` that would incur a load below `own`, as (new load, 0-based
     target) in target order, given the per-resource weight sums.  Its
@@ -326,14 +383,15 @@ def is_nash(inst: Instance, a: AnyAssignment) -> bool:
     task, are scanned first.  For count vectors this reduces to
     c_i * d_i <= (c_j + 1) * d_j for all resource pairs i, j.
     """
+    kernel = inst._kernel
     if isinstance(a, CountAssignment):
-        return _counts_are_nash(_as_counts(inst, a), inst.delays)
+        return _counts_are_nash(_as_counts(inst, a), kernel.delays)
     _, sums = _weight_on_resources(inst, a)
-    lightest = [None] * inst.m
-    for w, resource in zip(inst.weights, a.target):
-        if lightest[resource - 1] is None or w < lightest[resource - 1]:
+    lightest = [0] * inst.m  # 0: no task there
+    for w, resource in zip(kernel.weights, a.target):
+        if not lightest[resource - 1] or w < lightest[resource - 1]:
             lightest[resource - 1] = w
-    return _lightest_tasks_stay(inst.delays, sums, lightest)
+    return _lightest_tasks_stay(kernel.delays, sums, lightest)
 
 
 def improving_moves(inst: Instance, a: Assignment):
@@ -346,18 +404,21 @@ def improving_moves(inst: Instance, a: Assignment):
     `is_nash`, once a weight on a resource has no improving move, no heavier
     task there has one.  O(n + p*m) for p scanned pairs.
     """
+    kernel = inst._kernel
+    delays = kernel.delays
     _, sums = _weight_on_resources(inst, a)
     tasks_by_weight = [{} for _ in range(inst.m)]
-    for task, (w, resource) in enumerate(zip(inst.weights, a.target), start=1):
+    for task, (w, resource) in enumerate(zip(kernel.weights, a.target), start=1):
         tasks_by_weight[resource - 1].setdefault(w, []).append(task)
     moves = []
     for resource, groups in enumerate(tasks_by_weight):
-        own = inst.delays[resource] * sums[resource]
+        own = delays[resource] * sums[resource]
         for w in sorted(groups):
-            best = min(_improving_moves_of(inst.delays, sums, resource, w, own), default=None)
+            best = min(_improving_moves_of(delays, sums, resource, w, own), default=None)
             if best is None:
                 break
             load, other = best
+            load = kernel.rational(load)
             moves.extend((task, other + 1, load) for task in groups[w])
     moves.sort()
     return moves

@@ -23,7 +23,6 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .algorithms import _scaled
 from .model import (
     Assignment,
     CountAssignment,
@@ -90,7 +89,7 @@ def enumerate_nash_count_vectors(inst: Instance, budget: EnumerationBudget = Non
         raise ValueError("count-vector enumeration needs identical task weights")
     budget = budget or EnumerationBudget()
     _check_budget(comb(inst.n + inst.m - 1, inst.m - 1), budget)
-    delays, _ = _scaled(inst.delays)
+    delays = inst._kernel.delays
     return [
         CountAssignment(vec)
         for vec in iter_count_vectors(inst.n, inst.m)
@@ -197,23 +196,21 @@ def enumerate_extremes(inst: Instance, budget: EnumerationBudget = None) -> Rati
     dearest Nash cost found so far.
     """
     budget = budget or EnumerationBudget()
-    delays, delay_scale = _scaled(inst.delays)
+    kernel = inst._kernel
     if inst.identical_weights:
         _check_budget(comb(inst.n + inst.m - 1, inst.m - 1), budget)
-        extremes = _walk_count_vectors(inst.n, delays)
-        weight = inst.weights[0]
-        unit, scale = weight.numerator, weight.denominator * delay_scale
+        extremes = _walk_count_vectors(inst.n, kernel.delays)
+        unit = kernel.weights[0]
     else:
         _check_budget(inst.m**inst.n, budget)
-        weights, weight_scale = _scaled(inst.weights)
-        extremes = _walk_assignments(weights, delays)
-        unit, scale = 1, weight_scale * delay_scale
+        extremes = _walk_assignments(kernel.weights, kernel.delays)
+        unit = 1
 
     if extremes[1][0] is None:
         raise AssertionError("a pure Nash assignment always exists; enumeration is broken")
     (best, best_at), (low, low_at), (high, high_at) = (
         (
-            Fraction(value * unit, scale),
+            kernel.rational(value * unit),
             CountAssignment(state).to_assignment()
             if inst.identical_weights
             else Assignment(tuple(r + 1 for r in state)),

@@ -137,6 +137,119 @@ def heap_find_opt_nash(n, delays):
     return tuple(counts)
 
 
+# Reference evaluators and equilibrium builder: the package's earlier
+# Fraction implementations, which the integer kernel must agree with, value
+# for value.
+
+def _reference_counts_and_sums(inst, a):
+    if len(a.target) != inst.n:
+        raise ValueError(f"assignment has {len(a.target)} entries, instance has {inst.n} tasks")
+    counts = [0] * inst.m
+    sums = [Fraction(0)] * inst.m
+    for i, resource in enumerate(a.target):
+        if resource > inst.m:
+            raise ValueError(f"task {i + 1} uses resource {resource}, instance has {inst.m}")
+        counts[resource - 1] += 1
+        sums[resource - 1] += inst.weights[i]
+    return counts, sums
+
+
+def _reference_as_counts(inst, a):
+    if len(a.counts) != inst.m or a.total != inst.n or min(inst.weights) != max(inst.weights):
+        raise ValueError("count vector does not fit the instance")
+    return a.counts
+
+
+def reference_resource_load(inst, a, resource):
+    if isinstance(a, CountAssignment):
+        counts = _reference_as_counts(inst, a)
+        return inst.delays[resource - 1] * counts[resource - 1] * inst.weights[0]
+    _, sums = _reference_counts_and_sums(inst, a)
+    return inst.delays[resource - 1] * sums[resource - 1]
+
+
+def reference_cost(inst, a):
+    if isinstance(a, CountAssignment):
+        counts = _reference_as_counts(inst, a)
+        unit = sum((Fraction(c * c) * d for c, d in zip(counts, inst.delays)), Fraction(0))
+        return inst.weights[0] * unit
+    counts, sums = _reference_counts_and_sums(inst, a)
+    return sum((c * d * s for c, d, s in zip(counts, inst.delays, sums)), Fraction(0))
+
+
+def _reference_moves_of(delays, sums, resource, w, own):
+    for other, d in enumerate(delays):
+        if other != resource:
+            load = d * (sums[other] + w)
+            if load < own:
+                yield load, other
+
+
+def reference_is_nash(inst, a):
+    """Lightest task per occupied resource, slowest resource first."""
+    if isinstance(a, CountAssignment):
+        loads = [c * d for c, d in zip(_reference_as_counts(inst, a), inst.delays)]
+        return max(loads) <= min(load + d for load, d in zip(loads, inst.delays))
+    _, sums = _reference_counts_and_sums(inst, a)
+    lightest = [None] * inst.m
+    for w, resource in zip(inst.weights, a.target):
+        if lightest[resource - 1] is None or w < lightest[resource - 1]:
+            lightest[resource - 1] = w
+    for resource in range(inst.m - 1, -1, -1):
+        w = lightest[resource]
+        if w is not None:
+            own = inst.delays[resource] * sums[resource]
+            if next(_reference_moves_of(inst.delays, sums, resource, w, own), None):
+                return False
+    return True
+
+
+def reference_improving_moves(inst, a):
+    """One deviation scan per distinct (resource, weight), lightest first."""
+    _, sums = _reference_counts_and_sums(inst, a)
+    tasks_by_weight = [{} for _ in range(inst.m)]
+    for task, (w, resource) in enumerate(zip(inst.weights, a.target), start=1):
+        tasks_by_weight[resource - 1].setdefault(w, []).append(task)
+    moves = []
+    for resource, groups in enumerate(tasks_by_weight):
+        own = inst.delays[resource] * sums[resource]
+        for w in sorted(groups):
+            best = min(_reference_moves_of(inst.delays, sums, resource, w, own), default=None)
+            if best is None:
+                break
+            load, other = best
+            moves.extend((task, other + 1, load) for task in groups[w])
+    moves.sort()
+    return moves
+
+
+def reference_greedy_nash(inst):
+    """Heaviest first, one heap keyed (d_r * (S_r + w), r) per weight class."""
+    delays, weights = inst.delays, inst.weights
+    sums = [Fraction(0)] * inst.m
+    target = [0] * inst.n
+    heap, w = [], None
+    for i in sorted(range(inst.n), key=weights.__getitem__, reverse=True):
+        if weights[i] != w:
+            w = weights[i]
+            heap = [(d * (s + w), r) for r, (d, s) in enumerate(zip(delays, sums))]
+            heapq.heapify(heap)
+        r = heap[0][1]
+        sums[r] += w
+        heapq.heapreplace(heap, (delays[r] * (sums[r] + w), r))
+        target[i] = r + 1
+    return Assignment(tuple(target))
+
+
+def count_grid_steps(ratio, epsilon):
+    """The smallest k >= 1 with (1 + epsilon)**k >= ratio, one multiply at a time."""
+    k, power = 1, 1 + epsilon
+    while power < ratio:
+        k += 1
+        power *= 1 + epsilon
+    return k
+
+
 # Reference dynamic programs: the straightforward Fraction implementations
 # the package's integer kernels must agree with, answer and tie-breaks alike.
 

@@ -289,6 +289,17 @@ class TestRoundWeights:
         with pytest.raises(ValueError):
             round_weights(inst, F(0))
 
+    def test_grid_step_bound(self):
+        inst = Instance(weights=(F(9), F(1)), delays=(F(1),))
+        # (1 + 1/4550)**9999 >= 9, while 1 + 1/4551 needs 10001 > 10**4 steps
+        rounding = round_weights(inst, F(1, 4550))
+        assert rounding.k == 9999 == algorithms.MAX_GRID_STEPS - 1
+        assert rounding.rounded.weights == (F(9), F(1))
+        with pytest.raises(ValueError, match="about 1.0e4 grid steps, above the bound 10000"):
+            round_weights(inst, F(1, 4551))
+        with pytest.raises(ValueError, match="about 2.2e3000 grid steps"):
+            round_delays(Instance(weights=(F(1),), delays=(F(1), F(9))), F(1, 10**3000))
+
     @pytest.mark.parametrize("epsilon", [F(1), F(1, 2), F(1, 4)])
     def test_invariants_on_random_instances(self, epsilon):
         for seed in range(25):

@@ -1,10 +1,16 @@
 """Command-line interface: dispatch, report shape, exit codes, file round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import selfish_assign
 from selfish_assign import Instance, algorithms, dumps_instance, gen_uniform_gap
 from selfish_assign.cli import main
 
@@ -68,6 +74,20 @@ class TestSolve:
         assert code == 3
         assert report is None
         assert err == "error: dynamic programming table would need 12 states\n"
+
+    def test_approx_grid_bound_fails_precondition_at_once(self, tmp_path, capsys):
+        # k = 2.2e30 grid steps; counting them one multiply at a time never returned
+        inst = Instance(weights=(F(1), F(3), F(5), F(7), F(9)), delays=(F(1), F(2), F(3), F(5), F(7), F(11)))
+        path = write_instance(tmp_path, inst)
+        started = time.perf_counter()
+        code, report, err = run_cli(capsys, "solve", path, "--algorithm", "approx", "--epsilon", "1e-30")
+        assert time.perf_counter() - started < 0.5
+        assert code == 3
+        assert report is None
+        assert err == (
+            "error: geometric rounding needs about 2.2e30 grid steps,"
+            f" above the bound {algorithms.MAX_GRID_STEPS}; use a larger epsilon\n"
+        )
 
     def test_approx_without_epsilon_fails_precondition(self, tmp_path, capsys):
         inst = Instance(weights=(F(3), F(2), F(1)), delays=(F(1), F(2)))
@@ -346,3 +366,20 @@ class TestReportShape:
         main(["solve", path])
         out = capsys.readouterr().out
         json.loads(out)  # would raise if stdout carried anything else
+
+
+class TestClosedStdout:
+    def test_reader_closing_the_pipe_exits_1_without_traceback(self, tmp_path):
+        # the report lists 20000 resource indices, far more than a pipe buffers
+        path = write_instance(tmp_path, Instance(weights=(F(1),) * 20000, delays=(F(1), F(2))))
+        src = str(Path(selfish_assign.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "selfish_assign", "solve", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert process.stdout.read(200).startswith(b"{")
+        process.stdout.close()
+        err = process.stderr.read()
+        assert process.wait(timeout=60) == 1
+        assert b"Traceback" not in err

@@ -1,6 +1,8 @@
 """Core model: rational parsing, instance validation, loads, cost, equilibria."""
 
+import dataclasses
 import json
+import pickle
 from fractions import Fraction as F
 from itertools import product
 
@@ -20,6 +22,7 @@ from selfish_assign import (
     loads_instance,
     parse_rational,
     resource_load,
+    resource_loads,
     task_load,
 )
 
@@ -84,6 +87,12 @@ class TestInstance:
         inst2 = Instance(weights=(F(2), F(2)), delays=(F(1),))
         assert inst2.identical_weights and not inst2.unit_weights
 
+    def test_unit_weights_on_scaled_ints(self):
+        # 1/3 scales to the int 1, with weight scale 3
+        for weights in ((F(1, 3), F(1, 3)), (F(1), F(1, 3)), (F(3), F(1))):
+            assert not Instance(weights=weights, delays=(F(1),)).unit_weights
+        assert Instance(weights=(F(1),) * 3, delays=(F(1, 3),)).unit_weights
+
     @pytest.mark.parametrize(
         "weights,delays",
         [((), (F(1),)), ((F(1),), ()), ((F(0),), (F(1),)), ((F(1),), (F(-1),))],
@@ -91,6 +100,24 @@ class TestInstance:
     def test_rejects_bad_instances(self, weights, delays):
         with pytest.raises(ValueError):
             Instance(weights=weights, delays=delays)
+
+    def test_value_semantics_with_cached_kernel(self):
+        inst = Instance(weights=(F(1, 3), 2), delays=(F(5, 7), 1))
+        same = Instance(weights=(F(1, 3), F(2)), delays=(F(1), F(5, 7)))
+        assert inst.total_weight == F(7, 3)  # computes inst's integer kernel only
+        assert inst == same and hash(inst) == hash(same)
+        assert repr(inst) == repr(same) == (
+            "Instance(weights=(Fraction(1, 3), Fraction(2, 1)),"
+            " delays=(Fraction(5, 7), Fraction(1, 1)))"
+        )
+        for original in (inst, same):
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy == original and hash(copy) == hash(original)
+            assert repr(copy) == repr(original)
+            assert copy.total_weight == F(7, 3) and copy.weight_spread == F(6)
+        for attr in ("weights", "delays", "_kernel"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(inst, attr, (F(1),))
 
     def test_assignment_validation(self):
         with pytest.raises(ValueError):
@@ -126,6 +153,14 @@ class TestResourceLoad:
         inst = Instance(weights=(F(2), F(2), F(2)), delays=(F(1), F(3)))
         assert resource_load(inst, CountAssignment((2, 1)), 1) == F(4)
         assert resource_load(inst, CountAssignment((2, 1)), 2) == F(6)
+
+    def test_all_loads_in_one_call(self):
+        inst = Instance(weights=(F(1, 2), F(3), F(1, 2)), delays=(F(2, 3), F(3, 2), F(5)))
+        a = Assignment((2, 3, 2))
+        assert resource_loads(inst, a) == [F(0), F(3, 2), F(15)]
+        assert resource_loads(inst, a) == [resource_load(inst, a, r) for r in (1, 2, 3)]
+        counts = Instance(weights=(F(2),) * 3, delays=(F(1), F(3)))
+        assert resource_loads(counts, CountAssignment((2, 1))) == [F(4), F(6)]
 
 
 class TestCost:

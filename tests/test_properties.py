@@ -1,6 +1,7 @@
-"""Property tests: the fast equilibrium scan, greedy builders, integer
-dynamic programs and the incremental oracle walk against the straightforward
-loops in helpers.py and against brute force, on generated instances.
+"""Property tests: the fast equilibrium scan, the evaluators and greedy
+builders on the integer kernel, the integer dynamic programs and the
+incremental oracle walk against the straightforward loops and Fraction
+programs in helpers.py and against brute force, on generated instances.
 
 Examples are derandomized and bounded, so every run checks the same cases.
 Values are drawn either from small integers (many exact ties) or from
@@ -17,6 +18,7 @@ from selfish_assign import (
     CountAssignment,
     DPSolution,
     Instance,
+    algorithms,
     approx_solve_delays,
     approx_solve_weights,
     cost,
@@ -31,12 +33,16 @@ from selfish_assign import (
     improving_moves,
     is_nash,
     iter_count_vectors,
+    resource_load,
+    resource_loads,
     round_delays,
     round_weights,
+    task_load,
 )
 
 from helpers import (
     brute_min_cost,
+    count_grid_steps,
     heap_find_opt,
     heap_find_opt_nash,
     naive_cost,
@@ -45,7 +51,12 @@ from helpers import (
     reference_dp_few_delays,
     reference_dp_few_weights,
     reference_dp_identical_delays,
+    reference_cost,
     reference_enumerate_extremes,
+    reference_greedy_nash,
+    reference_improving_moves,
+    reference_is_nash,
+    reference_resource_load,
     scan_greedy_nash,
     scan_improving_moves,
 )
@@ -250,3 +261,83 @@ def test_count_vector_walk_equals_reference(inst):
         for vec in vectors
         if is_nash(inst, CountAssignment(vec).to_assignment())  # the per-task check
     ]
+
+
+# The evaluators and greedy_nash on the integer kernel against the Fraction
+# programs they replaced: equal values, returned as Fractions.
+
+@st.composite
+def kernel_cases(draw, max_n=9, max_m=6):
+    """An instance, with identical weights half the time, and an assignment
+    (arbitrary, or a greedy equilibrium with at most one task moved); values
+    are small integers, p/q or p/q up to 10^30/10^20."""
+    values = draw(DP_VALUES)
+    n = draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        weights = (draw(values),) * n
+    else:
+        weights = tuple(draw(st.lists(values, min_size=n, max_size=n)))
+    inst = Instance(weights, tuple(draw(st.lists(values, min_size=1, max_size=max_m))))
+    resources = st.integers(1, inst.m)
+    if draw(st.booleans()):
+        target = draw(st.lists(resources, min_size=n, max_size=n))
+    else:
+        target = list(reference_greedy_nash(inst).target)
+        if draw(st.booleans()):
+            target[draw(st.integers(0, n - 1))] = draw(resources)
+    return inst, Assignment(tuple(target))
+
+
+def _assert_fraction_equal(value, expected):
+    assert type(value) is F and value == expected
+
+
+@PROPERTY
+@given(kernel_cases())
+@example((Instance((F(7, 3),), (F(2), F(1, 5))), Assignment((2,))))  # n = 1
+@example((Instance((F(2), F(1)), (F(1), F(3), F(3), F(5))), Assignment((4, 1))))  # m > n
+@example((Instance((F(3, 2),) * 4, (F(1), F(2))), Assignment((1, 1, 1, 2))))  # identical weights
+@example((Instance((F(1), F(1), F(2)), (F(1), F(1))), Assignment((1, 1, 2))))  # tied loads
+@example((Instance((F(10**30, 7), F(1, 10**20), F(10**30, 7)), (F(10**25, 11), F(3, 10**20))),
+          Assignment((1, 2, 2))))
+def test_evaluators_equal_fraction_references(case):
+    inst, a = case
+    evaluated = [a]
+    if inst.identical_weights:
+        counts = [0] * inst.m
+        for resource in a.target:
+            counts[resource - 1] += 1
+        evaluated.append(CountAssignment(tuple(counts)))
+    for x in evaluated:
+        _assert_fraction_equal(cost(inst, x), reference_cost(inst, x))
+        assert is_nash(inst, x) == reference_is_nash(inst, x)
+        loads = resource_loads(inst, x)
+        assert len(loads) == inst.m
+        for r, load in enumerate(loads, start=1):
+            expected = reference_resource_load(inst, x, r)
+            _assert_fraction_equal(resource_load(inst, x, r), expected)
+            _assert_fraction_equal(load, expected)
+    moves = improving_moves(inst, a)
+    assert moves == reference_improving_moves(inst, a)
+    assert all(type(load) is F for _, _, load in moves)
+    for task in range(1, inst.n + 1):
+        _assert_fraction_equal(
+            task_load(inst, a, task), reference_resource_load(inst, a, a.target[task - 1]))
+
+
+@PROPERTY
+@given(instances(max_n=30, max_m=8))
+@example(Instance((F(5, 3),), (F(2), F(1, 7))))  # n = 1
+@example(Instance((F(2), F(2), F(1)), (F(1),) * 6))  # m > n, tied loads
+@example(Instance((F(10**30, 7), F(1, 10**20), F(10**30, 7), F(3)), (F(10**25, 11), F(3, 10**20))))
+def test_greedy_nash_equals_fraction_reference(inst):
+    assert greedy_nash(inst) == reference_greedy_nash(inst)
+
+
+@PROPERTY
+@given(st.builds(F, st.integers(2, 10**6), st.integers(1, 1000)).filter(lambda r: r > 1),
+       st.builds(F, st.integers(1, 50), st.integers(1, 200)))
+@example(F(9), F(1, 4550))  # the largest k under the bound
+@example(F(10001, 10000), F(1, 10**5))  # epsilon below 1 / MAX_GRID_STEPS, k = 10
+def test_grid_steps_equal_counting_loop(ratio, epsilon):
+    assert algorithms._grid_steps(ratio, epsilon) == count_grid_steps(ratio, epsilon)
