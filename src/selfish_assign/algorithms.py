@@ -55,11 +55,6 @@ class RoundedInstance:
     epsilon: Fraction
 
 
-def _require_identical_weights(inst: Instance):
-    if not inst.identical_weights:
-        raise ValueError("this algorithm needs all task weights to be identical")
-
-
 def _marginal_greedy(inst: Instance, slope: int, key) -> CountAssignment:
     """Place the n identical tasks one at a time, each on a resource whose
     next marginal (slope * c_k + 1) * d_k is lowest, ties broken by
@@ -72,7 +67,8 @@ def _marginal_greedy(inst: Instance, slope: int, key) -> CountAssignment:
     heap, keyed on the instance's scaled-int delays, places the rest, at
     most 2m tasks.
     """
-    _require_identical_weights(inst)
+    if not inst.identical_weights:
+        raise ValueError("this algorithm needs all task weights to be identical")
     threshold = Fraction(slope * (inst.n - inst.m)) / inst.throughput
     counts = [max(0, math.ceil((threshold / d - 1) / slope)) for d in inst.delays]
     delays = inst._kernel.delays
@@ -426,8 +422,7 @@ def approx_solve_weights(inst: Instance, epsilon) -> DPSolution:
     re-costs the resulting assignment under the original weights.
     """
     rounding = round_weights(inst, epsilon)
-    distinct = len(set(rounding.rounded.weights))
-    solution = dp_few_weights(rounding.rounded, alpha=distinct)
+    solution = dp_few_weights(rounding.rounded, alpha=rounding.k + 1)
     return DPSolution(cost(inst, solution.assignment), solution.assignment)
 
 
@@ -435,8 +430,7 @@ def approx_solve_delays(inst: Instance, epsilon) -> DPSolution:
     """Assignment with cost at most (1 + epsilon) times the optimum, obtained
     by rounding delays instead of weights."""
     rounding = round_delays(inst, epsilon)
-    distinct = len(set(rounding.rounded.delays))
-    solution = dp_few_delays(rounding.rounded, alpha=distinct)
+    solution = dp_few_delays(rounding.rounded, alpha=rounding.k + 1)
     return DPSolution(cost(inst, solution.assignment), solution.assignment)
 
 

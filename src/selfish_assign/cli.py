@@ -47,20 +47,25 @@ class _CliError(Exception):
         self.exit_code = exit_code
 
 
-#: Decimal context for approximations beyond float range: 17 significant
-#: digits, as many as a float round-trips, and an exponent of any size.
+#: Decimal context for approximations outside the normal float range: 17
+#: significant digits, as many as a float round-trips, and any exponent.
 _WIDE_DECIMAL = decimal.Context(prec=17, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 def _rat(x: Fraction) -> dict:
     """A rational for the report: exact "p/q" plus a labeled approximation.
 
-    The approximation is a float; beyond float range it is a decimal string
-    in scientific notation with 17 significant digits, correctly rounded.
+    The approximation is a float.  For a value above float range, or a
+    nonzero one that would become 0.0 or a subnormal float (which keeps
+    fewer significant digits), it is a decimal string in scientific
+    notation with 17 significant digits, correctly rounded.
     """
     try:
         approximate = float(x)
+        wide = abs(approximate) < sys.float_info.min and x != 0
     except OverflowError:
+        wide = True
+    if wide:
         numerator, denominator = decimal.Decimal(x.numerator), decimal.Decimal(x.denominator)
         approximate = f"{_WIDE_DECIMAL.divide(numerator, denominator):.16e}"
     return {"exact": format_rational(x), "approximate": approximate}
@@ -179,10 +184,7 @@ def _cmd_solve(args) -> dict:
             assignment = counts.to_assignment()
             value = cost(inst, counts)
         elif algorithm == "dp-delays":
-            if inst.identical_delays:
-                solution = algorithms.dp_identical_delays(inst)
-            else:
-                solution = algorithms.dp_few_delays(inst)
+            solution = algorithms.dp_few_delays(inst)
             assignment, value = solution.assignment, solution.cost
         elif algorithm == "dp-weights":
             solution = algorithms.dp_few_weights(inst)

@@ -266,20 +266,21 @@ class CountAssignment:
 AnyAssignment = Union[Assignment, CountAssignment]
 
 
-def _as_counts(inst: Instance, a: CountAssignment) -> tuple:
-    if len(a.counts) != inst.m:
-        raise ValueError(f"count vector has {len(a.counts)} entries, instance has {inst.m} resources")
-    if a.total != inst.n:
-        raise ValueError(f"count vector places {a.total} tasks, instance has {inst.n}")
-    if not inst.identical_weights:
-        raise ValueError("count vectors only describe assignments of identical-weight tasks")
-    return a.counts
-
-
-def _weight_on_resources(inst: Instance, a: Assignment):
+def _weight_on_resources(inst: Instance, a: AnyAssignment):
     """Per-resource task counts and weight sums on the instance's ints,
-    validating the assignment."""
-    target, m = a.target, inst.m
+    validating the assignment.  The one reader of count vectors: a count
+    vector c of identical weight w puts c_r * w on resource r."""
+    m, weights = inst.m, inst._kernel.weights
+    if isinstance(a, CountAssignment):
+        counts = a.counts
+        if len(counts) != m:
+            raise ValueError(f"count vector has {len(counts)} entries, instance has {m} resources")
+        if a.total != inst.n:
+            raise ValueError(f"count vector places {a.total} tasks, instance has {inst.n}")
+        if not inst.identical_weights:
+            raise ValueError("count vectors only describe assignments of identical-weight tasks")
+        return counts, list(map(weights[0].__mul__, counts))
+    target = a.target
     if len(target) != inst.n:
         raise ValueError(f"assignment has {len(target)} entries, instance has {inst.n} tasks")
     if max(target) > m:
@@ -287,7 +288,7 @@ def _weight_on_resources(inst: Instance, a: Assignment):
         raise ValueError(f"task {i + 1} uses resource {target[i]}, instance has {m}")
     counts = [0] * m
     sums = [0] * m
-    for w, resource in zip(inst._kernel.weights, target):
+    for w, resource in zip(weights, target):
         counts[resource - 1] += 1
         sums[resource - 1] += w
     return counts, sums
@@ -295,12 +296,8 @@ def _weight_on_resources(inst: Instance, a: Assignment):
 
 def _loads_on_resources(inst: Instance, a: AnyAssignment) -> list:
     """Per-resource loads d_r * S_r on the instance's ints, in one pass."""
-    kernel = inst._kernel
-    if isinstance(a, CountAssignment):
-        w = kernel.weights[0]
-        return [d * c * w for d, c in zip(kernel.delays, _as_counts(inst, a))]
     _, sums = _weight_on_resources(inst, a)
-    return list(map(operator.mul, kernel.delays, sums))
+    return list(map(operator.mul, inst._kernel.delays, sums))
 
 
 def resource_load(inst: Instance, a: AnyAssignment, resource: int) -> Fraction:
@@ -329,10 +326,6 @@ def cost(inst: Instance, a: AnyAssignment) -> Fraction:
     For a count vector with common task weight w this is w * sum(c_l^2 * d_l).
     """
     kernel = inst._kernel
-    if isinstance(a, CountAssignment):
-        counts = _as_counts(inst, a)
-        unit = sum(map(operator.mul, map(operator.mul, counts, counts), kernel.delays))
-        return kernel.rational(kernel.weights[0] * unit)
     counts, sums = _weight_on_resources(inst, a)
     return kernel.rational(sum(map(operator.mul, map(operator.mul, counts, kernel.delays), sums)))
 
@@ -384,9 +377,9 @@ def is_nash(inst: Instance, a: AnyAssignment) -> bool:
     c_i * d_i <= (c_j + 1) * d_j for all resource pairs i, j.
     """
     kernel = inst._kernel
+    counts, sums = _weight_on_resources(inst, a)
     if isinstance(a, CountAssignment):
-        return _counts_are_nash(_as_counts(inst, a), kernel.delays)
-    _, sums = _weight_on_resources(inst, a)
+        return _counts_are_nash(counts, kernel.delays)
     lightest = [0] * inst.m  # 0: no task there
     for w, resource in zip(kernel.weights, a.target):
         if not lightest[resource - 1] or w < lightest[resource - 1]:
@@ -484,8 +477,11 @@ def instance_from_jsonable(obj):
         weights=tuple(parse_rational(w) for w in obj["weights"]),
         delays=tuple(parse_rational(d) for d in obj["delays"]),
     )
+    named = obj.get("reference_assignments", {})
+    if not isinstance(named, dict):
+        raise ValueError('"reference_assignments" must be a JSON object')
     references = {}
-    for name, target in (obj.get("reference_assignments") or {}).items():
+    for name, target in named.items():
         if not isinstance(target, list):
             raise ValueError(f"reference assignment {name!r} must be an array")
         references[name] = Assignment(tuple(target))

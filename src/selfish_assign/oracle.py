@@ -97,10 +97,11 @@ def enumerate_nash_count_vectors(inst: Instance, budget: EnumerationBudget = Non
     ]
 
 
-def _walk_count_vectors(n: int, delays):
+def _walk_count_vectors(n: int, w: int, delays):
     """Cheapest state, cheapest and dearest Nash state over the count
-    vectors of n tasks on resources with the scaled-int `delays`, as
-    (sum of c^2 * d, count vector) pairs."""
+    vectors of n tasks of the scaled-int weight `w` on resources with the
+    scaled-int `delays`, as (cost, Assignment) pairs; the cost of a count
+    vector is w * sum(c^2 * d)."""
     best = low = high = best_at = low_at = high_at = None
     for vec in iter_count_vectors(n, len(delays)):
         value = sum(map(operator.mul, map(operator.mul, vec, vec), delays))
@@ -111,13 +112,16 @@ def _walk_count_vectors(n: int, delays):
                 low, low_at = value, vec
             if high is None or value > high:
                 high, high_at = value, vec
-    return (best, best_at), (low, low_at), (high, high_at)
+    return [
+        (w * value, CountAssignment(vec).to_assignment()) if vec else None
+        for value, vec in ((best, best_at), (low, low_at), (high, high_at))
+    ]
 
 
 def _walk_assignments(weights, delays):
     """Cheapest state, cheapest and dearest Nash state over all assignments
     of tasks with the scaled-int `weights` to resources with the scaled-int
-    `delays`, as (cost, 0-based target) pairs.
+    `delays`, as (cost, Assignment) pairs.
 
     An explicit-stack odometer over tasks 0..n-2 in itertools.product
     order.  Placing a weight-w task on resource r adds d_r * (S_r +
@@ -179,7 +183,10 @@ def _walk_assignments(weights, delays):
                 break
             target[i] = 0
         else:
-            return (best, best_at), (low, low_at), (high, high_at)
+            return [
+                (value, Assignment(tuple(r + 1 for r in state))) if state else None
+                for value, state in ((best, best_at), (low, low_at), (high, high_at))
+            ]
 
 
 def enumerate_extremes(inst: Instance, budget: EnumerationBudget = None) -> RatioReport:
@@ -199,23 +206,14 @@ def enumerate_extremes(inst: Instance, budget: EnumerationBudget = None) -> Rati
     kernel = inst._kernel
     if inst.identical_weights:
         _check_budget(comb(inst.n + inst.m - 1, inst.m - 1), budget)
-        extremes = _walk_count_vectors(inst.n, kernel.delays)
-        unit = kernel.weights[0]
+        extremes = _walk_count_vectors(inst.n, kernel.weights[0], kernel.delays)
     else:
         _check_budget(inst.m**inst.n, budget)
         extremes = _walk_assignments(kernel.weights, kernel.delays)
-        unit = 1
-
-    if extremes[1][0] is None:
+    if extremes[1] is None:
         raise AssertionError("a pure Nash assignment always exists; enumeration is broken")
     (best, best_at), (low, low_at), (high, high_at) = (
-        (
-            kernel.rational(value * unit),
-            CountAssignment(state).to_assignment()
-            if inst.identical_weights
-            else Assignment(tuple(r + 1 for r in state)),
-        )
-        for value, state in extremes
+        (kernel.rational(value), witness) for value, witness in extremes
     )
     return RatioReport(
         min_cost=best,

@@ -114,6 +114,24 @@ class TestSolve:
         code, _, _ = run_cli(capsys, "solve", "/does/not/exist.json")
         assert code == 2
 
+    def test_reference_assignments_not_an_object_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "refs.json"
+        path.write_text('{"weights": [1, 2], "delays": [1, 2], "reference_assignments": ["x"]}',
+                        encoding="utf-8")
+        code, report, err = run_cli(capsys, "solve", str(path))
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_auto_uses_weight_dp_for_few_weights(self, tmp_path, capsys):
+        # five distinct delays rule out the delay DP, two distinct weights allow the weight DP
+        inst = Instance(weights=(F(1), F(3), F(1)), delays=tuple(map(F, range(1, 6))))
+        code, report, _ = run_cli(capsys, "solve", write_instance(tmp_path, inst))
+        assert code == 0
+        assert report["result"]["algorithm"] == "dp-weights"
+        assert report["result"]["cost"]["exact"] == "8/1"  # 3 on resource 1, the 1s on 2 and 3
+
 
 class TestNash:
     def test_any_separates_heavy_pair(self, tmp_path, capsys):
@@ -361,11 +379,83 @@ class TestReportShape:
         assert code == 0
         assert report["instance"]["weight_spread"]["approximate"] == "6.6666666666666667e+399"
 
+    def test_approximation_below_float_range(self, tmp_path, capsys):
+        tiny = f"1/{10**200}"
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"weights": [tiny, tiny], "delays": [tiny, tiny]}), encoding="utf-8")
+        code, report, err = run_cli(capsys, "solve", str(path))
+        assert code == 0 and err == ""
+        # float() would give 0.0
+        assert report["result"]["cost"] == {"exact": "1/5" + "0" * 399,
+                                            "approximate": "2.0000000000000000e-400"}
+
+    def test_subnormal_approximation_is_a_string_and_zero_stays_a_float(self, tmp_path, capsys):
+        tiny = f"1/{10**155}"
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"weights": [tiny], "delays": [tiny, tiny]}), encoding="utf-8")
+        assignment = tmp_path / "a.json"
+        assignment.write_text("[1]", encoding="utf-8")
+        code, report, err = run_cli(capsys, "verify", str(path), str(assignment))
+        assert code == 0 and err == ""
+        # float() would give the subnormal 1e-310, which keeps 16 significant bits
+        assert report["result"]["resource_loads"] == [
+            {"exact": f"1/{10**310}", "approximate": "1.0000000000000000e-310"},
+            {"exact": "0/1", "approximate": 0.0},
+        ]
+
     def test_stdout_is_single_json_document(self, tmp_path, capsys):
         path = write_instance(tmp_path, gen_uniform_gap(F(1, 10)))
         main(["solve", path])
         out = capsys.readouterr().out
         json.loads(out)  # would raise if stdout carried anything else
+
+
+# Failure paths: (argv with {instance}, {wide} and {assignment} filled in,
+# assignment file content or None for no file, environment, exit code).
+# {instance} has 2 tasks on 2 resources; {wide} has five distinct weights
+# and five distinct delays, so no exact algorithm applies.
+FAILURES = {
+    "assignment-missing": (["verify", "{instance}", "{assignment}"], None, {}, 2),
+    "assignment-invalid-json": (["verify", "{instance}", "{assignment}"], "[1,", {}, 2),
+    "assignment-not-array": (["verify", "{instance}", "{assignment}"], '{"a": 1}', {}, 2),
+    "assignment-entry-zero": (["verify", "{instance}", "{assignment}"], "[0, 1]", {}, 2),
+    "assignment-entry-true": (["verify", "{instance}", "{assignment}"], "[true, 1]", {}, 2),
+    "assignment-beyond-m": (["verify", "{instance}", "{assignment}"], "[1, 3]", {}, 3),
+    "budget-env-not-int": (["ratio", "{instance}"], None, {"SELFISH_ASSIGN_BUDGET": "abc"}, 2),
+    "budget-env-zero": (["ratio", "{instance}"], None, {"SELFISH_ASSIGN_BUDGET": "0"}, 2),
+    "solve-epsilon-not-rational": (["solve", "{instance}", "--epsilon", "abc"], None, {}, 2),
+    "solve-epsilon-zero": (["solve", "{instance}", "--epsilon", "0"], None, {}, 3),
+    "gen-epsilon-negative": (["gen", "uniform-gap", "--epsilon", "-1"], None, {}, 3),
+    "gen-big-nash-without-n": (["gen", "big-nash"], None, {}, 3),
+    "gen-random-without-ranges": (["gen", "random", "--n", "2", "--m", "2"], None, {}, 3),
+    "gen-random-range-dash": (
+        ["gen", "random", "--n", "2", "--m", "2", "--weights", "1-2", "--delays", "1:2"], None, {}, 2),
+    "gen-random-range-not-rational": (
+        ["gen", "random", "--n", "2", "--m", "2", "--weights", "a:b", "--delays", "1:2"], None, {}, 2),
+    "solve-no-exact-algorithm": (["solve", "{wide}"], None, {}, 3),
+}
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("case", sorted(FAILURES))
+    def test_exit_code_and_one_error_line(self, case, tmp_path, capsys, monkeypatch):
+        argv, content, env, expected = FAILURES[case]
+        assignment = tmp_path / "assignment.json"
+        if content is not None:
+            assignment.write_text(content, encoding="utf-8")
+        wide = Instance(weights=tuple(map(F, range(1, 6))), delays=tuple(map(F, range(1, 6))))
+        paths = {
+            "instance": write_instance(tmp_path, gen_uniform_gap(F(1, 10))),
+            "wide": write_instance(tmp_path, wide, "wide.json"),
+            "assignment": str(assignment),
+        }
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, report, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == expected
+        assert report is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestClosedStdout:

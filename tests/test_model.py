@@ -366,6 +366,12 @@ class TestInstanceFiles:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
+    @pytest.mark.parametrize("named", [["x"], "x", 3])
+    def test_reference_assignments_must_be_an_object(self, named):
+        doc = {"weights": [1, 2], "delays": [1, 2], "reference_assignments": named}
+        with pytest.raises(ValueError, match="reference_assignments"):
+            loads_instance(json.dumps(doc))
+
     def test_reference_assignments_round_trip(self):
         inst = Instance(weights=(F(1), F(1)), delays=(F(1), F(1)))
         refs = {"split": Assignment((1, 2))}
