@@ -3,9 +3,16 @@
 Subcommands: solve (optimal or approximate assignment), nash (equilibrium
 construction), ratio (exhaustive extreme-cost report), gen (instance files),
 verify (cost and equilibrium check of a given assignment).  Stdout carries
-exactly one JSON report; diagnostics go to stderr.  Exit codes: 0 success,
-1 stdout closed by its reader before the report was written (no traceback),
-2 unparsable input, 3 precondition violation, 4 enumeration budget exceeded.
+exactly one JSON report, byte-identical to `json.dumps(report, indent=2)`;
+diagnostics go to stderr, one `error:` line per failure.  Exit codes:
+0 success, 1 stdout closed by its reader before the report was written (no
+traceback), 2 unparsable input, bad arguments or an unwritable --out file,
+3 precondition violation, 4 enumeration budget exceeded.
+
+Instance files are read straight into the instance's integer kernel
+(`model.loads_instance`); the report digest and the routing of
+`solve --algorithm auto` read that kernel too, and reports are written by
+`model.dumps_json`.
 """
 
 import argparse
@@ -23,6 +30,7 @@ from .model import (
     Instance,
     cost,
     dumps_instance,
+    dumps_json,
     format_rational,
     improving_moves,
     is_nash,
@@ -39,6 +47,8 @@ EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 
 BUDGET_ENV_VAR = "SELFISH_ASSIGN_BUDGET"
+
+_WRITE_SLICE = 1 << 16  # characters of the report per write to stdout
 
 
 class _CliError(Exception):
@@ -331,8 +341,11 @@ def _cmd_gen(args) -> dict:
 
     text = dumps_instance(inst, references)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _CliError(EXIT_PARSE, f"cannot write {args.out}: {exc}") from exc
         return _report(
             "gen",
             args,
@@ -372,8 +385,16 @@ def _report(command: str, args, inst: Instance, result: dict, elapsed_ms: float)
     }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Rejects bad arguments with one `error:` line and exit 2, like every
+    other CLI failure, instead of a usage block; subparsers share the class."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="selfish-assign",
         description="Exact solvers and equilibrium analysis for selfish resource assignment",
     )
@@ -433,8 +454,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     if report is not None:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        text = dumps_json(report) + "\n"
+        # in slices: a write after the reader closed the pipe then raises
+        # BrokenPipeError, where one large write can end without an error
+        for start in range(0, len(text), _WRITE_SLICE):
+            sys.stdout.write(text[start : start + _WRITE_SLICE])
     return EXIT_OK
 
 

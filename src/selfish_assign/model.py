@@ -6,11 +6,14 @@ task that uses it; the social cost is the sum of the loads incurred by the
 individual tasks.  Equilibrium checks hinge on exact ties, so nothing is
 ever rounded: every value the API takes or returns is a fractions.Fraction.
 
-Inside, each instance is scaled to ints once (`Instance._kernel`): weights
-and delays each multiplied by the LCM of their denominators, which keeps
-every comparison and tie.  The evaluators here, the greedy builders, the
-dynamic programs and the oracle all compute on those ints and build a
-Fraction only for the values they return.
+Inside, an instance is its ints (`Instance._kernel`): weights and delays
+each multiplied by the LCM of their reduced denominators, which keeps every
+comparison and tie.  Instance files are read straight into those ints, and
+the Fraction tuples `weights` and `delays` are built only when something
+reads them.  The evaluators here, the greedy builders, the dynamic programs
+and the oracle all compute on the ints and build a Fraction only for the
+values they return.  `dumps_json` writes every JSON document the package
+emits, byte-identical to `json.dumps(value, indent=2)`.
 """
 
 import decimal
@@ -21,6 +24,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import NamedTuple, Union
 
 #: Exact rational number: p/q in lowest terms, q > 0.  All weights, delays,
@@ -107,6 +111,47 @@ def _scaled(values):
     return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
 
+def _reduced(value):
+    """(p, q) in lowest terms for a number from an instance file.  JSON ints
+    and "p/q" strings of plain digits are read directly; the rest (decimals,
+    integral floats, strings beyond the int-to-string digit limit) and
+    whatever is not a rational go through parse_rational."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str:
+        numerator, _, denominator = value.partition("/")
+        if numerator.isdigit() and denominator.isdigit():
+            try:
+                p, q = int(numerator), int(denominator)
+            except ValueError:  # beyond the digit limit
+                pass
+            else:
+                if q:
+                    g = math.gcd(p, q)
+                    return p // g, q // g
+    x = parse_rational(value)
+    return x.numerator, x.denominator
+
+
+def _scaled_json(values):
+    """`_scaled` of a JSON array of rationals, without a Fraction per entry:
+    each distinct value is read once, in order of first appearance, so an
+    unreadable value is reported as it would be in a scan of the array."""
+    if not set(map(type, values)) <= {int, str}:
+        # 1, 1.0 and true are equal keys: read such arrays entry by entry
+        return _scaled(list(map(parse_rational, values)))
+    reduced = {v: _reduced(v) for v in dict.fromkeys(values)}
+    scale = math.lcm(*(q for _, q in reduced.values()))
+    scaled = {v: p * (scale // q) for v, (p, q) in reduced.items()}
+    return tuple(map(scaled.__getitem__, values)), scale
+
+
+def _rationals(ints, scale) -> tuple:
+    """The Fractions ints[i] / scale, one Fraction per distinct int."""
+    values = {k: Fraction(k, scale) for k in set(ints)}
+    return tuple(map(values.__getitem__, ints))
+
+
 def _as_fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
@@ -126,46 +171,67 @@ class _Kernel(NamedTuple):
         return Fraction(value, self.weight_scale * self.delay_scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Instance:
     """A problem instance: task weights plus resource delays.
 
     Delays are sorted non-decreasing on construction, so resource 1 is always
     a fastest resource.  Task order is preserved (assignments are indexed by
     task).  Immutable; safe to share between threads.
+
+    The instance is its kernel (`_kernel`): the weights and the delays each
+    scaled to ints by the LCM of their reduced denominators.  That scaling
+    is canonical, so equality and hashing compare kernels.  The `weights`
+    and `delays` Fraction tuples are built on first use (threads that race
+    build equal values); instance files are read straight into a kernel.
     """
 
-    weights: tuple
-    delays: tuple
+    _kernel: _Kernel
 
-    def __post_init__(self):
-        weights = tuple(map(_as_fraction, self.weights))
-        delays = tuple(sorted(map(_as_fraction, self.delays)))
-        if not weights:
-            raise ValueError("an instance needs at least one task")
-        if not delays:
-            raise ValueError("an instance needs at least one resource")
-        if any(w.numerator <= 0 for w in weights):
-            raise ValueError("task weights must be positive")
-        if any(d.numerator <= 0 for d in delays):
-            raise ValueError("resource delays must be positive")
+    def __init__(self, weights, delays):
+        weights = tuple(map(_as_fraction, weights))
+        delays = tuple(sorted(map(_as_fraction, delays)))
+        self._set_kernel(_Kernel(*_scaled(weights), *_scaled(delays)))
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "delays", delays)
 
+    @classmethod
+    def _from_kernel(cls, kernel: _Kernel) -> "Instance":
+        """The instance with this kernel; its delays may be in any order."""
+        inst = cls.__new__(cls)
+        inst._set_kernel(kernel._replace(delays=tuple(sorted(kernel.delays))))
+        return inst
+
+    def _set_kernel(self, kernel: _Kernel):
+        """Set the kernel once it passes the one check of every instance."""
+        if not kernel.weights:
+            raise ValueError("an instance needs at least one task")
+        if not kernel.delays:
+            raise ValueError("an instance needs at least one resource")
+        if min(kernel.weights) <= 0:
+            raise ValueError("task weights must be positive")
+        if kernel.delays[0] <= 0:
+            raise ValueError("resource delays must be positive")
+        object.__setattr__(self, "_kernel", kernel)
+
     @functools.cached_property
-    def _kernel(self) -> _Kernel:
-        """The instance scaled to ints, computed on first use (threads that
-        race compute equal values).  Not a field: equality, hashing and repr
-        see weights and delays only."""
-        return _Kernel(*_scaled(self.weights), *_scaled(self.delays))
+    def weights(self) -> tuple:
+        return _rationals(self._kernel.weights, self._kernel.weight_scale)
+
+    @functools.cached_property
+    def delays(self) -> tuple:
+        return _rationals(self._kernel.delays, self._kernel.delay_scale)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(weights={self.weights!r}, delays={self.delays!r})"
 
     @property
     def n(self) -> int:
-        return len(self.weights)
+        return len(self._kernel.weights)
 
     @property
     def m(self) -> int:
-        return len(self.delays)
+        return len(self._kernel.delays)
 
     @property
     def total_weight(self) -> Fraction:
@@ -176,7 +242,9 @@ class Instance:
     def throughput(self) -> Fraction:
         """Sum of reciprocal delays; the fractional optimum loads every
         resource to n/throughput."""
-        return sum((Fraction(1, 1) / d for d in self.delays), Fraction(0))
+        kernel = self._kernel
+        common = math.lcm(*kernel.delays)
+        return Fraction(kernel.delay_scale * sum(map(common.__floordiv__, kernel.delays)), common)
 
     @property
     def average_load(self) -> Fraction:
@@ -193,7 +261,8 @@ class Instance:
     @property
     def delay_spread(self) -> Fraction:
         """Ratio of the largest resource delay to the smallest."""
-        return self.delays[-1] / self.delays[0]
+        delays = self._kernel.delays
+        return Fraction(delays[-1], delays[0])
 
     @property
     def identical_weights(self) -> bool:
@@ -207,15 +276,16 @@ class Instance:
 
     @property
     def identical_delays(self) -> bool:
-        return self.delays[0] == self.delays[-1]
+        delays = self._kernel.delays
+        return delays[0] == delays[-1]
 
     @property
     def distinct_weight_values(self) -> tuple:
-        return tuple(sorted(set(self.weights)))
+        return _rationals(sorted(set(self._kernel.weights)), self._kernel.weight_scale)
 
     @property
     def distinct_delay_values(self) -> tuple:
-        return tuple(sorted(set(self.delays)))
+        return _rationals(sorted(set(self._kernel.delays)), self._kernel.delay_scale)
 
 
 @dataclass(frozen=True)
@@ -467,15 +537,15 @@ def instance_to_jsonable(inst: Instance, reference_assignments=None) -> dict:
 
 
 def instance_from_jsonable(obj):
-    """Parse an instance document; returns (Instance, reference assignments)."""
+    """Parse an instance document; returns (Instance, reference assignments).
+    The numbers are read straight into the instance's kernel."""
     if not isinstance(obj, dict):
         raise ValueError("instance document must be a JSON object")
     for key in ("weights", "delays"):
         if key not in obj or not isinstance(obj[key], list):
             raise ValueError(f'instance document needs a "{key}" array')
-    inst = Instance(
-        weights=tuple(parse_rational(w) for w in obj["weights"]),
-        delays=tuple(parse_rational(d) for d in obj["delays"]),
+    inst = Instance._from_kernel(
+        _Kernel(*_scaled_json(obj["weights"]), *_scaled_json(obj["delays"]))
     )
     named = obj.get("reference_assignments", {})
     if not isinstance(named, dict):
@@ -488,8 +558,52 @@ def instance_from_jsonable(obj):
     return inst, references
 
 
+def dumps_json(value) -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, for a document of
+    str-keyed dicts, lists and scalars, without json's pure-Python indenting
+    encoder: str, int and finite float scalars go to the functions json
+    itself calls, an all-int list is joined in one piece, and the other
+    scalars (bools, None, nan, infinities) and empty containers are written
+    by json.dumps."""
+    chunks = []
+    _write_json(value, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _write_json(value, newline: str, write):
+    """Write `value` at the depth whose line breaks are `newline`."""
+    kind = type(value)
+    if kind is str:
+        write(_encode_str(value))
+    elif kind is int:
+        write(int.__repr__(value))
+    elif kind is float and math.isfinite(value):
+        write(float.__repr__(value))
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        if set(map(type, value)) == {int}:
+            write("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+        else:
+            separator = "[" + inner
+            for item in value:
+                write(separator)
+                _write_json(item, inner, write)
+                separator = "," + inner
+            write(newline + "]")
+    elif isinstance(value, dict) and value:
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            write(separator + _encode_str(key) + ": ")
+            _write_json(item, inner, write)
+            separator = "," + inner
+        write(newline + "}")
+    else:  # one line: the other scalars and empty containers
+        write(json.dumps(value))
+
+
 def dumps_instance(inst: Instance, reference_assignments=None) -> str:
-    return json.dumps(instance_to_jsonable(inst, reference_assignments), indent=2) + "\n"
+    return dumps_json(instance_to_jsonable(inst, reference_assignments)) + "\n"
 
 
 def loads_instance(text: str):

@@ -256,7 +256,8 @@ def verify_bounds(inst: Instance, report: RatioReport):
             raise ValueError("report does not match instance: Nash witness is not a Nash assignment")
 
     checks = []
-    if min(inst.weights) >= 1:
+    kernel = inst._kernel
+    if min(kernel.weights) >= kernel.weight_scale:  # every weight at least 1
         bound = 4 * inst.weight_spread
         checks.append(
             BoundCheck(

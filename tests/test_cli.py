@@ -433,6 +433,7 @@ FAILURES = {
     "gen-random-range-not-rational": (
         ["gen", "random", "--n", "2", "--m", "2", "--weights", "a:b", "--delays", "1:2"], None, {}, 2),
     "solve-no-exact-algorithm": (["solve", "{wide}"], None, {}, 3),
+    "gen-out-missing-directory": (["gen", "big-nash", "--n", "3", "--out", "{missing}"], None, {}, 2),
 }
 
 
@@ -448,6 +449,7 @@ class TestFailurePaths:
             "instance": write_instance(tmp_path, gen_uniform_gap(F(1, 10))),
             "wide": write_instance(tmp_path, wide, "wide.json"),
             "assignment": str(assignment),
+            "missing": str(tmp_path / "missing" / "out.json"),
         }
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -456,6 +458,74 @@ class TestFailurePaths:
         assert report is None
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_unwritable_out_names_the_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.json"
+        code, report, err = run_cli(capsys, "gen", "big-nash", "--n", "3", "--out", str(out))
+        assert code == 2 and report is None
+        assert err.startswith(f"error: cannot write {out}: ")
+
+
+# argparse rejections: argv, and a fragment of the one error line
+ARGUMENT_ERRORS = {
+    "bad-int-value": (["ratio", "x.json", "--budget", "abc"], "invalid int value: 'abc'"),
+    "bad-choice": (["solve", "x.json", "--algorithm", "bogus"], "invalid choice: 'bogus'"),
+    "no-subcommand": ([], "the following arguments are required: command"),
+    "unknown-flag": (["nash", "x.json", "--fast"], "unrecognized arguments: --fast"),
+}
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("case", sorted(ARGUMENT_ERRORS))
+    def test_one_error_line_and_exit_2(self, case, capsys):
+        argv, fragment = ARGUMENT_ERRORS[case]
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert fragment in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_is_the_usage_block(self, argv, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: selfish-assign") and captured.err == ""
+
+
+class TestReportBytes:
+    """Every report is byte-identical to json.dumps(report, indent=2)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{instance}"],
+            ["solve", "{mixed}", "--algorithm", "approx", "--epsilon", "1/2"],
+            ["nash", "{mixed}"],
+            ["nash", "{instance}", "--mode", "best"],
+            ["ratio", "{mixed}"],
+            ["verify", "{mixed}", "{assignment}"],
+            ["gen", "nash-ratio-lb", "--epsilon", "1/2"],
+            ["gen", "big-nash", "--n", "4", "--out", "{out}"],
+        ],
+        ids=lambda argv: "-".join(a for a in argv if not a.startswith("{")),
+    )
+    def test_stdout_equals_json_dumps_indent_2(self, argv, tmp_path, capsys):
+        mixed = Instance(weights=(F(3), F(1, 3), F(2), F(2)), delays=(F(1), F(5, 2), F(10**400)))
+        assignment = tmp_path / "assignment.json"
+        assignment.write_text("[3, 3, 1, 2]", encoding="utf-8")
+        paths = {
+            "instance": write_instance(tmp_path, gen_uniform_gap(F(1, 10))),
+            "mixed": write_instance(tmp_path, mixed, "mixed.json"),
+            "assignment": str(assignment),
+            "out": str(tmp_path / "out.json"),
+        }
+        assert main([arg.format(**paths) for arg in argv]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestClosedStdout:

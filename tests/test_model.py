@@ -378,3 +378,87 @@ class TestInstanceFiles:
         text = dumps_instance(inst, refs)
         _, parsed = loads_instance(text)
         assert parsed["split"] == Assignment((1, 2))
+
+
+# Instance files read straight into the kernel: (weights, delays) as JSON.
+# Unreduced p/q, decimals, exponents, integral floats, mixed lists and
+# strings beyond Python's 4300-digit int-to-string limit.
+KERNEL_FILES = {
+    "unreduced": (["2/4", "6/3", 1], ["10/4", "3/9"]),
+    "decimal": (["0.5", "1.25"], ["0.5", 2]),
+    "exponent": (["1e3", "2E-2"], ["1e0", "5/2"]),
+    "integral-float": ([3.0, 2], [1.0, "1/2"]),
+    "mixed": ([1, "3/4", "7", 2, "3/4"], ["2", 1, "1/3", 1]),
+    "wide-string": (["1" + "0" * 5000 + "/3", "2"], ["9" * 4400, "1/" + "7" * 4400]),
+}
+
+
+def _repr(inst):
+    """repr, or the error Fraction.__repr__ raises beyond the digit limit."""
+    try:
+        return repr(inst)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestKernelBuiltInstance:
+    @pytest.mark.parametrize("case", sorted(KERNEL_FILES))
+    def test_loaded_equals_constructed(self, case):
+        weights, delays = KERNEL_FILES[case]
+        text = json.dumps({"weights": weights, "delays": delays})
+        built = Instance(weights=tuple(map(parse_rational, weights)),
+                         delays=tuple(map(parse_rational, delays)))
+        loaded, _ = loads_instance(text)
+        reloaded, _ = loads_instance(dumps_instance(built))
+        for inst in (loaded, reloaded):
+            assert inst == built and hash(inst) == hash(built)
+            assert inst._kernel == built._kernel
+            assert _repr(inst) == _repr(built)
+            copy = pickle.loads(pickle.dumps(inst))
+            assert copy == built and hash(copy) == hash(built) and _repr(copy) == _repr(built)
+            assert inst.weights == built.weights and inst.delays == built.delays
+            assert dumps_instance(inst) == dumps_instance(built)
+
+    def test_frozen_before_and_after_the_fractions_are_built(self):
+        inst, _ = loads_instance('{"weights": [1, "1/3"], "delays": ["5/7", 1]}')
+        for built in (False, True):
+            assert ("weights" in vars(inst)) is built and ("delays" in vars(inst)) is built
+            for attr in ("weights", "delays", "_kernel"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(inst, attr, (F(1),))
+            assert inst.weights == (F(1), F(1, 3)) and inst.delays == (F(5, 7), F(1))
+
+    def test_kernel_is_canonical(self):
+        inst, _ = loads_instance('{"weights": ["2/4", "1/6"], "delays": [4, "8/4"]}')
+        # weights 1/2 and 1/6 scale by 6; delays sorted, scale 1
+        assert inst._kernel == ((3, 1), 6, (2, 4), 1)
+        assert inst.distinct_weight_values == (F(1, 6), F(1, 2))
+        assert inst.distinct_delay_values == (F(2), F(4))
+        assert inst.throughput == F(3, 4) and inst.delay_spread == F(2)
+
+    @pytest.mark.parametrize(
+        "value,weight_message,delay_message",
+        [
+            (0, "task weights must be positive", "resource delays must be positive"),
+            (-1, "task weights must be positive", "resource delays must be positive"),
+            ("-1/2", "task weights must be positive", "resource delays must be positive"),
+            (True, "not a rational number: True", None),
+            ("abc", "not a rational number: 'abc'", None),
+            ("1/0", "not a rational number: '1/0'", None),
+            (0.5, "non-integer JSON number 0.5 is inexact; quote it as a string", None),
+            (None, "an instance needs at least one task", "an instance needs at least one resource"),
+        ],
+    )
+    def test_rejections_keep_their_messages(self, value, weight_message, delay_message):
+        array = [] if value is None else [1, value, 2]
+        for key, message in (("weights", weight_message), ("delays", delay_message or weight_message)):
+            doc = {"weights": [1], "delays": [1], key: array}
+            with pytest.raises(ValueError) as raised:
+                loads_instance(json.dumps(doc))
+            assert str(raised.value) == message
+
+    def test_first_unreadable_value_is_reported(self):
+        with pytest.raises(ValueError, match="'abc'"):
+            loads_instance('{"weights": [1, "abc", "xyz", "abc"], "delays": [1]}')
+        with pytest.raises(ValueError, match="1.5"):
+            loads_instance('{"weights": [1, 1.5, true], "delays": [1]}')

@@ -3,13 +3,18 @@ builders on the integer kernel, the integer dynamic programs and the
 incremental oracle walk against the straightforward loops and Fraction
 programs in helpers.py and against brute force, on generated instances.
 
+The report writer is checked against `json.dumps(value, indent=2)` and the
+instance-file reader against `parse_rational` on generated documents.
+
 Examples are derandomized and bounded, so every run checks the same cases.
 Values are drawn either from small integers (many exact ties) or from
 independent p/q fractions (wide denominators).
 """
 
+import json
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -32,13 +37,17 @@ from selfish_assign import (
     greedy_nash,
     improving_moves,
     is_nash,
+    dumps_instance,
     iter_count_vectors,
+    loads_instance,
+    parse_rational,
     resource_load,
     resource_loads,
     round_delays,
     round_weights,
     task_load,
 )
+from selfish_assign.model import dumps_json
 
 from helpers import (
     brute_min_cost,
@@ -341,3 +350,70 @@ def test_greedy_nash_equals_fraction_reference(inst):
 @example(F(10001, 10000), F(1, 10**5))  # epsilon below 1 / MAX_GRID_STEPS, k = 10
 def test_grid_steps_equal_counting_loop(ratio, epsilon):
     assert algorithms._grid_steps(ratio, epsilon) == count_grid_steps(ratio, epsilon)
+
+
+# Report-shaped JSON: str-keyed dicts and lists, ints (bools mixed into int
+# lists), floats of every kind, any text, and the 17-digit scientific
+# strings the CLI writes for approximations outside float range.
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from((5e-324, 2.2e-308, -0.0, 1e308, float("nan"), float("inf"), float("-inf"))),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x20)),
+    st.builds("{:.16e}".format, st.floats(allow_nan=False, allow_infinity=False)),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
+        st.dictionaries(st.text(), children, max_size=6),
+    ),
+    max_leaves=40,
+)
+
+
+@PROPERTY
+@given(JSON_VALUES)
+@example([])
+@example({})
+@example({"a": [], "b": {}, "c": [[], {}]})
+@example([1, True, 2, False, None])
+@example({"approximate": "1.0000000000000000e+400", "x": [5e-324, -0.0, 1e308]})
+@example(["\u00e9\u2028\U0001f600", "\x00\x1f\x7f\"\\"])
+@example({"\n": [-(10**30), 10**30, 0]})
+@example((1, ("a", ()), [{}]))  # tuples are written as lists
+def test_writer_equals_json_dumps_indent_2(value):
+    assert dumps_json(value) == json.dumps(value, indent=2)
+
+
+# Instance-file numbers: JSON ints, "p/q" strings (unreduced), integer and
+# decimal strings, and integral floats.
+FILE_NUMBERS = st.one_of(
+    st.integers(1, 50),
+    st.builds("{}/{}".format, st.integers(0, 400), st.integers(1, 97)),
+    st.builds(str, st.integers(1, 10**30)),
+    st.builds("{}.{}".format, st.integers(0, 9), st.integers(1, 99)),
+    st.integers(1, 9).map(float),
+)
+
+
+@PROPERTY
+@given(st.lists(FILE_NUMBERS, min_size=1, max_size=12), st.lists(FILE_NUMBERS, min_size=1, max_size=6))
+@example(["2/4", 1, "0.5", 3.0], ["6/3", "2"])
+def test_reader_equals_parse_rational(weights, delays):
+    text = json.dumps({"weights": weights, "delays": delays})
+    try:
+        built = Instance(tuple(map(parse_rational, weights)), tuple(map(parse_rational, delays)))
+    except ValueError as exc:  # a zero "0/q"
+        with pytest.raises(ValueError, match=str(exc)):
+            loads_instance(text)
+        return
+    inst, _ = loads_instance(text)
+    assert inst == built and hash(inst) == hash(built) and inst._kernel == built._kernel
+    assert inst.weights == built.weights and inst.delays == built.delays
+    assert loads_instance(dumps_instance(inst))[0]._kernel == built._kernel
