@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Assignment, CountAssignment, Instance, cost
+from .model import Assignment, CountAssignment, Instance, _as_fraction, cost
 
 #: Default bound on the number of distinct weight/delay values the DPs accept.
 DEFAULT_DISTINCT_VALUES = 4
@@ -359,7 +359,7 @@ def _round_up_geometric(values, epsilon: Fraction):
     value in the same grid cell (still an upper bound within 1 + epsilon).
     Returns (rounded values in input order, k).
     """
-    epsilon = Fraction(epsilon)
+    epsilon = _as_fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     lo, hi = min(values), max(values)
@@ -388,7 +388,7 @@ def _round_up_geometric(values, epsilon: Fraction):
 
 def round_weights(inst: Instance, epsilon) -> RoundedInstance:
     """Round task weights up onto a geometric grid of at most k+1 values."""
-    epsilon = Fraction(epsilon)
+    epsilon = _as_fraction(epsilon)
     rounded, k = _round_up_geometric(inst.weights, epsilon)
     return RoundedInstance(
         original=inst,
@@ -404,7 +404,7 @@ def round_delays(inst: Instance, epsilon) -> RoundedInstance:
     The rounding map is monotone, so resource order (and therefore assignment
     indices) carries over between the original and rounded instances.
     """
-    epsilon = Fraction(epsilon)
+    epsilon = _as_fraction(epsilon)
     rounded, k = _round_up_geometric(inst.delays, epsilon)
     return RoundedInstance(
         original=inst,

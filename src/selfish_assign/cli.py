@@ -123,7 +123,7 @@ def _load_assignment_file(path: str, inst: Instance) -> Assignment:
         a = Assignment(tuple(data))
     except ValueError as exc:
         raise _CliError(EXIT_PARSE, f"bad assignment file {path}: {exc}") from exc
-    if any(r > inst.m for r in a.target):
+    if max(a.target) > inst.m:
         raise _CliError(
             EXIT_PRECONDITION, f"assignment uses resources beyond 1..{inst.m}"
         )
@@ -180,9 +180,7 @@ def _pick_algorithm(inst: Instance, requested: str, epsilon) -> str:
 
 def _cmd_solve(args) -> dict:
     inst, _ = _load_instance_file(args.instance)
-    epsilon = None
-    if args.epsilon is not None:
-        epsilon = _parse_epsilon(args.epsilon, "--algorithm approx")
+    epsilon = None if args.epsilon is None else _parse_epsilon(args.epsilon, "--algorithm approx")
     algorithm = _pick_algorithm(inst, args.algorithm, epsilon)
 
     started = time.perf_counter()
@@ -200,7 +198,8 @@ def _cmd_solve(args) -> dict:
             solution = algorithms.dp_few_weights(inst)
             assignment, value = solution.assignment, solution.cost
         elif algorithm == "approx":
-            epsilon = _parse_epsilon(args.epsilon, "--algorithm approx")
+            if epsilon is None:
+                raise _CliError(EXIT_PRECONDITION, "--algorithm approx needs --epsilon")
             approximate = True
             # round whichever side spans the smaller ratio (fewer classes)
             if inst.weight_spread <= inst.delay_spread:

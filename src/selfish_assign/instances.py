@@ -10,7 +10,7 @@ seeds give identical instances everywhere.
 import math
 from fractions import Fraction
 
-from .model import Assignment, Instance
+from .model import Assignment, Instance, _as_fraction
 
 
 def gen_big_nash(n: int) -> Instance:
@@ -35,7 +35,7 @@ def gen_uniform_gap(epsilon) -> Instance:
     at epsilon = 0 two equilibria coexist with costs 2 and 3/2, meeting the
     4/3 equilibrium-gap bound for identical weights exactly.
     """
-    epsilon = Fraction(epsilon)
+    epsilon = _as_fraction(epsilon)
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     return Instance(
@@ -55,7 +55,7 @@ def gen_nash_ratio_lb(epsilon):
     unit tasks onto every resource (cost at least (6b+13)*10b).  The cost
     ratio segregated/mixed is at most (3/5)(1+epsilon).
     """
-    epsilon = Fraction(epsilon)
+    epsilon = _as_fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     big = math.ceil(Fraction(2) / epsilon)
@@ -130,7 +130,7 @@ def gen_random(n: int, m: int, weight_range, delay_range, seed: int) -> Instance
         raise ValueError("need at least one task and one resource")
 
     def grid(bounds):
-        lo, hi = (Fraction(x) for x in bounds)
+        lo, hi = map(_as_fraction, bounds)
         if lo <= 0:
             raise ValueError("ranges must be positive")
         if hi < lo:

@@ -6,6 +6,11 @@ task that uses it; the social cost is the sum of the loads incurred by the
 individual tasks.  Equilibrium checks hinge on exact ties, so nothing is
 ever rounded: every value the API takes or returns is a fractions.Fraction.
 
+Every number is read by one reader (`_reduced`) to one grammar, the same
+on every Python version: optional whitespace and sign, then "D/D" or a
+decimal "D", "D.", ".D" or "D.D" with an optional exponent "[eE][-+]?D",
+then optional whitespace, where D is a run of ASCII digits 0-9 of any length.
+
 Inside, an instance is its ints (`Instance._kernel`): weights and delays
 each multiplied by the LCM of their reduced denominators, which keeps every
 comparison and tie.  Instance files are read straight into those ints, and
@@ -33,48 +38,63 @@ Rational = Fraction
 
 
 def parse_rational(value) -> Fraction:
-    """Parse a number from an instance file.
+    """Read one number exactly: an int (not a bool), a Fraction, an integral
+    float, or a string of the number grammar (see the module docstring).  A
+    non-integral float is refused as inexact, anything else as not a number."""
+    return Fraction(*_reduced(value))
 
-    Accepted forms: a JSON integer, a "p/q" string, or a decimal string
-    (decimals convert exactly: "0.5" -> 1/2).  Non-integer JSON floats are
-    rejected because their binary representation is inexact.
-    """
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational number: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
+
+#: The number grammar; groups: sign, numerator, denominator, integer digits,
+#: fraction digits, exponent.
+_NUMBER = re.compile(
+    r"\s*([-+]?)(?:([0-9]+)/([0-9]+)|(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?)\s*"
+)
+
+
+def _int(digits: str) -> int:
+    """int(digits), through decimal beyond Python's int-to-string digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(decimal.Decimal(digits))
+
+
+def _reduced(value):
+    """(p, q) in lowest terms with q > 0: the one reader of numbers, behind
+    parse_rational, instance files and the Instance constructor.  JSON ints
+    and "p/q" strings of ASCII digits are read inline."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str:
+        numerator, _, denominator = value.partition("/")
+        if numerator.isdigit() and denominator.isdigit() and value.isascii():
+            try:
+                p, q = int(numerator), int(denominator)
+            except ValueError:  # beyond the digit limit
+                p = q = 0
+            if q:
+                g = math.gcd(p, q)
+                return p // g, q // g
+    if isinstance(value, Fraction) or isinstance(value, int) and not isinstance(value, bool):
+        return value.numerator, value.denominator
     if isinstance(value, float):
         if value.is_integer():
-            return Fraction(int(value))
-        raise ValueError(
-            f"non-integer JSON number {value!r} is inexact; quote it as a string"
-        )
-    if isinstance(value, str):
-        text = value.strip()
-        try:
-            try:
-                return Fraction(text)
-            except ValueError:
-                if not _PLAIN_RATIONAL.fullmatch(text):
-                    raise
-                return _wide_rational(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational number: {value!r}") from exc
-    raise ValueError(f"not a rational number: {value!r}")
-
-
-#: "p/q", integer and decimal strings without digit separators; Fraction
-#: refuses these only when an integer in them exceeds Python's int-to-string
-#: digit limit (4300 digits by default).
-_PLAIN_RATIONAL = re.compile(r"[-+]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
-
-
-def _wide_rational(text: str) -> Fraction:
-    """Fraction(text) for a plain rational string beyond the digit limit:
-    decimal reads each side exactly and is not subject to the limit."""
-    numerator, _, denominator = text.partition("/")
-    value = Fraction(decimal.Decimal(numerator))
-    return value / int(decimal.Decimal(denominator)) if denominator else value
+            return int(value), 1
+        raise ValueError(f"non-integer JSON number {value!r} is inexact; quote it as a string")
+    match = _NUMBER.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise ValueError(f"not a rational number: {value!r}")
+    sign, numerator, denominator, whole, fraction, exponent = match.groups()
+    if numerator is not None:
+        p, q = _int(numerator), _int(denominator)
+        if not q:
+            raise ValueError(f"not a rational number: {value!r}")
+    else:
+        fraction = fraction or ""
+        p, e = _int(whole + fraction), (_int(exponent) if exponent else 0) - len(fraction)
+        p, q = (p * 10**e, 1) if e >= 0 else (p, 10**-e)
+    g = math.gcd(p, q)
+    return (-p if sign == "-" else p) // g, q // g
 
 
 def _digits(k: int) -> str:
@@ -105,45 +125,18 @@ def _json_number(x: Fraction):
 
 def _scaled(values):
     """Ints proportional to the positive rationals `values`, and the LCM of
-    their denominators they were multiplied by.  Scaling by a positive
-    constant keeps every comparison and tie."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
-
-
-def _reduced(value):
-    """(p, q) in lowest terms for a number from an instance file.  JSON ints
-    and "p/q" strings of plain digits are read directly; the rest (decimals,
-    integral floats, strings beyond the int-to-string digit limit) and
-    whatever is not a rational go through parse_rational."""
-    if type(value) is int:
-        return value, 1
-    if type(value) is str:
-        numerator, _, denominator = value.partition("/")
-        if numerator.isdigit() and denominator.isdigit():
-            try:
-                p, q = int(numerator), int(denominator)
-            except ValueError:  # beyond the digit limit
-                pass
-            else:
-                if q:
-                    g = math.gcd(p, q)
-                    return p // g, q // g
-    x = parse_rational(value)
-    return x.numerator, x.denominator
-
-
-def _scaled_json(values):
-    """`_scaled` of a JSON array of rationals, without a Fraction per entry:
-    each distinct value is read once, in order of first appearance, so an
-    unreadable value is reported as it would be in a scan of the array."""
-    if not set(map(type, values)) <= {int, str}:
-        # 1, 1.0 and true are equal keys: read such arrays entry by entry
-        return _scaled(list(map(parse_rational, values)))
-    reduced = {v: _reduced(v) for v in dict.fromkeys(values)}
-    scale = math.lcm(*(q for _, q in reduced.values()))
-    scaled = {v: p * (scale // q) for v, (p, q) in reduced.items()}
-    return tuple(map(scaled.__getitem__, values)), scale
+    their denominators they were multiplied by, which keeps every comparison
+    and tie.  An array of ints and strings is read one distinct value at a
+    time, in order of first appearance, so errors come in scan order."""
+    if set(map(type, values)) <= {int, str}:
+        reduced = {v: _reduced(v) for v in dict.fromkeys(values)}
+        scale = math.lcm(*(q for _, q in reduced.values()))
+        scaled = {v: p * (scale // q) for v, (p, q) in reduced.items()}
+        return tuple(map(scaled.__getitem__, values)), scale
+    # 1, 1.0, true and Fraction(1) are equal keys: read such arrays entry by entry
+    reduced = list(map(_reduced, values))
+    scale = math.lcm(*(q for _, q in reduced))
+    return tuple(p * (scale // q) for p, q in reduced), scale
 
 
 def _rationals(ints, scale) -> tuple:
@@ -153,7 +146,10 @@ def _rationals(ints, scale) -> tuple:
 
 
 def _as_fraction(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
+    """x as a Fraction; a string is read by the number grammar."""
+    if type(x) is Fraction:
+        return x
+    return parse_rational(x) if isinstance(x, str) else Fraction(x)
 
 
 class _Kernel(NamedTuple):
@@ -296,9 +292,11 @@ class Assignment:
 
     def __post_init__(self):
         target = tuple(self.target)
-        for entry in target:
-            if not isinstance(entry, int) or isinstance(entry, bool) or entry < 1:
-                raise ValueError(f"resource indices are 1-based ints, got {entry!r}")
+        # the loop runs only to find the bad entry or accept int subclasses
+        if not (set(map(type, target)) <= {int} and min(target, default=1) >= 1):
+            for entry in target:
+                if not isinstance(entry, int) or isinstance(entry, bool) or entry < 1:
+                    raise ValueError(f"resource indices are 1-based ints, got {entry!r}")
         object.__setattr__(self, "target", target)
 
     def __len__(self) -> int:
@@ -316,9 +314,10 @@ class CountAssignment:
         counts = tuple(self.counts)
         if not counts:
             raise ValueError("a count vector needs at least one resource")
-        for c in counts:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                raise ValueError(f"task counts are non-negative ints, got {c!r}")
+        if not (set(map(type, counts)) <= {int} and min(counts) >= 0):  # as in Assignment
+            for c in counts:
+                if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+                    raise ValueError(f"task counts are non-negative ints, got {c!r}")
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -545,7 +544,7 @@ def instance_from_jsonable(obj):
         if key not in obj or not isinstance(obj[key], list):
             raise ValueError(f'instance document needs a "{key}" array')
     inst = Instance._from_kernel(
-        _Kernel(*_scaled_json(obj["weights"]), *_scaled_json(obj["delays"]))
+        _Kernel(*_scaled(obj["weights"]), *_scaled(obj["delays"]))
     )
     named = obj.get("reference_assignments", {})
     if not isinstance(named, dict):

@@ -11,7 +11,15 @@ from pathlib import Path
 import pytest
 
 import selfish_assign
-from selfish_assign import Instance, algorithms, dumps_instance, gen_uniform_gap
+from selfish_assign import (
+    Instance,
+    algorithms,
+    dumps_instance,
+    format_rational,
+    gen_uniform_gap,
+    loads_instance,
+    parse_rational,
+)
 from selfish_assign.cli import main
 
 
@@ -528,6 +536,48 @@ class TestReportBytes:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+# One number grammar on every Python version: each form is read, or refused,
+# alike by parse_rational, by the instance-file reader and by `solve`.
+WIDE_NUMERATOR = 7 * (10**5000 - 1) // 9  # 5000 sevens, beyond the int-to-string limit
+NUMBER_FORMS = [
+    (" 1/2 ", F(1, 2)),
+    ("+1/2", F(1, 2)),
+    (".5", F(1, 2)),
+    ("5.", F(5)),
+    ("2E-2", F(1, 50)),
+    ("7" * 5000 + "/3", F(WIDE_NUMERATOR, 3)),
+    ("1_000", None),  # read by Fraction on 3.11 and later
+    ("1 / 2", None),  # read by Fraction on 3.12 and later
+    ("\u0661\u0662", None),  # Arabic-Indic digits, read by Fraction everywhere
+    ("1/-2", None),
+    (".", None),
+    ("e5", None),
+    ("0x10", None),
+    ("nan", None),
+    ("inf", None),
+    ("1.5/2", None),
+]
+
+
+@pytest.mark.parametrize("text, value", NUMBER_FORMS, ids=[ascii(t)[:16] for t, _ in NUMBER_FORMS])
+def test_number_grammar(tmp_path, capsys, text, value):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"weights": [text, 1], "delays": [1, 2]}), encoding="utf-8")
+    code, report, err = run_cli(capsys, "solve", str(path))
+    if value is None:
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(text)
+        with pytest.raises(ValueError, match="not a rational number"):
+            loads_instance(path.read_text(encoding="utf-8"))
+        assert (code, report) == (2, None)
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert parse_rational(text) == value
+    assert loads_instance(path.read_text(encoding="utf-8"))[0].weights == (value, 1)
+    assert code == 0 and err == ""
+    assert report["instance"]["total_weight"]["exact"] == format_rational(value + 1)
+
+
 class TestClosedStdout:
     def test_reader_closing_the_pipe_exits_1_without_traceback(self, tmp_path):
         # the report lists 20000 resource indices, far more than a pipe buffers
@@ -541,5 +591,6 @@ class TestClosedStdout:
         assert process.stdout.read(200).startswith(b"{")
         process.stdout.close()
         err = process.stderr.read()
+        process.stderr.close()
         assert process.wait(timeout=60) == 1
         assert b"Traceback" not in err

@@ -1,6 +1,7 @@
 """Core model: rational parsing, instance validation, loads, cost, equilibria."""
 
 import dataclasses
+import enum
 import json
 import pickle
 from fractions import Fraction as F
@@ -127,6 +128,27 @@ class TestInstance:
         with pytest.raises(ValueError):
             CountAssignment((1, -1))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Assignment((1, 0)), "resource indices are 1-based ints, got 0"),
+        (lambda: Assignment((2, -3, 0)), "resource indices are 1-based ints, got -3"),
+        (lambda: Assignment((1, True)), "resource indices are 1-based ints, got True"),
+        (lambda: Assignment((2.0, 1)), "resource indices are 1-based ints, got 2.0"),
+        (lambda: Assignment((1, "1")), "resource indices are 1-based ints, got '1'"),
+        (lambda: CountAssignment((2, -1, -4)), "task counts are non-negative ints, got -1"),
+        (lambda: CountAssignment(()), "a count vector needs at least one resource"),
+        (lambda: Assignment((1, RESOURCE.SECOND)), None),  # int subclasses other than bool
+        (lambda: CountAssignment((RESOURCE.FIRST, 0)), None),
+    ])
+    def test_assignment_messages(self, make, message):
+        if message is None:
+            make()  # accepted
+            return
+        with pytest.raises(ValueError) as caught:
+            make()
+        assert str(caught.value) == message
+
+
+RESOURCE = enum.IntEnum("RESOURCE", ["FIRST", "SECOND"])
 
 UNIT_PAIR = Instance(weights=(F(1), F(1)), delays=(F(1), F(1)))
 

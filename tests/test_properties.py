@@ -3,8 +3,9 @@ builders on the integer kernel, the integer dynamic programs and the
 incremental oracle walk against the straightforward loops and Fraction
 programs in helpers.py and against brute force, on generated instances.
 
-The report writer is checked against `json.dumps(value, indent=2)` and the
-instance-file reader against `parse_rational` on generated documents.
+The report writer is checked against `json.dumps(value, indent=2)`, the
+instance-file reader against `parse_rational` on generated documents, and
+`parse_rational` against `Fraction` on strings of the number grammar.
 
 Examples are derandomized and bounded, so every run checks the same cases.
 Values are drawn either from small integers (many exact ties) or from
@@ -389,6 +390,35 @@ JSON_VALUES = st.recursive(
 @example((1, ("a", ()), [{}]))  # tuples are written as lists
 def test_writer_equals_json_dumps_indent_2(value):
     assert dumps_json(value) == json.dumps(value, indent=2)
+
+
+# Strings of the number grammar: optional whitespace and sign, then "D/D" or
+# a decimal D, D., .D or D.D with an optional exponent, then optional
+# whitespace.  Fraction reads every one of them alike on every Python version.
+DIGITS = st.text("0123456789", min_size=1, max_size=25)
+SPACES = st.sampled_from(["", " ", "\t", "\n  "])
+
+
+@st.composite
+def grammar_strings(draw):
+    if draw(st.booleans()):
+        body = draw(DIGITS) + "/" + draw(DIGITS.filter(lambda d: d.strip("0")))
+    else:
+        form = draw(st.sampled_from(["D", "D.", ".D", "D.D"]))
+        body = "".join(draw(DIGITS) if part == "D" else part for part in form)
+        if draw(st.booleans()):
+            body += draw(st.sampled_from(["e", "E", "e+", "E-", "e-"])) + draw(DIGITS.map(lambda d: d[:3]))
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    return draw(SPACES) + sign + body + draw(SPACES)
+
+
+@PROPERTY
+@given(grammar_strings())
+@example(" -007/010 ")
+@example("5.e-3")
+@example(".0E+000")
+def test_grammar_equals_fraction(text):
+    assert parse_rational(text) == F(text)
 
 
 # Instance-file numbers: JSON ints, "p/q" strings (unreduced), integer and
