@@ -10,7 +10,7 @@ seeds give identical instances everywhere.
 import math
 from fractions import Fraction
 
-from .model import Assignment, Instance, _as_fraction
+from .model import Assignment, Instance, _as_fraction, format_rational
 
 
 def gen_big_nash(n: int) -> Instance:
@@ -134,7 +134,7 @@ def gen_random(n: int, m: int, weight_range, delay_range, seed: int) -> Instance
         if lo <= 0:
             raise ValueError("ranges must be positive")
         if hi < lo:
-            raise ValueError(f"empty range: {bounds!r}")
+            raise ValueError(f"empty range: {format_rational(lo)}:{format_rational(hi)}")
         if lo == hi:
             return [lo]
         step = (hi - lo) / (RANDOM_GRID_POINTS - 1)

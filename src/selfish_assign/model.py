@@ -335,6 +335,16 @@ class CountAssignment:
 AnyAssignment = Union[Assignment, CountAssignment]
 
 
+def _check_fits(inst: Instance, target: tuple):
+    """Raise unless the 1-based `target` names one resource of the instance
+    per task."""
+    if len(target) != inst.n:
+        raise ValueError(f"assignment has {len(target)} entries, instance has {inst.n} tasks")
+    if max(target) > inst.m:
+        i = next(i for i, resource in enumerate(target) if resource > inst.m)
+        raise ValueError(f"task {i + 1} uses resource {target[i]}, instance has {inst.m}")
+
+
 def _weight_on_resources(inst: Instance, a: AnyAssignment):
     """Per-resource task counts and weight sums on the instance's ints,
     validating the assignment.  The one reader of count vectors: a count
@@ -350,11 +360,7 @@ def _weight_on_resources(inst: Instance, a: AnyAssignment):
             raise ValueError("count vectors only describe assignments of identical-weight tasks")
         return counts, list(map(weights[0].__mul__, counts))
     target = a.target
-    if len(target) != inst.n:
-        raise ValueError(f"assignment has {len(target)} entries, instance has {inst.n} tasks")
-    if max(target) > m:
-        i = next(i for i, resource in enumerate(target) if resource > m)
-        raise ValueError(f"task {i + 1} uses resource {target[i]}, instance has {m}")
+    _check_fits(inst, target)
     counts = [0] * m
     sums = [0] * m
     for w, resource in zip(weights, target):
@@ -553,7 +559,11 @@ def instance_from_jsonable(obj):
     for name, target in named.items():
         if not isinstance(target, list):
             raise ValueError(f"reference assignment {name!r} must be an array")
-        references[name] = Assignment(tuple(target))
+        try:
+            references[name] = Assignment(tuple(target))
+            _check_fits(inst, references[name].target)
+        except ValueError as exc:
+            raise ValueError(f"reference assignment {name!r}: {exc}") from None
     return inst, references
 
 

@@ -440,6 +440,15 @@ FAILURES = {
         ["gen", "random", "--n", "2", "--m", "2", "--weights", "1-2", "--delays", "1:2"], None, {}, 2),
     "gen-random-range-not-rational": (
         ["gen", "random", "--n", "2", "--m", "2", "--weights", "a:b", "--delays", "1:2"], None, {}, 2),
+    "reference-assignment-beyond-m": (
+        ["solve", "{assignment}"],
+        '{"weights": [1, 2], "delays": [1, 2], "reference_assignments": {"a": [9, 1]}}', {}, 2),
+    "reference-assignment-too-short": (
+        ["solve", "{assignment}"],
+        '{"weights": [1, 2], "delays": [1, 2], "reference_assignments": {"a": [1]}}', {}, 2),
+    "reference-assignment-too-long": (
+        ["ratio", "{assignment}"],
+        '{"weights": [1, 2], "delays": [1, 2], "reference_assignments": {"a": [1, 2, 2]}}', {}, 2),
     "solve-no-exact-algorithm": (["solve", "{wide}"], None, {}, 3),
     "gen-out-missing-directory": (["gen", "big-nash", "--n", "3", "--out", "{missing}"], None, {}, 2),
 }
@@ -466,6 +475,12 @@ class TestFailurePaths:
         assert report is None
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_empty_gen_range_prints_rationals(self, capsys):
+        code, report, err = run_cli(capsys, "gen", "random", "--n", "2", "--m", "2",
+                                    "--weights", "2:1", "--delays", "1:2")
+        assert code == 3 and report is None
+        assert err == "error: empty range: 2/1:1/1\n"
 
     def test_unwritable_out_names_the_path(self, tmp_path, capsys):
         out = tmp_path / "missing" / "out.json"

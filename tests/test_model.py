@@ -394,6 +394,20 @@ class TestInstanceFiles:
         with pytest.raises(ValueError, match="reference_assignments"):
             loads_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize("target, fragment", [
+        ([9, 1], "'a': task 1 uses resource 9, instance has 2"),
+        ([1, 3], "'a': task 2 uses resource 3, instance has 2"),
+        ([1], "'a': assignment has 1 entries, instance has 2 tasks"),
+        ([1, 2, 1], "'a': assignment has 3 entries, instance has 2 tasks"),
+        ([], "'a': assignment has 0 entries, instance has 2 tasks"),
+        ([0, 1], "'a': resource indices are 1-based ints, got 0"),
+    ])
+    def test_reference_assignments_must_fit_the_instance(self, target, fragment):
+        doc = {"weights": [1, 2], "delays": [1, 2], "reference_assignments": {"a": target}}
+        with pytest.raises(ValueError) as raised:
+            loads_instance(json.dumps(doc))
+        assert fragment in str(raised.value) and "\n" not in str(raised.value)
+
     def test_reference_assignments_round_trip(self):
         inst = Instance(weights=(F(1), F(1)), delays=(F(1), F(1)))
         refs = {"split": Assignment((1, 2))}

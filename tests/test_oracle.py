@@ -1,5 +1,6 @@
 """Exhaustive enumeration cross-checked against an independent naive scan."""
 
+import time
 from fractions import Fraction as F
 from math import comb
 
@@ -91,6 +92,22 @@ class TestEnumerateExtremes:
         assert report.min_cost == report.min_nash_cost == report.max_nash_cost == F(1)
         assert report.max_nash_witness == Assignment((1,))
         assert len(enumerate_nash_count_vectors(inst)) == 1
+
+    def test_two_weight_classes_walk_one_assignment_per_count_matrix(self):
+        # 3^14 = 4 782 969 assignments but 36 * 36 weight-class count
+        # matrices; a walk over every assignment gives this report in about 8 s
+        inst = Instance(weights=(F(1), F(3, 2)) * 7, delays=(F(1), F(2), F(3)))
+        started = time.perf_counter()
+        report = enumerate_extremes(inst)
+        assert time.perf_counter() - started < 2
+        assert (report.min_cost, report.min_nash_cost, report.max_nash_cost) == (
+            F(265, 2), F(265, 2), F(273, 2)
+        )
+        assert report.min_cost_witness == report.min_nash_witness == Assignment(
+            (2, 1, 2, 1, 2, 1, 2, 1, 3, 1, 3, 1, 3, 1)
+        )
+        assert report.max_nash_witness == Assignment((1, 1, 1, 1, 1, 1, 1, 2, 1, 2, 1, 2, 3, 3))
+        assert all(check.satisfied for check in verify_bounds(inst, report))
 
     def test_matches_naive_scan_mixed_weights(self):
         for seed in range(25):

@@ -251,6 +251,11 @@ def test_approximation_within_factor_of_optimum(inst, epsilon):
 @example(Instance((F(2), F(1, 3), F(3), F(1, 3)), (F(4, 3),) * 3))  # identical delays
 @example(Instance((F(1), F(1), F(2), F(2)), (F(1), F(1), F(1))))  # tied costs everywhere
 @example(Instance((F(10**12, 7), F(1, 10**9), F(10**12, 7)), (F(97, 5), F(10**9, 11), F(3))))
+# the canonical floor: equal weights apart in task order, the last task included
+@example(Instance((F(2), F(1), F(3), F(2), F(1), F(2)), (F(2), F(1), F(3))))
+@example(Instance((F(1), F(1), F(1), F(1), F(3), F(1)), (F(1), F(1), F(2))))  # one class of five
+@example(Instance((F(1), F(3, 2), F(1), F(3, 2), F(1), F(3, 2), F(1)), (F(1), F(3, 2))))  # m = 2
+@example(Instance((F(3), F(1), F(1), F(3)), (F(5), F(5))))  # m = 2, tied delays
 def test_oracle_walk_equals_reference(inst):
     assert enumerate_extremes(inst) == reference_enumerate_extremes(inst)
 
@@ -258,7 +263,10 @@ def test_oracle_walk_equals_reference(inst):
 @PROPERTY
 @given(identical_weight_instances(max_n=9, max_m=4))
 @example(Instance((F(3),), (F(2),)))  # n = 1, m = 1
-@example(Instance((F(5, 3),) * 9, (F(7),)))  # m = 1
+@example(Instance((F(5, 3),) * 9, (F(7),)))  # m = 1: no head/tail split
+@example(Instance((F(1),) * 7, (F(1), F(2))))  # m = 2: empty head
+@example(Instance((F(3, 2),) * 4, (F(2), F(2))))  # m = 2, tied delays
+@example(Instance((F(1),) * 6, (F(1), F(1), F(2), F(5))))  # heads that alone break equilibrium
 @example(Instance((F(2),), (F(3), F(1), F(2))))  # n = 1
 @example(Instance((F(2),) * 3, (F(1),) * 7))  # m > n, all delays tied
 @example(Instance((F(10**12, 7),) * 6, (F(97, 5), F(10**9, 11), F(1, 10**9))))
