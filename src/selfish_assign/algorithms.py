@@ -5,7 +5,10 @@ Exact solvers: two O(n + m log m) greedy builders for identical-weight tasks
 form from the fractional optimum, an O(n log m + classes * m) greedy
 equilibrium builder for arbitrary weights, and dynamic programs for few
 distinct delays (identical delays being its one-class case) and for few
-distinct weights.  Approximate solvers round weights (or delays) up onto a
+distinct weights.  The delay program solves each (count vector, class) row
+in O(n log n) by divide and conquer: a run's cost obeys the quadrangle
+inequality, so the best start of the last run never decreases with the
+number of tasks.  Approximate solvers round weights (or delays) up onto a
 geometric grid and run the matching DP; the result, re-costed under the
 original instance, is within 1+epsilon of optimal.
 
@@ -61,15 +64,17 @@ def _marginal_greedy(inst: Instance, slope: int, key) -> CountAssignment:
     key(marginal, c_k, k); the heap holds one entry per resource.
 
     Each resource's marginals grow with c_k, so the placements are the n
-    smallest marginals in heap order.  Those strictly below the fractional
-    threshold slope * (n - m) / throughput are a prefix of that order, fewer
-    than n of them, and are counted in closed form (O(m) Fractions); the
-    heap, keyed on the instance's scaled-int delays, places the rest, at
-    most 2m tasks.
+    smallest marginals in heap order.  Resource k has ceil(x_k) marginals
+    strictly below a threshold T > 0, with x_k = (T / d_k - 1) / slope
+    (none if x_k <= 0).  At T = (slope * (n - m) + m) / throughput the x_k
+    sum to n - m, so those counts add up to at least n - m and less than n:
+    they are a prefix of the heap order, counted in closed form (O(m)
+    Fractions).  The heap, keyed on the instance's scaled-int delays,
+    places the rest, at most m tasks.
     """
     if not inst.identical_weights:
         raise ValueError("this algorithm needs all task weights to be identical")
-    threshold = Fraction(slope * (inst.n - inst.m)) / inst.throughput
+    threshold = Fraction(slope * (inst.n - inst.m) + inst.m) / inst.throughput
     counts = [max(0, math.ceil((threshold / d - 1) / slope)) for d in inst.delays]
     delays = inst._kernel.delays
     heap = [key((slope * c + 1) * d, c, k) for k, (c, d) in enumerate(zip(counts, delays))]
@@ -86,9 +91,9 @@ def find_opt(inst: Instance) -> CountAssignment:
 
     Places one task at a time on a resource k minimizing (2*c_k + 1) * d_k,
     which is proportional to the cost increase of adding a task to k; ties
-    go to the lowest resource index.  The placements below the fractional
-    optimum's marginal 2(n - m)/throughput are counted in closed form, so
-    the heap makes at most 1.5m steps: O(n + m log m).
+    go to the lowest resource index.  The placements below the marginal
+    (2n - m)/throughput are counted in closed form, so the heap makes at
+    most m steps: O(n + m log m).
     """
     return _marginal_greedy(inst, 2, lambda marginal, c, k: (marginal, k))
 
@@ -99,8 +104,8 @@ def find_opt_nash(inst: Instance) -> CountAssignment:
     Places one task at a time on a resource k minimizing (c_k + 1) * d_k,
     proportional to the load the new task would incur, which keeps every
     prefix in equilibrium; ties break by fewest tasks, then lowest resource
-    index.  The placements below (n - m)/throughput are counted in closed
-    form, so the heap makes at most 2m steps: O(n + m log m).
+    index.  The placements below n/throughput are counted in closed form,
+    so the heap makes at most m steps: O(n + m log m).
     """
     return _marginal_greedy(inst, 1, lambda marginal, c, k: (marginal, c, k))
 
@@ -157,9 +162,40 @@ def _count_vectors(members, rows: int):
     radix = [len(idx) + 1 for idx in members]
     vectors = math.prod(radix)
     if rows * vectors > MAX_TABLE_STATES:
-        raise ValueError(f"dynamic programming table would need {rows * vectors} states")
+        raise ValueError(f"dynamic programming table would need {rows * vectors} states,"
+                         f" above the bound {MAX_TABLE_STATES}")
     strides = list(itertools.accumulate(reversed(radix[1:]), operator.mul, initial=1))
     return radix, strides[::-1], vectors
+
+
+def _row_minima(prev, scaled, n: int):
+    """value[j] = min over i <= j of prev[i] + (j - i) * (scaled[j] - scaled[i])
+    for j = 0..n, and start[j] the largest minimizing i.
+
+    The run cost (j - i) * (scaled[j] - scaled[i]) obeys the quadrangle
+    inequality for non-decreasing `scaled`, and adding prev[i] keeps it, so
+    start[j] never decreases with j.  Each midpoint j of a range scans only
+    the i that the neighbouring solved j allow, then splits the range at it:
+    O(n log n) per row.
+    """
+    value = [0] * (n + 1)
+    start = [0] * (n + 1)
+    stack = [(0, n, 0, n)]  # j in [jlo, jhi] has its start in [ilo, ihi]
+    while stack:
+        jlo, jhi, ilo, ihi = stack.pop()
+        j = (jlo + jhi) // 2
+        top = scaled[j]
+        best, bi = prev[ilo] + (j - ilo) * (top - scaled[ilo]), ilo
+        for i in range(ilo + 1, min(ihi, j) + 1):
+            candidate = prev[i] + (j - i) * (top - scaled[i])
+            if candidate <= best:
+                best, bi = candidate, i
+        value[j], start[j] = best, bi
+        if jlo < j:
+            stack.append((jlo, j - 1, ilo, bi))
+        if j < jhi:
+            stack.append((j + 1, jhi, bi, ihi))
+    return value, start
 
 
 def _delay_class_dp(inst: Instance, delays, members) -> DPSolution:
@@ -172,37 +208,45 @@ def _delay_class_dp(inst: Instance, delays, members) -> DPSolution:
     by vector v: the last run goes on one more resource of some class, the
     first minimum over (class, run size).  choice[v][j] = size * classes +
     class; at j = 0 the resources left stay empty, first class first.
+
+    The table is filled one vector at a time, a whole row of n + 1 entries,
+    by resources used.  For class c the row is the minimum over i <= j of
+    table[prev][i] + d_c * C(i, j), prev being v less one resource of class
+    c and C(i, j) = (j - i)(P_j - P_i) the run i+1..j, with P the weight
+    prefix sums.  For
+    i < i' <= j < j', C(i, j') + C(i', j) - C(i, j) - C(i', j') =
+    (i' - i)(P_j' - P_j) + (j' - j)(P_i' - P_i) >= 0 (the quadrangle
+    inequality), so the largest minimizing i, the shortest run, never
+    decreases with j, and `_row_minima` solves a row in O(n log n).
     """
     n, beta = inst.n, len(delays)
     radix, strides, vectors = _count_vectors(members, n + 1)
     weights = inst._kernel.weights
     order = sorted(range(n), key=lambda i: (-weights[i], i))
     prefix = list(itertools.accumulate(map(weights.__getitem__, order), initial=0))
-    table = [[0] * (n + 1) for _ in range(vectors)]
-    choice = [[0] * (n + 1) for _ in range(vectors)]
-    steps = []
-    # count vectors by resources used, then in product order
+    # scaled[cls][i] = d * P_i, so a run i+1..j on class cls costs (j - i)(scaled[j] - scaled[i])
+    scaled = [[d * p for p in prefix] for d in delays]
+    table = [None] * vectors
+    choice = [None] * vectors
+    # count vectors by resources used, then in product order: every table[prev]
+    # row is complete before a vector one resource larger reads it
     for vec in sorted(itertools.product(*map(range, radix)), key=sum)[1:]:
         v = sum(map(operator.mul, vec, strides))
-        moves = [(cls, v - strides[cls]) for cls in range(beta) if vec[cls]]
-        choice[v][0] = moves[0][0]
-        steps.append((v, moves))
-    for j in range(1, n + 1):
-        # runs[cls][s]: cost of the s tasks ending at position j on one resource of class cls
-        group = [s * (prefix[j] - prefix[j - s]) for s in range(j + 1)]
-        runs = [[d * g for g in group] for d in delays]
-        for v, moves in steps:
-            best = None
-            for cls, prev in moves:
-                if prev:
-                    candidates = list(map(operator.add, table[prev][j::-1], runs[cls]))
-                    value = min(candidates)
-                    size = candidates.index(value)
-                else:  # the first resource used takes all j tasks
-                    value, size = runs[cls][j], j
-                if best is None or value < best:
-                    best, pick = value, size * beta + cls
-            table[v][j], choice[v][j] = best, pick
+        best = None
+        for cls in range(beta):
+            if not vec[cls]:
+                continue
+            prev = v - strides[cls]
+            if prev:
+                value, start = _row_minima(table[prev], scaled[cls], n)
+            else:  # the first resource used takes all j tasks
+                value, start = [j * x for j, x in enumerate(scaled[cls])], [0] * (n + 1)
+            if best is None:
+                best, pick = value, [(j - i) * beta + cls for j, i in enumerate(start)]
+                continue
+            for j in itertools.compress(range(n + 1), map(operator.lt, value, best)):
+                best[j], pick[j] = value[j], (j - start[j]) * beta + cls
+        table[v], choice[v] = best, pick
 
     target = [0] * n
     remaining = [list(idx) for idx in members]
@@ -222,7 +266,8 @@ def dp_identical_delays(inst: Instance) -> DPSolution:
 
     The delay-class program with one class: a table over (resources used,
     tasks handled) with the best size of the last run of tasks in weight
-    order, O(n^2 m).
+    order.  Each of the m rows takes O(n log n), since run costs obey the
+    quadrangle inequality: O(m n log n).
     """
     if not inst.identical_delays:
         raise ValueError("this dynamic program needs all resource delays to be identical")
@@ -234,7 +279,9 @@ def dp_few_delays(inst: Instance, alpha: int = DEFAULT_DISTINCT_VALUES) -> DPSol
 
     Extends the identical-delay program: the state counts how many resources
     of each delay class have been used, and each step peels the lightest
-    remaining run of tasks onto a resource of some class.
+    remaining run of tasks onto a resource of some class.  Each (count
+    vector, class) row takes O(n log n), by the quadrangle inequality of
+    run costs.
     """
     return _delay_class_dp(inst, *_classes(inst._kernel.delays, "delay", alpha))
 

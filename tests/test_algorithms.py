@@ -1,5 +1,6 @@
 """Algorithms against brute-force ground truth on small instances."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -186,6 +187,14 @@ class TestDpIdenticalDelays:
             dp_identical_delays(inst)
         monkeypatch.setattr(algorithms, "MAX_TABLE_STATES", 12)
         assert dp_identical_delays(inst).cost == F(9)
+
+    def test_three_thousand_tasks_within_two_seconds(self):
+        # an O(n^2) row per resource count took 3.4 s on a 2-core x86_64 VM
+        inst = gen_random(3000, 8, (F(1), F(9)), (F(2), F(2)), 1)
+        started = time.perf_counter()
+        solution = dp_identical_delays(inst)
+        assert time.perf_counter() - started < 2
+        assert cost(inst, solution.assignment) == solution.cost
 
     def test_groups_are_weight_ordered_intervals(self):
         # resource groups can be laid end to end in weight order

@@ -81,7 +81,7 @@ class TestSolve:
         code, report, err = run_cli(capsys, "solve", write_instance(tmp_path, inst))
         assert code == 3
         assert report is None
-        assert err == "error: dynamic programming table would need 12 states\n"
+        assert err == "error: dynamic programming table would need 12 states, above the bound 5\n"
 
     def test_approx_grid_bound_fails_precondition_at_once(self, tmp_path, capsys):
         # k = 2.2e30 grid steps; counting them one multiply at a time never returned

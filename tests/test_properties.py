@@ -79,6 +79,7 @@ VALUES = st.sampled_from((TIED, WIDE))
 HUGE = st.builds(F, st.integers(1, 10**30), st.integers(1, 10**20))
 DP_VALUES = st.sampled_from((TIED, WIDE, HUGE))
 EPSILONS = st.sampled_from((F(1, 3), F(1, 2), F(1), F(2)))
+RUN_WEIGHTS = (F(1, 2), F(1), F(3, 2), F(2), F(3), F(4))
 
 
 @st.composite
@@ -123,6 +124,19 @@ def few_valued_instances(draw, max_n=8, max_m=6, max_delays=4):
     return Instance(side(max_n, 4), side(max_m, max_delays))
 
 
+@st.composite
+def tied_run_instances(draw, max_n=40, max_m=5):
+    """Up to `max_n` tasks whose weights come from a pool of one or two
+    small values, on one to three delay classes, so that many runs of tasks
+    cost the same and the DP's tie-breaks decide the assignment."""
+    n = draw(st.integers(1, max_n))
+    pool = draw(st.lists(st.sampled_from(RUN_WEIGHTS), min_size=1, max_size=2, unique=True))
+    classes = draw(st.lists(draw(DP_VALUES), min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    more = draw(st.lists(st.sampled_from(classes), max_size=max_m - len(classes)))
+    return Instance(tuple(weights), tuple(classes + more))
+
+
 @PROPERTY
 @given(assigned())
 def test_is_nash_agrees_with_naive_predicate_and_moves(case):
@@ -149,6 +163,9 @@ def test_greedy_nash_equals_full_scan(inst):
 @given(identical_weight_instances())
 @example(Instance((F(1),), (F(3), F(1), F(2))))  # n = 1
 @example(Instance((F(2),) * 3, (F(1),) * 7))  # m > n, tied delays
+@example(Instance((F(1),) * 2, (F(1), F(2), F(3), F(5))))  # m > n
+@example(Instance((F(3, 2),) * 4, (F(1), F(1), F(2), F(7, 3))))  # n = m
+@example(Instance((F(1),) * 5, (F(1),) * 5))  # n = m, tied delays
 @example(Instance((F(1),) * 100, (F(1), F(1), F(2), F(2), F(4))))
 @example(Instance((F(5, 3),) * 97, (F(311, 97), F(13, 89), F(1, 2), F(400, 3))))
 def test_seeded_builders_equal_unseeded_heap_loops(inst):
@@ -187,6 +204,21 @@ def test_identical_delay_dp_equals_reference(inst):
 @example(Instance((F(2), F(1)), (F(1), F(1), F(3), F(3), F(3))))  # m > n
 @example(Instance((F(311, 97), F(5), F(1, 89), F(5)), (F(400, 3), F(13, 89), F(400, 3))))
 def test_few_delay_dp_equals_reference(inst):
+    assert dp_few_delays(inst) == reference_dp_few_delays(inst)
+
+
+# Each row of the delay DP is solved by divide and conquer on its largest
+# minimizing run start.  On each example, scanning for the smallest start
+# instead, or leaving that start out of either half's range, changes the
+# result.
+@PROPERTY
+@given(tied_run_instances())
+@example(Instance((F(1), F(1)), (F(1), F(3))))  # one run of two ties a split
+@example(Instance((F(1),) * 3, (F(1), F(1))))  # identical delays: runs 1 + 2 tie 2 + 1
+@example(Instance((F(1),) * 4, (F(2),) * 3))
+@example(Instance((F(3, 2),) * 4, (F(1, 2), F(3), F(3))))
+@example(Instance((F(1),) * 20, (F(1), F(1), F(3), F(3))))
+def test_few_delay_dp_equals_reference_on_tied_runs(inst):
     assert dp_few_delays(inst) == reference_dp_few_delays(inst)
 
 
