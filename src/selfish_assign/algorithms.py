@@ -58,25 +58,36 @@ class RoundedInstance:
     epsilon: Fraction
 
 
+def _counts_below_threshold(delays, n: int, slope: int) -> list:
+    """For each resource k, how many of its marginals (slope * c + 1) * d_k
+    lie strictly below T = (slope * (n - m) + m) / throughput: ceil(x_k)
+    with x_k = (T / d_k - 1) / slope, or 0 if x_k <= 0.  The x_k sum to
+    n - m, so the counts add up to at least n - m and less than n.
+
+    On the instance's scaled-int delays D_k, with L their LCM and
+    P = sum(L / D_k), x_k = (top - D_k * P) / (slope * D_k * P) for
+    top = (slope * (n - m) + m) * L: O(m) int operations, no Fraction."""
+    common = math.lcm(*set(delays))  # L
+    reciprocals = sum(common // d for d in delays)  # P
+    top = (slope * (n - len(delays)) + len(delays)) * common
+    return [max(0, -((d * reciprocals - top) // (slope * d * reciprocals))) for d in delays]
+
+
 def _marginal_greedy(inst: Instance, slope: int, key) -> CountAssignment:
     """Place the n identical tasks one at a time, each on a resource whose
     next marginal (slope * c_k + 1) * d_k is lowest, ties broken by
     key(marginal, c_k, k); the heap holds one entry per resource.
 
     Each resource's marginals grow with c_k, so the placements are the n
-    smallest marginals in heap order.  Resource k has ceil(x_k) marginals
-    strictly below a threshold T > 0, with x_k = (T / d_k - 1) / slope
-    (none if x_k <= 0).  At T = (slope * (n - m) + m) / throughput the x_k
-    sum to n - m, so those counts add up to at least n - m and less than n:
-    they are a prefix of the heap order, counted in closed form (O(m)
-    Fractions).  The heap, keyed on the instance's scaled-int delays,
-    places the rest, at most m tasks.
+    smallest marginals in heap order, and the marginals below a threshold
+    are a prefix of that order.  `_counts_below_threshold` counts a prefix
+    of at least n - m placements in closed form; the heap, keyed on the
+    instance's scaled-int delays, places the rest, at most m tasks.
     """
     if not inst.identical_weights:
         raise ValueError("this algorithm needs all task weights to be identical")
-    threshold = Fraction(slope * (inst.n - inst.m) + inst.m) / inst.throughput
-    counts = [max(0, math.ceil((threshold / d - 1) / slope)) for d in inst.delays]
     delays = inst._kernel.delays
+    counts = _counts_below_threshold(delays, inst.n, slope)
     heap = [key((slope * c + 1) * d, c, k) for k, (c, d) in enumerate(zip(counts, delays))]
     heapq.heapify(heap)
     for _ in range(inst.n - sum(counts)):

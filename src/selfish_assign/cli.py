@@ -12,7 +12,9 @@ traceback), 2 unparsable input, bad arguments or an unwritable --out file,
 Instance files are read straight into the instance's integer kernel
 (`model.loads_instance`); the report digest and the routing of
 `solve --algorithm auto` read that kernel too, and reports are written by
-`model.dumps_json`.
+`model.dumps_json`.  `gen random` builds the kernel directly
+(`instances.gen_random`), and `gen` writes instance files from the kernel,
+one encoding per distinct value (`model.dumps_instance`).
 """
 
 import argparse

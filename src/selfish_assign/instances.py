@@ -10,7 +10,7 @@ seeds give identical instances everywhere.
 import math
 from fractions import Fraction
 
-from .model import Assignment, Instance, _as_fraction, format_rational
+from .model import Assignment, Instance, _Kernel, _as_fraction, format_rational
 
 
 def gen_big_nash(n: int) -> Instance:
@@ -89,6 +89,7 @@ def gen_nash_ratio_lb(epsilon):
 
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -103,7 +104,7 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -113,9 +114,53 @@ class SplitMix64:
         """Uniform-ish draw in [0, bound); fine for test plumbing."""
         return self.next_u64() % bound
 
+    def draws(self, count: int, bound: int) -> list:
+        """The next `count` draws of `below(bound)`, in one loop over locals.
+        With bound 1 every draw is 0, so the state only advances."""
+        if bound == 1:
+            self.state = (self.state + count * _GAMMA) & _MASK64
+            return [0] * count
+        state, out = self.state, []
+        append = out.append
+        for _ in range(count):
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            append((z ^ (z >> 31)) % bound)
+        self.state = state
+        return out
+
 
 #: Number of evenly spaced rationals a random range is sampled from.
 RANDOM_GRID_POINTS = 9
+
+
+def _scaled_grid(bounds):
+    """The RANDOM_GRID_POINTS evenly spaced rationals of the range (lo, hi),
+    one point if lo == hi, as ints and a common denominator: with lo = a/b,
+    hi = c/d and k = points - 1, point j is (k*a*d + j*(c*b - a*d)) / (k*b*d)."""
+    lo, hi = map(_as_fraction, bounds)
+    if lo <= 0:
+        raise ValueError("ranges must be positive")
+    if hi < lo:
+        raise ValueError(f"empty range: {format_rational(lo)}:{format_rational(hi)}")
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    if lo == hi:
+        return (a,), b
+    k = RANDOM_GRID_POINTS - 1
+    start, step = k * a * d, c * b - a * d
+    return tuple(start + j * step for j in range(RANDOM_GRID_POINTS)), k * b * d
+
+
+def _draw_scaled(rng: SplitMix64, grid, count: int):
+    """`count` grid values drawn by `rng`, as ints and their scale, reduced
+    to the LCM of the drawn values' reduced denominators, as an instance's
+    kernel is: the gcd of the scale and the drawn ints divides both out."""
+    ints, scale = grid
+    picks = rng.draws(count, len(ints))
+    common = math.gcd(scale, *map(ints.__getitem__, set(picks)))
+    values = [k // common for k in ints]
+    return tuple(map(values.__getitem__, picks)), scale // common
 
 
 def gen_random(n: int, m: int, weight_range, delay_range, seed: int) -> Instance:
@@ -124,25 +169,15 @@ def gen_random(n: int, m: int, weight_range, delay_range, seed: int) -> Instance
     Each range (lo, hi) is replaced by RANDOM_GRID_POINTS evenly spaced
     rational values lo + j*(hi-lo)/(points-1); sampling draws all n weights
     first, then all m delays, one PRNG draw each, so the instance is a pure
-    function of (n, m, ranges, seed).
+    function of (n, m, ranges, seed).  Each grid is computed on ints, and
+    the instance is built straight from its kernel: no Fraction is built
+    per task or grid point.
     """
     if n < 1 or m < 1:
         raise ValueError("need at least one task and one resource")
-
-    def grid(bounds):
-        lo, hi = map(_as_fraction, bounds)
-        if lo <= 0:
-            raise ValueError("ranges must be positive")
-        if hi < lo:
-            raise ValueError(f"empty range: {format_rational(lo)}:{format_rational(hi)}")
-        if lo == hi:
-            return [lo]
-        step = (hi - lo) / (RANDOM_GRID_POINTS - 1)
-        return [lo + j * step for j in range(RANDOM_GRID_POINTS)]
-
-    weight_grid = grid(weight_range)
-    delay_grid = grid(delay_range)
+    weight_grid = _scaled_grid(weight_range)
+    delay_grid = _scaled_grid(delay_range)
     rng = SplitMix64(seed)
-    weights = tuple(weight_grid[rng.below(len(weight_grid))] for _ in range(n))
-    delays = tuple(delay_grid[rng.below(len(delay_grid))] for _ in range(m))
-    return Instance(weights=weights, delays=delays)
+    weights = _draw_scaled(rng, weight_grid, n)
+    delays = _draw_scaled(rng, delay_grid, m)
+    return Instance._from_kernel(_Kernel(*weights, *delays))

@@ -17,8 +17,9 @@ comparison and tie.  Instance files are read straight into those ints, and
 the Fraction tuples `weights` and `delays` are built only when something
 reads them.  The evaluators here, the greedy builders, the dynamic programs
 and the oracle all compute on the ints and build a Fraction only for the
-values they return.  `dumps_json` writes every JSON document the package
-emits, byte-identical to `json.dumps(value, indent=2)`.
+values they return.  Instance files are written from the kernel too, one
+encoding per distinct value.  `dumps_json` writes every JSON document the
+package emits, byte-identical to `json.dumps(value, indent=2)`.
 """
 
 import decimal
@@ -111,16 +112,26 @@ def format_rational(x: Fraction) -> str:
     return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
 
 
-def _json_number(x: Fraction):
-    """Canonical instance-file encoding: plain int when integral, else "p/q".
+def _json_number(p: int, q: int):
+    """Canonical instance-file encoding of p/q in lowest terms: plain int
+    when q is 1, else "p/q".
 
     json writes ints through str(), which refuses more than 4300 digits by
     default; an integer above 14000 bits (4215 digits) is written as a "p/1"
     string instead.
     """
-    if x.denominator == 1 and x.numerator.bit_length() <= 14000:
-        return x.numerator
-    return format_rational(x)
+    if q == 1 and p.bit_length() <= 14000:
+        return p
+    return f"{_digits(p)}/{_digits(q)}"
+
+
+def _json_numbers(ints, scale: int) -> list:
+    """The `_json_number` of each ints[i] / scale, one per distinct int."""
+    encoded = {}
+    for k in set(ints):
+        g = math.gcd(k, scale)
+        encoded[k] = _json_number(k // g, scale // g)
+    return list(map(encoded.__getitem__, ints))
 
 
 def _scaled(values):
@@ -529,10 +540,12 @@ class RatioReport:
 # ---------------------------------------------------------------------------
 
 def instance_to_jsonable(inst: Instance, reference_assignments=None) -> dict:
-    """Canonical JSON-ready document for an instance."""
+    """Canonical JSON-ready document for an instance, written from its
+    kernel one distinct value at a time."""
+    kernel = inst._kernel
     doc = {
-        "weights": [_json_number(w) for w in inst.weights],
-        "delays": [_json_number(d) for d in inst.delays],
+        "weights": _json_numbers(kernel.weights, kernel.weight_scale),
+        "delays": _json_numbers(kernel.delays, kernel.delay_scale),
     }
     if reference_assignments:
         doc["reference_assignments"] = {
@@ -571,9 +584,9 @@ def dumps_json(value) -> str:
     """`json.dumps(value, indent=2)`, byte for byte, for a document of
     str-keyed dicts, lists and scalars, without json's pure-Python indenting
     encoder: str, int and finite float scalars go to the functions json
-    itself calls, an all-int list is joined in one piece, and the other
-    scalars (bools, None, nan, infinities) and empty containers are written
-    by json.dumps."""
+    itself calls, a list of ints and strs is joined in one piece, and the
+    other scalars (bools, None, nan, infinities) and empty containers are
+    written by json.dumps."""
     chunks = []
     _write_json(value, "\n", chunks.append)
     return "".join(chunks)
@@ -590,8 +603,13 @@ def _write_json(value, newline: str, write):
         write(float.__repr__(value))
     elif isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
-        if set(map(type, value)) == {int}:
-            write("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+        kinds = set(map(type, value))
+        if kinds <= {int, str}:  # joined in one piece
+            if kinds == {int}:
+                pieces = map(int.__repr__, value)
+            else:
+                pieces = [_encode_str(v) if type(v) is str else int.__repr__(v) for v in value]
+            write("[" + inner + ("," + inner).join(pieces) + newline + "]")
         else:
             separator = "[" + inner
             for item in value:

@@ -4,6 +4,7 @@ cost/equilibrium code paths); the other references are the package's
 earlier, straightforward implementations."""
 
 import heapq
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -11,10 +12,13 @@ from selfish_assign import (
     Assignment,
     CountAssignment,
     DPSolution,
+    Instance,
     RatioReport,
+    SplitMix64,
     cost,
     is_nash,
 )
+from selfish_assign.instances import RANDOM_GRID_POINTS
 
 
 def naive_cost(weights, delays, target):
@@ -135,6 +139,40 @@ def heap_find_opt_nash(n, delays):
         counts[k] += 1
         heapq.heappush(heap, ((counts[k] + 1) * delays[k], counts[k], k))
     return tuple(counts)
+
+
+def reference_threshold_counts(n, delays, slope):
+    """The marginal greedy's closed-form prefix on Fractions: for each
+    resource, ceil((T / d - 1) / slope), floored at 0, with the threshold
+    T = (slope * (n - m) + m) / throughput."""
+    m = len(delays)
+    threshold = Fraction(slope * (n - m) + m) / sum(1 / d for d in delays)
+    return [max(0, math.ceil((threshold / d - 1) / slope)) for d in delays]
+
+
+def reference_gen_random(n, m, weight_range, delay_range, seed):
+    """The random family drawn value by value: a Fraction grid per range,
+    one `below` per task and per resource, and the Instance constructor."""
+    if n < 1 or m < 1:
+        raise ValueError("need at least one task and one resource")
+
+    def grid(bounds):
+        lo, hi = map(Fraction, bounds)
+        if lo <= 0:
+            raise ValueError("ranges must be positive")
+        if hi < lo:
+            raise ValueError("empty range")
+        if lo == hi:
+            return [lo]
+        step = (hi - lo) / (RANDOM_GRID_POINTS - 1)
+        return [lo + j * step for j in range(RANDOM_GRID_POINTS)]
+
+    weight_grid = grid(weight_range)
+    delay_grid = grid(delay_range)
+    rng = SplitMix64(seed)
+    weights = tuple(weight_grid[rng.below(len(weight_grid))] for _ in range(n))
+    delays = tuple(delay_grid[rng.below(len(delay_grid))] for _ in range(m))
+    return Instance(weights=weights, delays=delays)
 
 
 # Reference evaluators and equilibrium builder: the package's earlier

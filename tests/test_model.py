@@ -62,6 +62,9 @@ class TestParseRational:
         assert format_rational(F(-(10**5000), 3)) == "-1" + "0" * 5000 + "/3"
         text = dumps_instance(Instance(weights=(F(10**5000), F(7)), delays=(F(1),)))
         assert json.loads(text)["weights"] == ["1" + "0" * 5000 + "/1", 7]
+        # the kernel scales 2**14000 - 1 by 2; 14000 bits still write as an int
+        text = dumps_instance(Instance(weights=(F(2**14000 - 1), F(2**14000), F(1, 2)), delays=(F(1),)))
+        assert json.loads(text)["weights"] == [2**14000 - 1, str(2**14000) + "/1", "1/2"]
 
 
 class TestInstance:

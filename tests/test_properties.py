@@ -24,6 +24,7 @@ from selfish_assign import (
     CountAssignment,
     DPSolution,
     Instance,
+    SplitMix64,
     algorithms,
     approx_solve_delays,
     approx_solve_weights,
@@ -35,6 +36,7 @@ from selfish_assign import (
     enumerate_nash_count_vectors,
     find_opt,
     find_opt_nash,
+    gen_random,
     greedy_nash,
     improving_moves,
     is_nash,
@@ -63,10 +65,12 @@ from helpers import (
     reference_dp_identical_delays,
     reference_cost,
     reference_enumerate_extremes,
+    reference_gen_random,
     reference_greedy_nash,
     reference_improving_moves,
     reference_is_nash,
     reference_resource_load,
+    reference_threshold_counts,
     scan_greedy_nash,
     scan_improving_moves,
 )
@@ -171,6 +175,20 @@ def test_greedy_nash_equals_full_scan(inst):
 def test_seeded_builders_equal_unseeded_heap_loops(inst):
     assert find_opt(inst).counts == heap_find_opt(inst.n, inst.delays)
     assert find_opt_nash(inst).counts == heap_find_opt_nash(inst.n, inst.delays)
+
+
+@PROPERTY
+@given(st.integers(1, 2000), DP_VALUES.flatmap(lambda v: st.lists(v, min_size=1, max_size=12)),
+       st.sampled_from((1, 2)))
+@example(1, [F(3), F(1), F(2)], 2)  # n = 1
+@example(2, [F(1), F(2), F(3), F(5)], 1)  # m > n
+@example(5, [F(1)] * 5, 2)  # n = m, tied delays
+@example(97, [F(311, 97), F(13, 89), F(1, 2), F(400, 3)], 1)
+def test_threshold_counts_equal_fraction_formula(n, delays, slope):
+    inst = Instance((F(1),) * n, tuple(delays))
+    counts = algorithms._counts_below_threshold(inst._kernel.delays, n, slope)
+    assert counts == reference_threshold_counts(n, inst.delays, slope)
+    assert n - inst.m <= sum(counts) < n
 
 
 @PROPERTY
@@ -428,6 +446,7 @@ JSON_VALUES = st.recursive(
 @example(["\u00e9\u2028\U0001f600", "\x00\x1f\x7f\"\\"])
 @example({"\n": [-(10**30), 10**30, 0]})
 @example((1, ("a", ()), [{}]))  # tuples are written as lists
+@example(["\u00e9t\u00e9", 123456789012345678901234567890, "3/2", -7, "\U0001f600", ""])
 def test_writer_equals_json_dumps_indent_2(value):
     assert dumps_json(value) == json.dumps(value, indent=2)
 
@@ -487,3 +506,40 @@ def test_reader_equals_parse_rational(weights, delays):
     assert inst == built and hash(inst) == hash(built) and inst._kernel == built._kernel
     assert inst.weights == built.weights and inst.delays == built.delays
     assert loads_instance(dumps_instance(inst))[0]._kernel == built._kernel
+
+
+# The random family: drawn in batches and built from its kernel, against
+# the value-by-value reference, down to the bytes of the instance file.
+RANGE_ENDS = st.builds(F, st.integers(1, 40), st.integers(1, 12))
+
+
+@st.composite
+def ranges(draw):
+    """(lo, hi): a single point or a proper range."""
+    lo = draw(RANGE_ENDS)
+    return (lo, lo) if draw(st.booleans()) else (lo, lo + draw(RANGE_ENDS))
+
+
+@PROPERTY
+@given(st.integers(1, 2000), st.integers(1, 40), ranges(), ranges(), st.integers(0, 2**64 + 9))
+@example(2000, 25, (F(1), F(1)), (F(1), F(4)), 1)  # unit weights
+@example(300, 7, (F(1), F(9)), (F(5, 2), F(5, 2)), 2)  # one delay value
+@example(3, 2, (F(7, 3), F(7, 3)), (F(1, 2), F(1, 2)), 3)  # single points on both sides
+@example(1, 1, (F(1), F(2)), (F(1), F(2)), 3)  # integral draws from a fractional grid
+def test_gen_random_equals_value_by_value_reference(n, m, weight_range, delay_range, seed):
+    inst = gen_random(n, m, weight_range, delay_range, seed)
+    reference = reference_gen_random(n, m, weight_range, delay_range, seed)
+    assert inst == reference and inst._kernel == reference._kernel
+    assert inst.weights == reference.weights and inst.delays == reference.delays
+    assert dumps_instance(inst) == dumps_instance(reference)
+
+
+@PROPERTY
+@given(st.integers(0, 2**64 - 1), st.integers(0, 300),
+       st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 2**70)))
+@example(2**64 - 1, 300, 1)  # the state wraps
+@example(2**64 - 2, 3, 9)
+def test_draws_equal_repeated_below(seed, count, bound):
+    batch, single = SplitMix64(seed), SplitMix64(seed)
+    assert batch.draws(count, bound) == [single.below(bound) for _ in range(count)]
+    assert batch.state == single.state
