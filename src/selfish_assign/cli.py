@@ -7,14 +7,20 @@ exactly one JSON report, byte-identical to `json.dumps(report, indent=2)`;
 diagnostics go to stderr, one `error:` line per failure.  Exit codes:
 0 success, 1 stdout closed by its reader before the report was written (no
 traceback), 2 unparsable input, bad arguments or an unwritable --out file,
-3 precondition violation, 4 enumeration budget exceeded.
+3 precondition violation, 4 enumeration budget exceeded or a number (in an
+instance file, --epsilon or a gen range) whose numerator or denominator
+would have more than `model.MAX_NUMBER_DIGITS` digits; that error line
+states the digits required and allowed.
 
 Instance files are read straight into the instance's integer kernel
 (`model.loads_instance`); the report digest and the routing of
 `solve --algorithm auto` read that kernel too, and reports are written by
-`model.dumps_json`.  `gen random` builds the kernel directly
-(`instances.gen_random`), and `gen` writes instance files from the kernel,
-one encoding per distinct value (`model.dumps_instance`).
+`model.dumps_json`, which writes a list of same-shaped records, such as
+`verify`'s improving moves, from one template.  `verify` renders each
+distinct new load once and its moves share that rendering.  `gen random`
+builds the kernel directly (`instances.gen_random`), and `gen` writes
+instance files from the kernel, one encoding per distinct value
+(`model.dumps_instance`).
 """
 
 import argparse
@@ -30,6 +36,7 @@ from . import algorithms, instances, oracle
 from .model import (
     Assignment,
     Instance,
+    NumberTooLongError,
     cost,
     dumps_instance,
     dumps_json,
@@ -73,7 +80,8 @@ def _rat(x: Fraction) -> dict:
     notation with 17 significant digits, correctly rounded.
     """
     try:
-        approximate = float(x)
+        # the int true division float(x) makes, without its extra call
+        approximate = x.numerator / x.denominator
         wide = abs(approximate) < sys.float_info.min and x != 0
     except OverflowError:
         wide = True
@@ -94,6 +102,12 @@ def _instance_digest(inst: Instance) -> dict:
     }
 
 
+def _refused_number(exc: ValueError) -> int:
+    """The exit code of a number that cannot be read: 4 for one with too
+    many digits to build, else 2."""
+    return EXIT_BUDGET if isinstance(exc, NumberTooLongError) else EXIT_PARSE
+
+
 def _load_instance_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -103,7 +117,7 @@ def _load_instance_file(path: str):
     try:
         return loads_instance(text)
     except (json.JSONDecodeError, ValueError) as exc:
-        raise _CliError(EXIT_PARSE, f"bad instance file {path}: {exc}") from exc
+        raise _CliError(_refused_number(exc), f"bad instance file {path}: {exc}") from exc
 
 
 def _load_assignment_file(path: str, inst: Instance) -> Assignment:
@@ -151,7 +165,7 @@ def _parse_epsilon(raw, required_by: str, positive: bool = True) -> Fraction:
     try:
         value = parse_rational(raw)
     except ValueError as exc:
-        raise _CliError(EXIT_PARSE, f"bad --epsilon: {exc}") from exc
+        raise _CliError(_refused_number(exc), f"bad --epsilon: {exc}") from exc
     if positive and value <= 0:
         raise _CliError(EXIT_PRECONDITION, "--epsilon must be positive")
     if not positive and value < 0:
@@ -299,12 +313,16 @@ def _cmd_verify(args) -> dict:
     moves = improving_moves(inst, assignment)
     elapsed = (time.perf_counter() - started) * 1000
 
+    # moves to equal loads share one load object: render each object once
+    # and let its moves share the result (`moves` keeps every id alive)
+    loads = {id(load): load for _, _, load in moves}
+    rendered = {key: _rat(load) for key, load in loads.items()}
     result = {
         "cost": _rat(cost(inst, assignment)),
         "resource_loads": [_rat(load) for load in resource_loads(inst, assignment)],
         "is_nash": not moves,
         "improving_moves": [
-            {"task": task, "to_resource": resource, "new_load": _rat(load)}
+            {"task": task, "to_resource": resource, "new_load": rendered[id(load)]}
             for task, resource, load in moves
         ],
     }
@@ -368,7 +386,7 @@ def _parse_range(raw: str):
     try:
         return (parse_rational(parts[0]), parse_rational(parts[1]))
     except ValueError as exc:
-        raise _CliError(EXIT_PARSE, f"bad range {raw!r}: {exc}") from exc
+        raise _CliError(_refused_number(exc), f"bad range {raw!r}: {exc}") from exc
 
 
 def _report(command: str, args, inst: Instance, result: dict, elapsed_ms: float) -> dict:

@@ -10,6 +10,9 @@ Every number is read by one reader (`_reduced`) to one grammar, the same
 on every Python version: optional whitespace and sign, then "D/D" or a
 decimal "D", "D.", ".D" or "D.D" with an optional exponent "[eE][-+]?D",
 then optional whitespace, where D is a run of ASCII digits 0-9 of any length.
+The numerator and the denominator may each have at most MAX_NUMBER_DIGITS
+digits once the exponent is applied; the reader counts them from the text
+before it builds either and raises NumberTooLongError (a ValueError) above.
 
 Inside, an instance is its ints (`Instance._kernel`): weights and delays
 each multiplied by the LCM of their reduced denominators, which keeps every
@@ -19,7 +22,10 @@ reads them.  The evaluators here, the greedy builders, the dynamic programs
 and the oracle all compute on the ints and build a Fraction only for the
 values they return.  Instance files are written from the kernel too, one
 encoding per distinct value.  `dumps_json` writes every JSON document the
-package emits, byte-identical to `json.dumps(value, indent=2)`.
+package emits, byte-identical to `json.dumps(value, indent=2)`; a list of
+scalars, or of records of one shape, is written in one piece, the records
+filled into one template and a nested record that rows share written once.
+`improving_moves` returns one Fraction per distinct new load.
 """
 
 import decimal
@@ -50,6 +56,27 @@ def parse_rational(value) -> Fraction:
 _NUMBER = re.compile(
     r"\s*([-+]?)(?:([0-9]+)/([0-9]+)|(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?)\s*"
 )
+
+
+#: The most digits a number read from text may have in its numerator or its
+#: denominator.  They are counted from the text before either int is built
+#: (the exponent applied, the fraction not yet reduced), since a few bytes
+#: such as "1e99999999999" would otherwise ask for an int of about 40 GB.
+#: Every command runs in well under a second on a small instance of such numbers.
+MAX_NUMBER_DIGITS = 20_000
+
+
+class NumberTooLongError(ValueError):
+    """A number whose numerator or denominator would have more than
+    MAX_NUMBER_DIGITS digits; raised before any of it is built."""
+
+    def __init__(self, text: str, digits: int):
+        self.digits = digits
+        shown = text if len(text) <= 40 else text[:37] + "..."
+        count = digits if digits < 10**30 else "over 10**30"
+        super().__init__(
+            f"number {shown!r} needs {count} digits, at most {MAX_NUMBER_DIGITS} are allowed"
+        )
 
 
 def _int(digits: str) -> int:
@@ -87,12 +114,24 @@ def _reduced(value):
         raise ValueError(f"not a rational number: {value!r}")
     sign, numerator, denominator, whole, fraction, exponent = match.groups()
     if numerator is not None:
+        digits = max(len(numerator.lstrip("0")), len(denominator.lstrip("0")))
+        if digits > MAX_NUMBER_DIGITS:
+            raise NumberTooLongError(value, digits)
         p, q = _int(numerator), _int(denominator)
         if not q:
             raise ValueError(f"not a rational number: {value!r}")
     else:
+        # the value is mantissa * 10**e, the mantissa without zeros at either end
         fraction = fraction or ""
-        p, e = _int(whole + fraction), (_int(exponent) if exponent else 0) - len(fraction)
+        significant = (whole + fraction).lstrip("0")
+        mantissa = significant.rstrip("0")
+        if not mantissa:
+            return 0, 1
+        e = (_int(exponent) if exponent else 0) - len(fraction) + len(significant) - len(mantissa)
+        digits = len(mantissa) + e if e >= 0 else max(len(mantissa), 1 - e)
+        if digits > MAX_NUMBER_DIGITS:
+            raise NumberTooLongError(value, digits)
+        p = _int(mantissa)
         p, q = (p * 10**e, 1) if e >= 0 else (p, 10**-e)
     g = math.gcd(p, q)
     return (-p if sign == "-" else p) // g, q // g
@@ -481,7 +520,8 @@ def improving_moves(inst: Instance, a: Assignment):
     depends only on the task's resource and weight, so the deviation scan
     runs once per distinct (resource, weight) pair, lightest first; as in
     `is_nash`, once a weight on a resource has no improving move, no heavier
-    task there has one.  O(n + p*m) for p scanned pairs.
+    task there has one.  O(n + p*m) for p scanned pairs.  Moves to equal
+    loads share one Fraction, so a caller can render each load once.
     """
     kernel = inst._kernel
     delays = kernel.delays
@@ -490,6 +530,7 @@ def improving_moves(inst: Instance, a: Assignment):
     for task, (w, resource) in enumerate(zip(kernel.weights, a.target), start=1):
         tasks_by_weight[resource - 1].setdefault(w, []).append(task)
     moves = []
+    rationals = {}  # one Fraction per distinct new load
     for resource, groups in enumerate(tasks_by_weight):
         own = delays[resource] * sums[resource]
         for w in sorted(groups):
@@ -497,7 +538,9 @@ def improving_moves(inst: Instance, a: Assignment):
             if best is None:
                 break
             load, other = best
-            load = kernel.rational(load)
+            if load not in rationals:
+                rationals[load] = kernel.rational(load)
+            load = rationals[load]
             moves.extend((task, other + 1, load) for task in groups[w])
     moves.sort()
     return moves
@@ -583,40 +626,137 @@ def instance_from_jsonable(obj):
 def dumps_json(value) -> str:
     """`json.dumps(value, indent=2)`, byte for byte, for a document of
     str-keyed dicts, lists and scalars, without json's pure-Python indenting
-    encoder: str, int and finite float scalars go to the functions json
-    itself calls, a list of ints and strs is joined in one piece, and the
-    other scalars (bools, None, nan, infinities) and empty containers are
-    written by json.dumps."""
+    encoder.  Scalars of the exact types str, int, float, bool and None have
+    one encoder (`_SCALAR_TEXT`), built on the functions json itself calls.
+    A non-empty list is written in one piece when its items are all such
+    scalars, or all records of one shape: non-empty plain dicts with the
+    same keys in the same order, each value such a scalar or such a record.
+    The rows fill one `%` template built from the first row, and a nested
+    record that rows share (one object) is written once.  If any row has
+    another shape, the list is walked item by item, as is every dict;
+    scalar subclasses and empty containers are written by json.dumps."""
     chunks = []
     _write_json(value, "\n", chunks.append)
     return "".join(chunks)
 
 
+def _float_text(x: float) -> str:
+    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
+    if x - x == 0:  # finite
+        return repr(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+#: The JSON text of a scalar, by exact type; json.dumps writes the same.
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: repr,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+class _Misfit(Exception):
+    """A row whose shape differs from the first row of its list."""
+
+
+def _record_writer(record, newline: str):
+    """The function that writes a record shaped like `record` at the depth
+    whose line breaks are `newline`, or None if `record` is not a record: a
+    non-empty plain dict whose values are scalars or records.  The function
+    raises _Misfit, or KeyError for a value that is not a scalar where
+    `record` has one, on a row of another shape.  A nested record that rows
+    share, one object, is written once."""
+    if type(record) is not dict or not record:
+        return None
+    inner = newline + "  "
+    keys = list(record)
+    fields = []  # per value: None for a scalar, else the nested record's writer
+    for value in record.values():
+        if type(value) in _SCALAR_TEXT:
+            fields.append(None)
+        else:
+            nested = _record_writer(value, inner)
+            if nested is None:
+                return None
+            fields.append(_shared(nested))
+    template = "{" + inner + ("," + inner).join(
+        _encode_str(key).replace("%", "%%") + ": %s" for key in keys
+    ) + newline + "}"
+
+    if not any(fields):  # every value a scalar: no field to dispatch on
+
+        def write(row):
+            if type(row) is not dict or list(row) != keys:
+                raise _Misfit
+            return template % tuple([_SCALAR_TEXT[type(value)](value) for value in row.values()])
+
+    else:
+
+        def write(row):
+            if type(row) is not dict or list(row) != keys:
+                raise _Misfit
+            return template % tuple([
+                _SCALAR_TEXT[type(value)](value) if field is None else field(value)
+                for field, value in zip(fields, row.values())
+            ])
+
+    return write
+
+
+def _shared(write):
+    """`write`, once per object: the rows of one list are alive while it is
+    written, so an id names one object there."""
+    texts = {}
+
+    def write_once(value):
+        text = texts.get(id(value))
+        if text is None:
+            text = texts[id(value)] = write(value)
+        return text
+
+    return write_once
+
+
+def _one_piece(items, newline: str):
+    """The text of the non-empty list `items` in one piece: all scalars, or
+    all records of one shape; None for any other list."""
+    inner = newline + "  "
+    kinds = set(map(type, items))
+    if kinds <= _SCALAR_TEXT.keys():
+        if len(kinds) == 1:
+            pieces = map(_SCALAR_TEXT[kinds.pop()], items)
+        else:
+            pieces = [_SCALAR_TEXT[type(item)](item) for item in items]
+    else:
+        write = _record_writer(items[0], inner)
+        if write is None:
+            return None
+        try:
+            pieces = list(map(write, items))
+        except (_Misfit, KeyError):
+            return None
+    return "[" + inner + ("," + inner).join(pieces) + newline + "]"
+
+
 def _write_json(value, newline: str, write):
     """Write `value` at the depth whose line breaks are `newline`."""
-    kind = type(value)
-    if kind is str:
-        write(_encode_str(value))
-    elif kind is int:
-        write(int.__repr__(value))
-    elif kind is float and math.isfinite(value):
-        write(float.__repr__(value))
+    encode = _SCALAR_TEXT.get(type(value))
+    if encode is not None:
+        write(encode(value))
     elif isinstance(value, (list, tuple)) and value:
+        text = _one_piece(value, newline)
+        if text is not None:
+            write(text)
+            return
         inner = newline + "  "
-        kinds = set(map(type, value))
-        if kinds <= {int, str}:  # joined in one piece
-            if kinds == {int}:
-                pieces = map(int.__repr__, value)
-            else:
-                pieces = [_encode_str(v) if type(v) is str else int.__repr__(v) for v in value]
-            write("[" + inner + ("," + inner).join(pieces) + newline + "]")
-        else:
-            separator = "[" + inner
-            for item in value:
-                write(separator)
-                _write_json(item, inner, write)
-                separator = "," + inner
-            write(newline + "]")
+        separator = "[" + inner
+        for item in value:
+            write(separator)
+            _write_json(item, inner, write)
+            separator = "," + inner
+        write(newline + "]")
     elif isinstance(value, dict) and value:
         inner = newline + "  "
         separator = "{" + inner
@@ -625,7 +765,7 @@ def _write_json(value, newline: str, write):
             _write_json(item, inner, write)
             separator = "," + inner
         write(newline + "}")
-    else:  # one line: the other scalars and empty containers
+    else:  # one line: scalar subclasses and empty containers
         write(json.dumps(value))
 
 

@@ -7,6 +7,7 @@ import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +21,9 @@ from selfish_assign import (
     loads_instance,
     parse_rational,
 )
+from selfish_assign import cli
 from selfish_assign.cli import main
+from selfish_assign.model import MAX_NUMBER_DIGITS
 
 
 def write_instance(tmp_path, inst, name="instance.json"):
@@ -450,6 +453,13 @@ FAILURES = {
         ["ratio", "{assignment}"],
         '{"weights": [1, 2], "delays": [1, 2], "reference_assignments": {"a": [1, 2, 2]}}', {}, 2),
     "solve-no-exact-algorithm": (["solve", "{wide}"], None, {}, 3),
+    "instance-number-too-long": (
+        ["solve", "{assignment}"], f'{{"weights": ["1e{MAX_NUMBER_DIGITS}", 1], "delays": [1]}}', {}, 4),
+    "solve-epsilon-too-long": (["solve", "{instance}", "--epsilon", f"1e-{MAX_NUMBER_DIGITS}"], None, {}, 4),
+    "gen-epsilon-too-long": (["gen", "uniform-gap", "--epsilon", f"1e{MAX_NUMBER_DIGITS}"], None, {}, 4),
+    "gen-random-range-too-long": (
+        ["gen", "random", "--n", "2", "--m", "2", "--weights", f"1:1e{MAX_NUMBER_DIGITS}", "--delays", "1:2"],
+        None, {}, 4),
     "gen-out-missing-directory": (["gen", "big-nash", "--n", "3", "--out", "{missing}"], None, {}, 2),
 }
 
@@ -593,15 +603,124 @@ def test_number_grammar(tmp_path, capsys, text, value):
     assert report["instance"]["total_weight"]["exact"] == format_rational(value + 1)
 
 
+def _package_env():
+    """The environment of a child process that imports this package."""
+    src = str(Path(selfish_assign.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+class TestNumberDigitBound:
+    """A number that would expand past MAX_NUMBER_DIGITS digits is refused
+    with exit 4 before any of it is built; without the bound, the 48-byte
+    file below asks for an int of about 40 GB."""
+
+    @pytest.mark.parametrize("argv, number, fragment", [
+        (["solve", "{huge}"], "1e99999999999", "bad instance file"),
+        (["solve", "{instance}", "--epsilon", "1e-99999999999"], "1e-99999999999", "bad --epsilon"),
+    ], ids=["instance-file", "epsilon"])
+    def test_exits_4_within_a_second(self, argv, number, fragment, tmp_path):
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"weights": ["1e99999999999", 1], "delays": [1]}', encoding="utf-8")
+        assert huge.stat().st_size == 48
+        paths = {"huge": str(huge), "instance": write_instance(tmp_path, gen_uniform_gap(F(1, 10)))}
+        done = subprocess.run(
+            [sys.executable, "-m", "selfish_assign", *(arg.format(**paths) for arg in argv)],
+            capture_output=True, text=True, env=_package_env(), timeout=1,
+        )
+        assert (done.returncode, done.stdout) == (4, "")
+        assert done.stderr.startswith(f"error: {fragment}") and done.stderr.count("\n") == 1
+        assert done.stderr.endswith(
+            f"number '{number}' needs 100000000000 digits, at most {MAX_NUMBER_DIGITS} are allowed\n"
+        )
+
+
+class TestVerifyReportBytes:
+    def test_full_report(self, tmp_path, capsys, monkeypatch):
+        # Tasks 1-3 share one (resource, weight) move group and task 5 moves
+        # to the same load from another group.  Task 4's new load, the cost,
+        # a resource load and three digest values are above float range.
+        inst = Instance(weights=(F(1), F(1), F(1), F(10**309), F(1)), delays=(F(1), F(2), F(3)))
+        path = write_instance(tmp_path, inst)
+        assignment = tmp_path / "assignment.json"
+        assignment.write_text("[2, 2, 2, 3, 3]", encoding="utf-8")
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        assert main(["verify", path, str(assignment)]) == 0
+        z = "0" * 307
+        move = '{\n        "task": %d,\n        "to_resource": 1,\n        "new_load": {\n' \
+            '          "exact": "1/1",\n          "approximate": 1.0\n        }\n      }'
+        assert capsys.readouterr().out == f"""{{
+  "command": "verify",
+  "arguments": {{
+    "assignment": {json.dumps(str(assignment))},
+    "instance": {json.dumps(path)}
+  }},
+  "instance": {{
+    "tasks": 5,
+    "resources": 3,
+    "total_weight": {{
+      "exact": "1{z}04/1",
+      "approximate": "1.0000000000000000e+309"
+    }},
+    "throughput": {{
+      "exact": "11/6",
+      "approximate": 1.8333333333333333
+    }},
+    "average_load": {{
+      "exact": "1{z}04/3",
+      "approximate": "3.3333333333333333e+308"
+    }},
+    "weight_spread": {{
+      "exact": "1{z}00/1",
+      "approximate": "1.0000000000000000e+309"
+    }}
+  }},
+  "result": {{
+    "cost": {{
+      "exact": "6{z}24/1",
+      "approximate": "6.0000000000000000e+309"
+    }},
+    "resource_loads": [
+      {{
+        "exact": "0/1",
+        "approximate": 0.0
+      }},
+      {{
+        "exact": "6/1",
+        "approximate": 6.0
+      }},
+      {{
+        "exact": "3{z}03/1",
+        "approximate": "3.0000000000000000e+309"
+      }}
+    ],
+    "is_nash": false,
+    "improving_moves": [
+      {move % 1},
+      {move % 2},
+      {move % 3},
+      {{
+        "task": 4,
+        "to_resource": 1,
+        "new_load": {{
+          "exact": "1{z}00/1",
+          "approximate": "1.0000000000000000e+309"
+        }}
+      }},
+      {move % 5}
+    ]
+  }},
+  "elapsed_ms": 0.0
+}}
+"""
+
+
 class TestClosedStdout:
     def test_reader_closing_the_pipe_exits_1_without_traceback(self, tmp_path):
         # the report lists 20000 resource indices, far more than a pipe buffers
         path = write_instance(tmp_path, Instance(weights=(F(1),) * 20000, delays=(F(1), F(2))))
-        src = str(Path(selfish_assign.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         process = subprocess.Popen(
             [sys.executable, "-m", "selfish_assign", "solve", path],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_package_env(),
         )
         assert process.stdout.read(200).startswith(b"{")
         process.stdout.close()

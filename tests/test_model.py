@@ -26,6 +26,7 @@ from selfish_assign import (
     resource_loads,
     task_load,
 )
+from selfish_assign.model import MAX_NUMBER_DIGITS, NumberTooLongError
 
 from helpers import all_targets, naive_is_nash
 
@@ -65,6 +66,49 @@ class TestParseRational:
         # the kernel scales 2**14000 - 1 by 2; 14000 bits still write as an int
         text = dumps_instance(Instance(weights=(F(2**14000 - 1), F(2**14000), F(1, 2)), delays=(F(1),)))
         assert json.loads(text)["weights"] == [2**14000 - 1, str(2**14000) + "/1", "1/2"]
+
+
+class TestNumberDigitBound:
+    """A number read from text may have at most MAX_NUMBER_DIGITS digits in
+    its numerator and its denominator, counted before either is built."""
+
+    def test_every_form_at_the_bound_is_read(self):
+        limit = MAX_NUMBER_DIGITS
+        assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+        assert parse_rational(f"-1e-{limit - 1}") == F(-1, 10 ** (limit - 1))
+        assert parse_rational(f"0.{'0' * (limit - 2)}7") == F(7, 10 ** (limit - 1))
+        assert parse_rational("7" * limit + "/" + "9" * limit) == F(7, 9)
+
+    def test_zeros_at_either_end_of_the_digits_are_not_counted(self):
+        limit = MAX_NUMBER_DIGITS
+        assert parse_rational("0" * limit + "12" + "0" * limit + f"e-{limit}") == 12
+        assert parse_rational("0" * limit + "5/" + "0" * limit + "2") == F(5, 2)
+        assert parse_rational("0e99999999999") == 0
+        assert parse_rational("-000.000E-99999999999") == 0
+
+    @pytest.mark.parametrize("text, digits", [
+        (f"1e{MAX_NUMBER_DIGITS}", MAX_NUMBER_DIGITS + 1),
+        (f"1e-{MAX_NUMBER_DIGITS}", MAX_NUMBER_DIGITS + 1),
+        (f"3.5e{MAX_NUMBER_DIGITS}", MAX_NUMBER_DIGITS + 1),
+        (f"{'9' * (MAX_NUMBER_DIGITS + 1)}/7", MAX_NUMBER_DIGITS + 1),
+        (f"7/{'9' * (MAX_NUMBER_DIGITS + 1)}", MAX_NUMBER_DIGITS + 1),
+    ], ids=["exponent", "negative-exponent", "decimal", "numerator", "denominator"])
+    def test_one_digit_over_the_bound_is_refused(self, text, digits):
+        with pytest.raises(NumberTooLongError) as raised:
+            parse_rational(text)
+        assert raised.value.digits == digits
+        assert f"needs {digits} digits, at most {MAX_NUMBER_DIGITS} are allowed" in str(raised.value)
+        with pytest.raises(NumberTooLongError):
+            loads_instance(json.dumps({"weights": [1, text], "delays": [1]}))
+        with pytest.raises(NumberTooLongError):
+            Instance(weights=(text,), delays=(1,))
+
+    def test_message_is_one_short_line(self):
+        message = str(NumberTooLongError("1" * 100 + "e" + "9" * 40, 10**40))
+        assert message == (
+            f"number '{'1' * 37}...' needs over 10**30 digits, at most {MAX_NUMBER_DIGITS} are allowed"
+        )
+        assert isinstance(NumberTooLongError("1e99999", 100000), ValueError)
 
 
 class TestInstance:

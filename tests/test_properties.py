@@ -451,6 +451,98 @@ def test_writer_equals_json_dumps_indent_2(value):
     assert dumps_json(value) == json.dumps(value, indent=2)
 
 
+# Lists of records, which the writer fills from one template: one record
+# shape is drawn, a list of rows is built from it, and one row is perturbed
+# so that the list must go back to the item-by-item walk, or stays one shape.
+class _Dict(dict):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+RECORD_KEYS = st.one_of(st.text(max_size=3), st.sampled_from(["%", "%s", "%%", "a%sb", "%(k)s", "exact"]))
+RECORD_LEAVES = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+    st.sampled_from(["%", "%s", "%%s", "%(k)s", "1.0000000000000000e+400", True, False, None]),
+)
+ODD_LEAVES = st.sampled_from([
+    float("nan"), float("inf"), float("-inf"), True, None, [], [1, "%s"], ({"a": 1},),
+    _Str("%s"), _Float(2.5), {}, {"%": 1},
+])
+PERTURBATIONS = (
+    "none", "reorder", "extra-key", "missing-key", "emptied", "odd-leaf", "dict-subclass", "str-subclass-key",
+)
+
+
+@st.composite
+def record_shapes(draw, depth=3):
+    """A non-empty list of (key, None for a leaf or a nested shape)."""
+    keys = draw(st.lists(RECORD_KEYS, min_size=1, max_size=4, unique=True))
+    nested = depth > 1 and draw(st.booleans())
+    return [(key, draw(record_shapes(depth - 1)) if nested and draw(st.booleans()) else None) for key in keys]
+
+
+def _record(draw, shape):
+    return {key: draw(RECORD_LEAVES) if sub is None else _record(draw, sub) for key, sub in shape}
+
+
+def _dicts(record):
+    """The record and every dict nested in it."""
+    yield record
+    for value in record.values():
+        if isinstance(value, dict):
+            yield from _dicts(value)
+
+
+@st.composite
+def record_lists(draw):
+    shape = draw(record_shapes())
+    rows = [_record(draw, shape) for _ in range(draw(st.integers(1, 4)))]
+    kind = draw(st.sampled_from(PERTURBATIONS))
+    row = draw(st.integers(0, len(rows) - 1))
+    target = draw(st.sampled_from(list(_dicts(rows[row]))))
+    key = draw(st.sampled_from(list(target)))
+    if kind == "reorder":
+        items = list(target.items())
+        target.clear()
+        target.update(items[::-1])
+    elif kind == "extra-key":
+        target[draw(RECORD_KEYS)] = draw(RECORD_LEAVES)
+    elif kind == "missing-key":
+        del target[key]
+    elif kind == "emptied":
+        target.clear()
+    elif kind == "odd-leaf":
+        target[key] = draw(ODD_LEAVES)
+    elif kind == "dict-subclass":
+        target[key] = _Dict(target[key]) if isinstance(target[key], dict) else _Dict(x=target[key])
+    elif kind == "str-subclass-key":
+        target[_Str(key)] = target.pop(key)
+    return tuple(rows) if draw(st.booleans()) else rows
+
+
+@PROPERTY
+@given(record_lists())
+@example([{}])
+@example([{"a": {}}])
+@example([{"a": 1}, {"a": 1.5}])
+@example([{"a": 1, "b": 2}, {"b": 2, "a": 1}])  # same keys, another order
+@example([{"a": {"b": {"c": 1, "%s": "%"}}, "d": [2]}])
+@example([{"a": {"b": {"c": 1, "%s": "%"}}, "d": 2}, {"a": {"b": {"c": "x", "%s": None}}, "d": 2.5}])
+@example(({"exact": "1/1", "approximate": 1.0},) * 3)  # one object in every row
+def test_record_lists_equal_json_dumps_indent_2(value):
+    assert dumps_json(value) == json.dumps(value, indent=2)
+    assert dumps_json({"rows": value, "x": [value]}) == json.dumps({"rows": value, "x": [value]}, indent=2)
+
+
 # Strings of the number grammar: optional whitespace and sign, then "D/D" or
 # a decimal D, D., .D or D.D with an optional exponent, then optional
 # whitespace.  Fraction reads every one of them alike on every Python version.
