@@ -68,33 +68,43 @@ def _counts_below_threshold(delays, n: int, slope: int) -> list:
     P = sum(L / D_k), x_k = (top - D_k * P) / (slope * D_k * P) for
     top = (slope * (n - m) + m) * L: O(m) int operations, no Fraction."""
     common = math.lcm(*set(delays))  # L
-    reciprocals = sum(common // d for d in delays)  # P
+    reciprocals = sum(map(common.__floordiv__, delays))  # P
     top = (slope * (n - len(delays)) + len(delays)) * common
     return [max(0, -((d * reciprocals - top) // (slope * d * reciprocals))) for d in delays]
 
 
-def _marginal_greedy(inst: Instance, slope: int, key) -> CountAssignment:
-    """Place the n identical tasks one at a time, each on a resource whose
-    next marginal (slope * c_k + 1) * d_k is lowest, ties broken by
-    key(marginal, c_k, k); the heap holds one entry per resource.
+def _marginal_counts(delays, n: int, slope: int, key) -> list:
+    """Place n identical tasks one at a time on the scaled-int `delays`,
+    each on a resource whose next marginal (slope * c_k + 1) * d_k is
+    lowest, ties broken by key(marginal, c_k, k); the heap holds one entry
+    per resource.
 
     Each resource's marginals grow with c_k, so the placements are the n
     smallest marginals in heap order, and the marginals below a threshold
     are a prefix of that order.  `_counts_below_threshold` counts a prefix
-    of at least n - m placements in closed form; the heap, keyed on the
-    instance's scaled-int delays, places the rest, at most m tasks.
+    of at least n - m placements in closed form; the heap places the rest,
+    at most m tasks.
     """
-    if not inst.identical_weights:
-        raise ValueError("this algorithm needs all task weights to be identical")
-    delays = inst._kernel.delays
-    counts = _counts_below_threshold(delays, inst.n, slope)
+    counts = _counts_below_threshold(delays, n, slope)
     heap = [key((slope * c + 1) * d, c, k) for k, (c, d) in enumerate(zip(counts, delays))]
     heapq.heapify(heap)
-    for _ in range(inst.n - sum(counts)):
+    for _ in range(n - sum(counts)):
         k = heap[0][-1]
         counts[k] += 1
         heapq.heapreplace(heap, key((slope * counts[k] + 1) * delays[k], counts[k], k))
-    return CountAssignment(tuple(counts))
+    return counts
+
+
+def _lowest_index(marginal, c, k):
+    """`find_opt`'s tie-break: equal marginals go to the lowest index."""
+    return marginal, k
+
+
+def _marginal_greedy(inst: Instance, slope: int, key) -> CountAssignment:
+    """`_marginal_counts` on an identical-weight instance's scaled-int delays."""
+    if not inst.identical_weights:
+        raise ValueError("this algorithm needs all task weights to be identical")
+    return CountAssignment(tuple(_marginal_counts(inst._kernel.delays, inst.n, slope, key)))
 
 
 def find_opt(inst: Instance) -> CountAssignment:
@@ -106,7 +116,7 @@ def find_opt(inst: Instance) -> CountAssignment:
     (2n - m)/throughput are counted in closed form, so the heap makes at
     most m steps: O(n + m log m).
     """
-    return _marginal_greedy(inst, 2, lambda marginal, c, k: (marginal, k))
+    return _marginal_greedy(inst, 2, _lowest_index)
 
 
 def find_opt_nash(inst: Instance) -> CountAssignment:

@@ -17,7 +17,9 @@ Instance files are read straight into the instance's integer kernel
 `solve --algorithm auto` read that kernel too, and reports are written by
 `model.dumps_json`, which writes a list of same-shaped records, such as
 `verify`'s improving moves, from one template.  `verify` renders each
-distinct new load once and its moves share that rendering.  `gen random`
+distinct new load once and its moves share that rendering, and its three
+evaluators read the weight sums of one pass over the tasks
+(`model._summed`).  `gen random`
 builds the kernel directly (`instances.gen_random`), and `gen` writes
 instance files from the kernel, one encoding per distinct value
 (`model.dumps_instance`).
@@ -37,6 +39,7 @@ from .model import (
     Assignment,
     Instance,
     NumberTooLongError,
+    _summed,
     cost,
     dumps_instance,
     dumps_json,
@@ -310,6 +313,8 @@ def _cmd_verify(args) -> dict:
     inst, _ = _load_instance_file(args.instance)
     assignment = _load_assignment_file(args.assignment, inst)
     started = time.perf_counter()
+    # one walk over the tasks for the weight sums that the three evaluators read
+    assignment = _summed(inst, assignment)
     moves = improving_moves(inst, assignment)
     elapsed = (time.perf_counter() - started) * 1000
 

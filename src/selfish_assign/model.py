@@ -23,18 +23,20 @@ and the oracle all compute on the ints and build a Fraction only for the
 values they return.  Instance files are written from the kernel too, one
 encoding per distinct value.  `dumps_json` writes every JSON document the
 package emits, byte-identical to `json.dumps(value, indent=2)`; a list of
-scalars, or of records of one shape, is written in one piece, the records
-filled into one template and a nested record that rows share written once.
+scalars, or of at least five records of one shape, is written in one
+piece, the records filled into one template and a nested record that rows
+share written once.
 `improving_moves` returns one Fraction per distinct new load.
 """
 
 import decimal
 import functools
+import itertools
 import json
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import NamedTuple, Union
@@ -376,10 +378,15 @@ class CountAssignment:
 
     def to_assignment(self) -> Assignment:
         """Materialize: tasks in index order fill resources in index order."""
-        target = []
-        for resource, c in enumerate(self.counts, start=1):
-            target.extend([resource] * c)
-        return Assignment(tuple(target))
+        return _materialized(self.counts)
+
+
+def _materialized(counts) -> Assignment:
+    """The assignment of a valid count vector: tasks in index order fill
+    resources in index order."""
+    return Assignment(tuple(itertools.chain.from_iterable(
+        map(itertools.repeat, range(1, len(counts) + 1), counts)
+    )))
 
 
 AnyAssignment = Union[Assignment, CountAssignment]
@@ -398,7 +405,10 @@ def _check_fits(inst: Instance, target: tuple):
 def _weight_on_resources(inst: Instance, a: AnyAssignment):
     """Per-resource task counts and weight sums on the instance's ints,
     validating the assignment.  The one reader of count vectors: a count
-    vector c of identical weight w puts c_r * w on resource r."""
+    vector c of identical weight w puts c_r * w on resource r.  A `_Summed`
+    assignment of this instance gives the sums it carries."""
+    if type(a) is _Summed and a.kernel is inst._kernel:
+        return a.counts, a.sums
     m, weights = inst.m, inst._kernel.weights
     if isinstance(a, CountAssignment):
         counts = a.counts
@@ -417,6 +427,22 @@ def _weight_on_resources(inst: Instance, a: AnyAssignment):
         counts[resource - 1] += 1
         sums[resource - 1] += w
     return counts, sums
+
+
+@dataclass(frozen=True)
+class _Summed(Assignment):
+    """An assignment with its per-resource task counts and weight sums on
+    the ints of one instance's kernel, so that several evaluators of it
+    (`cost`, `resource_loads`, `improving_moves`) walk its tasks once."""
+
+    kernel: _Kernel = field(default=None, compare=False, repr=False)
+    counts: list = field(default=None, compare=False, repr=False)
+    sums: list = field(default=None, compare=False, repr=False)
+
+
+def _summed(inst: Instance, a: Assignment) -> _Summed:
+    """`a` with its counts and weight sums on `inst`, validated once."""
+    return _Summed(a.target, inst._kernel, *_weight_on_resources(inst, a))
 
 
 def _loads_on_resources(inst: Instance, a: AnyAssignment) -> list:
@@ -629,12 +655,13 @@ def dumps_json(value) -> str:
     encoder.  Scalars of the exact types str, int, float, bool and None have
     one encoder (`_SCALAR_TEXT`), built on the functions json itself calls.
     A non-empty list is written in one piece when its items are all such
-    scalars, or all records of one shape: non-empty plain dicts with the
-    same keys in the same order, each value such a scalar or such a record.
-    The rows fill one `%` template built from the first row, and a nested
-    record that rows share (one object) is written once.  If any row has
-    another shape, the list is walked item by item, as is every dict;
-    scalar subclasses and empty containers are written by json.dumps."""
+    scalars, or at least `_TEMPLATE_MIN_ROWS` records of one shape:
+    non-empty plain dicts with the same keys in the same order, each value
+    such a scalar or such a record.  The rows fill one `%` template built
+    from the first row, and a nested record that rows share (one object) is
+    written once.  A shorter list of records, or one with a row of another
+    shape, is walked item by item, as is every dict; scalar subclasses and
+    empty containers are written by json.dumps."""
     chunks = []
     _write_json(value, "\n", chunks.append)
     return "".join(chunks)
@@ -719,9 +746,15 @@ def _shared(write):
     return write_once
 
 
+#: Fewest records a list must have to be written from a template: building
+#: the template costs more than walking a shorter list item by item.
+_TEMPLATE_MIN_ROWS = 5
+
+
 def _one_piece(items, newline: str):
     """The text of the non-empty list `items` in one piece: all scalars, or
-    all records of one shape; None for any other list."""
+    at least `_TEMPLATE_MIN_ROWS` records of one shape; None for any other
+    list."""
     inner = newline + "  "
     kinds = set(map(type, items))
     if kinds <= _SCALAR_TEXT.keys():
@@ -729,6 +762,8 @@ def _one_piece(items, newline: str):
             pieces = map(_SCALAR_TEXT[kinds.pop()], items)
         else:
             pieces = [_SCALAR_TEXT[type(item)](item) for item in items]
+    elif len(items) < _TEMPLATE_MIN_ROWS:
+        return None
     else:
         write = _record_writer(items[0], inner)
         if write is None:

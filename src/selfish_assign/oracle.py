@@ -1,39 +1,49 @@
-"""Brute-force ground truth for small instances.
+"""Exact ground truth for small instances.
 
-Enumerates every assignment (or, for identical-weight tasks, every
-per-resource count vector) to find the exact optimum, the cheapest and the
-most expensive Nash equilibrium, and the ratios between them.  Also checks
-the equilibrium-quality bounds that hold for restricted instance families.
+Finds the exact optimum, the cheapest and the most expensive Nash
+equilibrium, and the ratios between them.  Also checks the
+equilibrium-quality bounds that hold for restricted instance families.
 
-The enumeration is one incremental walk on ints: weights and delays are
-scaled by the LCM of their denominators, and states come in ascending
-lexicographic order of their assignment.  Over assignments each move of a
-task updates the running cost and the per-resource counts, weight sums and
-lightest weights in O(1), and a canonical floor (no task below the resource
-of the previous task of its weight) skips every assignment but the
-lexicographically first of each weight-class count matrix: cost and
-equilibrium depend only on that matrix.  A count vector is evaluated in
-O(1), its first m-2 counts being summarized once for all ways to split the
-rest over the last two resources.  The equilibrium check (only the lightest
-task on a resource can be tempted to move) runs only on a state whose cost
-would replace the cheapest or the dearest Nash state found so far.  Costs
-become Fractions only for the three extremes; `cost` and `is_nash` stay the
-public evaluators, which `verify_bounds` re-checks the witnesses with.
+Identical-weight instances take a closed form on the instance's ints: the
+optimum is `find_opt`'s count vector, and every Nash count vector has the
+same largest load L, the n-th smallest of the loads c * d_j, so the Nash
+vectors are one lower vector plus one task on h of the resources whose
+delay divides L.  The cheapest raises the h largest delays, the dearest
+the h smallest: O(m log m) int operations, and O(n) to write out the
+witnesses, where the budget still counts the C(n+m-1, m-1) count vectors.
+
+Other instances are enumerated by one incremental walk on ints: weights
+and delays are scaled by the LCM of their denominators, and states come in
+ascending lexicographic order of their assignment.  Each move of a task
+updates the running cost and the per-resource counts, weight sums and
+lightest weights in O(1), and a canonical floor (no task below the
+resource of the previous task of its weight) skips every assignment but
+the lexicographically first of each weight-class count matrix: cost and
+equilibrium depend only on that matrix.  The equilibrium check (only the
+lightest task on a resource can be tempted to move) runs only on a state
+whose cost would replace the cheapest or the dearest Nash state found so
+far.  Witnesses are those of a full enumeration: the lexicographically
+smallest assignment of each extreme cost.  Costs become Fractions only for
+the three extremes; `cost` and `is_nash` stay the public evaluators, which
+`verify_bounds` re-checks the witnesses with.
 """
 
+import bisect
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
+from .algorithms import _lowest_index, _marginal_counts
 from .model import (
     Assignment,
     CountAssignment,
     Instance,
     RatioReport,
-    _counts_are_nash,
     _lightest_tasks_stay,
+    _materialized,
     cost,
     is_nash,
 )
@@ -87,65 +97,95 @@ def iter_count_vectors(n: int, m: int):
         vec[j + 1] = rest + 1
 
 
+def _nash_level(n: int, delays):
+    """The Nash count vectors of n identical tasks on the scaled-int
+    `delays` (non-decreasing), as (lower, flexible, h): each is `lower`
+    with one more task on h of the resources listed in `flexible`.
+
+    A count vector with largest load L is Nash iff c_j * d_j <= L <=
+    (c_j + 1) * d_j for every j, so c_j is floor(L / d_j) or, where d_j
+    divides L (a flexible resource), L / d_j - 1; with lower_j =
+    ceil(L / d_j) - 1 = floor((L - 1) / d_j), some flexible resource must
+    take the upper count for the largest load to be L.  Every Nash vector
+    has the same L: for L < L', floor(L / d) <= ceil(L' / d) - 1, so a
+    vector of level L would lie at or below one of level L' in every
+    coordinate, and as both sum to n they would be one vector with two
+    largest loads.  That L is the n-th smallest of the loads c * d_j
+    (c >= 1), the largest load of the greedy that places each task where
+    its own load is least, which `_marginal_counts` finds in O(m log m)
+    int operations; h = n - sum(lower) is then between 1 and the number of
+    flexible resources.
+    """
+    top = max(map(operator.mul, _marginal_counts(delays, n, 1, _lowest_index), delays))
+    lower = list(map((top - 1).__floordiv__, delays))
+    flexible = [j for j, rest in enumerate(map(top.__mod__, delays)) if not rest]
+    return lower, flexible, n - sum(lower)
+
+
+def _raised(lower, raised) -> tuple:
+    """`lower` with one more task on each resource in `raised`."""
+    vec = lower.copy()
+    for j in raised:
+        vec[j] += 1
+    return tuple(vec)
+
+
 def enumerate_nash_count_vectors(inst: Instance, budget: EnumerationBudget = None):
-    """Exactly the Nash count vectors of an identical-weight instance."""
+    """Exactly the Nash count vectors of an identical-weight instance, in
+    `iter_count_vectors` order.
+
+    They are the vectors of the one Nash level (`_nash_level`): choosing
+    which h flexible resources take one more task in lexicographic order of
+    their indices gives descending count vectors, so the work is
+    proportional to the output.  The budget still counts every count
+    vector, C(n+m-1, m-1), and is checked first."""
     if not inst.identical_weights:
         raise ValueError("count-vector enumeration needs identical task weights")
     budget = budget or EnumerationBudget()
     _check_budget(comb(inst.n + inst.m - 1, inst.m - 1), budget)
-    delays = inst._kernel.delays
+    lower, flexible, h = _nash_level(inst.n, inst._kernel.delays)
     return [
-        CountAssignment(vec)
-        for vec in iter_count_vectors(inst.n, inst.m)
-        if _counts_are_nash(vec, delays)
+        CountAssignment(_raised(lower, raised))
+        for raised in itertools.combinations(flexible, h)
     ]
 
 
-def _walk_count_vectors(n: int, w: int, delays):
+def _count_vector_extremes(n: int, w: int, delays):
     """Cheapest state, cheapest and dearest Nash state over the count
     vectors of n tasks of the scaled-int weight `w` on resources with the
-    scaled-int `delays`, as (cost, Assignment) pairs; the cost of a count
-    vector is w * sum(c^2 * d).
+    scaled-int `delays` (non-decreasing), as (cost, Assignment) pairs; the
+    cost of a count vector is w * sum(c^2 * d).  O(m log m) int
+    operations, and O(n) to write out the witnesses.
 
-    A count vector is Nash iff its largest load c*d is at most its smallest
-    next load (c+1)*d.  The first m-2 coordinates and what remains for the
-    last two form a head from `iter_count_vectors(n, m-1)`; its cost,
-    largest load and smallest next load are computed once.  The last two
-    coordinates (a, rest-a), a from rest down to 0, then cost O(1) each,
-    cost and equilibrium test alike, in the same largest-first order.
+    Each witness is the lexicographically largest count vector of its cost,
+    which is what an enumeration in `iter_count_vectors` order keeps with
+    strict comparisons.  The optimum is `find_opt`'s vector: its heap gives
+    equal marginals to the lowest index.  Every Nash vector lies on one
+    level (`_nash_level`), and raising flexible resource j from
+    L / d_j - 1 to L / d_j tasks adds (2L - d_j) to the cost, so the
+    cheapest Nash vector raises the h largest delays and the dearest the h
+    smallest; among equal delays the earliest index is raised, which keeps
+    the vector lexicographically largest.
     """
-    m = len(delays)
-    if m == 1:
-        return [(w * n * n * delays[0], CountAssignment((n,)).to_assignment())] * 3
-    d1, d2 = delays[-2:]
-    unbounded = (n + 1) * max(delays)  # above every load
-    best = low = high = best_at = low_at = high_at = None
-    for *head, rest in iter_count_vectors(n, m - 1):
-        base = sum(map(operator.mul, map(operator.mul, head, head), delays))
-        loads = list(map(operator.mul, head, delays))
-        top = max(loads, default=0)
-        cap = min(map(operator.add, loads, delays), default=unbounded)
-        if top > cap:
-            cap = -1  # the head alone breaks equilibrium
-        load1, load2 = (rest + 1) * d1, -d2  # a * d1 and (rest - a) * d2, one step early
-        for a in range(rest, -1, -1):
-            load1 -= d1
-            load2 += d2
-            value = base + a * load1 + (rest - a) * load2
-            if best is None or value < best:
-                best, best_at = value, (*head, a, rest - a)
-            if (low is None or value < low or value > high) and (
-                load1 <= cap and load2 <= cap and top <= load1 + d1 and top <= load2 + d2
-                and load1 <= load2 + d2 and load2 <= load1 + d1
-            ):
-                if low is None or value < low:
-                    low, low_at = value, (*head, a, rest - a)
-                if high is None or value > high:
-                    high, high_at = value, (*head, a, rest - a)
-    return [
-        (w * value, CountAssignment(vec).to_assignment()) if vec else None
-        for value, vec in ((best, best_at), (low, low_at), (high, high_at))
-    ]
+    best = _marginal_counts(delays, n, 2, _lowest_index)
+    lower, flexible, h = _nash_level(n, delays)
+    # the h largest delays; those equal to the smallest of them form one run
+    # of resources, all flexible, whose earliest indices are raised instead
+    cheap = flexible[-h:]
+    edge = delays[cheap[0]]
+    shift = cheap[0] - bisect.bisect_left(delays, edge)
+    witnesses = {}  # one Assignment per distinct vector
+    extremes = []
+    for vec in (
+        tuple(best),
+        _raised(lower, [j - shift if delays[j] == edge else j for j in cheap]),
+        _raised(lower, flexible[:h]),
+    ):
+        if vec not in witnesses:
+            witnesses[vec] = _materialized(vec)
+        value = sum(map(operator.mul, map(operator.mul, vec, vec), delays))
+        extremes.append((w * value, witnesses[vec]))
+    return extremes
 
 
 def _walk_assignments(weights, delays):
@@ -236,23 +276,25 @@ def _walk_assignments(weights, delays):
 def enumerate_extremes(inst: Instance, budget: EnumerationBudget = None) -> RatioReport:
     """Exact extreme costs over all assignments and over the Nash subset.
 
-    Identical-weight instances are enumerated as count vectors (the cost and
-    the equilibrium test only depend on counts), each in O(1); everything
-    else as assignments, of which the walk visits only the lexicographically
-    first of each weight-class count matrix.  The budget still counts every
-    state, m^n assignments or C(n+m-1, m-1) count vectors, and is checked
-    before any work.  Both walks run on ints, weights and delays scaled by
-    the LCM of their denominators, and visit states in ascending
-    lexicographic order of their assignment, so strict comparisons resolve
-    witnesses with tied costs to the lexicographically smallest assignment.
-    A state gets the equilibrium check only when its cost would replace the
-    cheapest or the dearest Nash cost found so far.
+    Identical-weight instances take the closed form of
+    `_count_vector_extremes` (cost and equilibrium only depend on the count
+    vector): `find_opt`'s optimum and the two extremes of the one Nash
+    level, O(m log m) int operations.  Everything else is enumerated as assignments,
+    of which the walk visits only the lexicographically first of each
+    weight-class count matrix, on ints, weights and delays scaled by the
+    LCM of their denominators, in ascending lexicographic order, so strict
+    comparisons resolve witnesses with tied costs to the lexicographically
+    smallest assignment; a state gets the equilibrium check only when its
+    cost would replace the cheapest or the dearest Nash cost found so far.
+    Either way the witnesses are those of a full enumeration.  The budget
+    still counts every state, m^n assignments or C(n+m-1, m-1) count
+    vectors, and is checked before any work.
     """
     budget = budget or EnumerationBudget()
     kernel = inst._kernel
     if inst.identical_weights:
         _check_budget(comb(inst.n + inst.m - 1, inst.m - 1), budget)
-        extremes = _walk_count_vectors(inst.n, kernel.weights[0], kernel.delays)
+        extremes = _count_vector_extremes(inst.n, kernel.weights[0], kernel.delays)
     else:
         _check_budget(inst.m**inst.n, budget)
         extremes = _walk_assignments(kernel.weights, kernel.delays)

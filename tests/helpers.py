@@ -5,6 +5,7 @@ earlier, straightforward implementations."""
 
 import heapq
 import math
+import operator
 from fractions import Fraction
 from itertools import product
 
@@ -17,6 +18,7 @@ from selfish_assign import (
     SplitMix64,
     cost,
     is_nash,
+    iter_count_vectors,
 )
 from selfish_assign.instances import RANDOM_GRID_POINTS
 
@@ -486,4 +488,75 @@ def reference_enumerate_extremes(inst):
         min_cost_witness=Assignment(best.witness),
         min_nash_witness=Assignment(best_nash.witness),
         max_nash_witness=Assignment(worst_nash.witness),
+    )
+
+
+# Reference for the identical-weight closed form: a walk over every count
+# vector in `iter_count_vectors` order, each evaluated in O(1) on ints.
+
+def reference_walk_count_vectors(n, w, delays):
+    """Cheapest state, cheapest and dearest Nash state over the count
+    vectors of n tasks of the scaled-int weight `w` on resources with the
+    scaled-int `delays`, as (cost, Assignment) pairs; the cost of a count
+    vector is w * sum(c^2 * d).
+
+    A count vector is Nash iff its largest load c*d is at most its smallest
+    next load (c+1)*d.  The first m-2 coordinates and what remains for the
+    last two form a head from `iter_count_vectors(n, m-1)`; its cost,
+    largest load and smallest next load are computed once.  The last two
+    coordinates (a, rest-a), a from rest down to 0, then cost O(1) each,
+    cost and equilibrium test alike, in the same largest-first order.
+    """
+    m = len(delays)
+    if m == 1:
+        return [(w * n * n * delays[0], CountAssignment((n,)).to_assignment())] * 3
+    d1, d2 = delays[-2:]
+    unbounded = (n + 1) * max(delays)  # above every load
+    best = low = high = best_at = low_at = high_at = None
+    for *head, rest in iter_count_vectors(n, m - 1):
+        base = sum(map(operator.mul, map(operator.mul, head, head), delays))
+        loads = list(map(operator.mul, head, delays))
+        top = max(loads, default=0)
+        cap = min(map(operator.add, loads, delays), default=unbounded)
+        if top > cap:
+            cap = -1  # the head alone breaks equilibrium
+        load1, load2 = (rest + 1) * d1, -d2  # a * d1 and (rest - a) * d2, one step early
+        for a in range(rest, -1, -1):
+            load1 -= d1
+            load2 += d2
+            value = base + a * load1 + (rest - a) * load2
+            if best is None or value < best:
+                best, best_at = value, (*head, a, rest - a)
+            if (low is None or value < low or value > high) and (
+                load1 <= cap and load2 <= cap and top <= load1 + d1 and top <= load2 + d2
+                and load1 <= load2 + d2 and load2 <= load1 + d1
+            ):
+                if low is None or value < low:
+                    low, low_at = value, (*head, a, rest - a)
+                if high is None or value > high:
+                    high, high_at = value, (*head, a, rest - a)
+    return [
+        (w * value, CountAssignment(vec).to_assignment())
+        for value, vec in ((best, best_at), (low, low_at), (high, high_at))
+    ]
+
+
+def reference_walk_extremes(inst):
+    """`reference_walk_count_vectors` on an identical-weight instance's
+    kernel, as a RatioReport."""
+    kernel = inst._kernel
+    extremes = reference_walk_count_vectors(inst.n, kernel.weights[0], kernel.delays)
+    (best, best_at), (low, low_at), (high, high_at) = (
+        (kernel.rational(value), witness) for value, witness in extremes
+    )
+    return RatioReport(
+        min_cost=best,
+        min_nash_cost=low,
+        max_nash_cost=high,
+        coordination_ratio=high / best,
+        nash_gap=high / low,
+        opt_gap=low / best,
+        min_cost_witness=best_at,
+        min_nash_witness=low_at,
+        max_nash_witness=high_at,
     )

@@ -17,6 +17,7 @@ import pytest
 
 from selfish_assign import (
     Assignment,
+    EnumerationBudget,
     SplitMix64,
     approx_solve_delays,
     approx_solve_weights,
@@ -37,6 +38,8 @@ from selfish_assign import (
     task_load,
     verify_bounds,
 )
+
+from helpers import reference_enumerate_extremes
 
 SWEEP_SIZE = 300
 
@@ -132,6 +135,10 @@ def test_criterion_4_oracle_equivalence_sweep(sweep):
     for index, inst in enumerate(sweep["instances"]):
         report = get_report(sweep, index)
         if inst.identical_weights:
+            # the oracle takes its optimum from find_opt: the per-state
+            # enumeration keeps the comparison independent
+            assert report == reference_enumerate_extremes(inst)
+            runs["reference_enumeration"] += 1
             counts = find_opt(inst)
             assert cost(inst, counts) == report.min_cost
             runs["find_opt"] += 1
@@ -162,6 +169,7 @@ def test_criterion_4_oracle_equivalence_sweep(sweep):
     assert all(
         runs[name] > 0
         for name in (
+            "reference_enumeration",
             "find_opt",
             "find_opt_nash",
             "dp_identical_delays",
@@ -172,6 +180,24 @@ def test_criterion_4_oracle_equivalence_sweep(sweep):
     summary = ", ".join(f"{name} x{count}" for name, count in sorted(runs.items()))
     print(f"PASS criterion 4: {SWEEP_SIZE}-instance sweep, every exact algorithm "
           f"matched the enumeration ({summary}; {elapsed:.1f}s)")
+
+
+def test_criterion_4_identical_weights_beyond_enumeration():
+    # C(47, 7) = 62 891 499 count vectors: a walk over them took about 63 s
+    inst = gen_random(40, 8, (F(3, 2), F(3, 2)), (F(1), F(4)), seed=2035)
+    started = time.perf_counter()
+    report = enumerate_extremes(inst, EnumerationBudget(10**8))
+    checks = verify_bounds(inst, report)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 5.0
+    assert report.min_cost == cost(inst, find_opt(inst))
+    assert report.min_nash_cost == cost(inst, find_opt_nash(inst))
+    assert 1 < report.nash_gap <= F(4, 3)
+    assert checks and all(check.satisfied for check in checks)
+    print(
+        f"PASS criterion 4: n=40, m=8 identical weights (62891499 count vectors) "
+        f"reported in {elapsed:.3f}s, Nash gap {report.nash_gap} <= 4/3"
+    )
 
 
 def test_criterion_5_equilibrium_bound_suite(sweep):

@@ -14,6 +14,7 @@ independent p/q fractions (wide denominators).
 
 import json
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -50,7 +51,7 @@ from selfish_assign import (
     round_weights,
     task_load,
 )
-from selfish_assign.model import dumps_json
+from selfish_assign.model import _TEMPLATE_MIN_ROWS, _summed, dumps_json
 
 from helpers import (
     brute_min_cost,
@@ -71,6 +72,7 @@ from helpers import (
     reference_is_nash,
     reference_resource_load,
     reference_threshold_counts,
+    reference_walk_extremes,
     scan_greedy_nash,
     scan_improving_moves,
 )
@@ -155,6 +157,22 @@ def test_is_nash_agrees_with_naive_predicate_and_moves(case):
 def test_improving_moves_equal_per_task_scan(case):
     inst, a = case
     assert improving_moves(inst, a) == scan_improving_moves(inst.weights, inst.delays, a.target)
+
+
+@PROPERTY
+@given(assigned())
+def test_summed_assignment_evaluates_like_its_assignment(case):
+    inst, a = case
+    summed = _summed(inst, a)
+
+    def evaluations(instance, assignment):
+        return (cost(instance, assignment), resource_loads(instance, assignment),
+                improving_moves(instance, assignment), is_nash(instance, assignment))
+
+    assert evaluations(inst, summed) == evaluations(inst, a)
+    # the sums belong to one instance: another of the same shape reads its own
+    other = Instance(tuple(2 * w + 1 for w in inst.weights), inst.delays)
+    assert evaluations(other, summed) == evaluations(other, a)
 
 
 @PROPERTY
@@ -328,6 +346,42 @@ def test_count_vector_walk_equals_reference(inst):
         CountAssignment(vec)
         for vec in vectors
         if is_nash(inst, CountAssignment(vec).to_assignment())  # the per-task check
+    ]
+
+
+TIE_HEAVY_DELAYS = st.sampled_from((F(1), F(2), F(3), F(4), F(6), F(12)))
+MILLION_DELAYS = st.builds(F, st.integers(1, 10**6), st.integers(1, 50))
+WALKABLE_VECTORS = 20_000  # count vectors the reference walk covers in about 10 ms
+
+
+@st.composite
+def walkable_identical_weight_instances(draw, max_n=44, max_m=8):
+    """Identical weights with at most WALKABLE_VECTORS count vectors: up to
+    `max_n` tasks on few resources, fewer on more; delays tie-heavy or up to
+    10^6 with denominators up to 50."""
+    m = draw(st.integers(1, max_m))
+    most = max(n for n in range(1, max_n + 1) if comb(n + m - 1, m - 1) <= WALKABLE_VECTORS)
+    n = draw(st.integers(1, most))
+    delays = draw(st.lists(draw(st.sampled_from((TIE_HEAVY_DELAYS, MILLION_DELAYS))),
+                           min_size=m, max_size=m))
+    return Instance((draw(draw(VALUES)),) * n, tuple(delays))
+
+
+@PROPERTY
+@given(walkable_identical_weight_instances())
+@example(Instance((F(3, 2),) * 44, (F(7),)))  # m = 1
+@example(Instance((F(2),) * 3, (F(1), F(2), F(2), F(3), F(5))))  # m > n
+@example(Instance((F(1),) * 12, (F(3),) * 5))  # all delays tied
+# every resource flexible at the Nash level L = 6, three of them of delay 3;
+# two or three of the five take one more task
+@example(Instance((F(1),) * 7, (F(2), F(3), F(3), F(3), F(6))))
+@example(Instance((F(5, 3),) * 8, (F(1, 2), F(3, 4), F(3, 4), F(3, 4), F(3, 2))))
+def test_closed_form_equals_count_vector_walk(inst):
+    assert enumerate_extremes(inst) == reference_walk_extremes(inst)
+    assert enumerate_nash_count_vectors(inst) == [
+        CountAssignment(vec)
+        for vec in iter_count_vectors(inst.n, inst.m)
+        if is_nash(inst, CountAssignment(vec))
     ]
 
 
@@ -505,7 +559,8 @@ def _dicts(record):
 @st.composite
 def record_lists(draw):
     shape = draw(record_shapes())
-    rows = [_record(draw, shape) for _ in range(draw(st.integers(1, 4)))]
+    # lists on both sides of the shortest one written from a template
+    rows = [_record(draw, shape) for _ in range(draw(st.integers(1, 2 * _TEMPLATE_MIN_ROWS)))]
     kind = draw(st.sampled_from(PERTURBATIONS))
     row = draw(st.integers(0, len(rows) - 1))
     target = draw(st.sampled_from(list(_dicts(rows[row]))))
@@ -532,12 +587,14 @@ def record_lists(draw):
 @PROPERTY
 @given(record_lists())
 @example([{}])
-@example([{"a": {}}])
-@example([{"a": 1}, {"a": 1.5}])
-@example([{"a": 1, "b": 2}, {"b": 2, "a": 1}])  # same keys, another order
-@example([{"a": {"b": {"c": 1, "%s": "%"}}, "d": [2]}])
-@example([{"a": {"b": {"c": 1, "%s": "%"}}, "d": 2}, {"a": {"b": {"c": "x", "%s": None}}, "d": 2.5}])
-@example(({"exact": "1/1", "approximate": 1.0},) * 3)  # one object in every row
+@example([{"a": {}}] * _TEMPLATE_MIN_ROWS)
+@example([{"a": 1}, {"a": 1.5}] * _TEMPLATE_MIN_ROWS)
+@example([{"a": 1, "b": 2}] * _TEMPLATE_MIN_ROWS + [{"b": 2, "a": 1}])  # same keys, another order
+@example([{"a": {"b": {"c": 1, "%s": "%"}}, "d": [2]}] * _TEMPLATE_MIN_ROWS)
+@example([{"a": {"b": {"c": 1, "%s": "%"}}, "d": 2}, {"a": {"b": {"c": "x", "%s": None}}, "d": 2.5}]
+         * _TEMPLATE_MIN_ROWS)
+@example(({"exact": "1/1", "approximate": 1.0},) * _TEMPLATE_MIN_ROWS)  # one object in every row
+@example([{"a": 1}, {"a": 1.5}, {"b": 2}])  # short: walked
 def test_record_lists_equal_json_dumps_indent_2(value):
     assert dumps_json(value) == json.dumps(value, indent=2)
     assert dumps_json({"rows": value, "x": [value]}) == json.dumps({"rows": value, "x": [value]}, indent=2)
