@@ -13,9 +13,9 @@ geometric grid and run the matching DP; the result, re-costed under the
 original instance, is within 1+epsilon of optimal.
 
 Everything is exact.  Inputs and results are Fractions; inside, the greedy
-builders and the DPs run on the instance's ints (`Instance._kernel`):
-weights and delays each multiplied by the LCM of their denominators, the
-cost divided back out at the end.
+builders, the DPs and the geometric rounding run on the instance's ints
+(`Instance._kernel`): weights and delays each multiplied by the LCM of
+their denominators, the cost divided back out at the end.
 """
 
 import bisect
@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Assignment, CountAssignment, Instance, _as_fraction, cost
+from .model import Assignment, CountAssignment, Instance, _canonical, cost, parse_rational
 
 #: Default bound on the number of distinct weight/delay values the DPs accept.
 DEFAULT_DISTINCT_VALUES = 4
@@ -100,6 +100,12 @@ def _lowest_index(marginal, c, k):
     return marginal, k
 
 
+def _fewest_tasks(marginal, c, k):
+    """`find_opt_nash`'s tie-break: equal marginals go to the resource with
+    the fewest tasks, then the lowest index."""
+    return marginal, c, k
+
+
 def _marginal_greedy(inst: Instance, slope: int, key) -> CountAssignment:
     """`_marginal_counts` on an identical-weight instance's scaled-int delays."""
     if not inst.identical_weights:
@@ -128,7 +134,7 @@ def find_opt_nash(inst: Instance) -> CountAssignment:
     index.  The placements below n/throughput are counted in closed form,
     so the heap makes at most m steps: O(n + m log m).
     """
-    return _marginal_greedy(inst, 1, lambda marginal, c, k: (marginal, c, k))
+    return _marginal_greedy(inst, 1, _fewest_tasks)
 
 
 def greedy_nash(inst: Instance) -> Assignment:
@@ -366,17 +372,6 @@ def _int_kth_root(x: int, k: int):
     return root if root**k == x else None
 
 
-def _rational_kth_root(q: Fraction, k: int):
-    """Exact k-th root of a positive rational, or None if irrational."""
-    num = _int_kth_root(q.numerator, k)
-    if num is None:
-        return None
-    den = _int_kth_root(q.denominator, k)
-    if den is None:
-        return None
-    return Fraction(num, den)
-
-
 def _grid_steps(ratio: Fraction, epsilon: Fraction) -> int:
     """The smallest k >= 1 with (1 + epsilon)**k >= ratio, by doubling and
     then bisection; refuses k above MAX_GRID_STEPS.  The bound is checked
@@ -416,70 +411,69 @@ def _grid_steps_refusal(ratio: Fraction, epsilon: Fraction) -> str:
     )
 
 
-def _round_up_geometric(values, epsilon: Fraction):
-    """Round each value up onto the geometric grid lo * (hi/lo)**(t/k).
+def _round_up_geometric(ints, epsilon: Fraction):
+    """Round each of the positive ints up onto the geometric grid
+    lo * (hi/lo)**(t/k).
 
     k is the smallest positive integer with (1 + epsilon)**k >= hi/lo, so
     consecutive grid points differ by at most a factor 1 + epsilon; a k
-    above MAX_GRID_STEPS raises ValueError.  Each
-    value maps to the smallest grid point at or above it; the grid point is
-    materialized exactly when rational, otherwise as the largest original
-    value in the same grid cell (still an upper bound within 1 + epsilon).
-    Returns (rounded values in input order, k).
+    above MAX_GRID_STEPS raises ValueError.  Each value maps to the smallest
+    grid point at or above it; the grid point is materialized exactly when
+    it is an int, otherwise as the largest original value in the same grid
+    cell (still an upper bound within 1 + epsilon).  For ints that are
+    rationals times a common scale, the grid is the rationals' grid times
+    that scale, and one of its points is an int exactly when the rational
+    point is rational.  Returns (rounded ints in input order, k).
     """
-    epsilon = _as_fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    lo, hi = min(values), max(values)
-    ratio = hi / lo
-    if ratio == 1:
-        return list(values), 1
-    k = _grid_steps(ratio, epsilon)
+    lo, hi = min(ints), max(ints)
+    if lo == hi:
+        return ints, 1
+    k = _grid_steps(Fraction(hi, lo), epsilon)
 
-    def cell_index(v: Fraction) -> int:
-        # smallest t in 0..k with v <= lo * ratio**(t/k), compared exactly
+    def cell_index(v: int) -> int:
+        # smallest t in 0..k with v <= lo * (hi/lo)**(t/k), compared exactly
         # via v**k <= lo**(k-t) * hi**t, which grows with t
         vk = v**k
         return bisect.bisect_left(range(k + 1), True, key=lambda t: vk <= lo ** (k - t) * hi**t)
 
     cells = {}
-    for v in set(values):
+    for v in set(ints):
         cells.setdefault(cell_index(v), []).append(v)
     rounded_value = {}
     for t, cell_values in cells.items():
-        grid_point = _rational_kth_root(lo ** (k - t) * hi**t, k)
+        grid_point = _int_kth_root(lo ** (k - t) * hi**t, k)
         rounded = grid_point if grid_point is not None else max(cell_values)
         for v in cell_values:
             rounded_value[v] = rounded
-    return [rounded_value[v] for v in values], k
+    return tuple(map(rounded_value.__getitem__, ints)), k
 
 
 def round_weights(inst: Instance, epsilon) -> RoundedInstance:
-    """Round task weights up onto a geometric grid of at most k+1 values."""
-    epsilon = _as_fraction(epsilon)
-    rounded, k = _round_up_geometric(inst.weights, epsilon)
-    return RoundedInstance(
-        original=inst,
-        rounded=Instance(weights=tuple(rounded), delays=inst.delays),
-        k=k,
-        epsilon=epsilon,
-    )
+    """Round task weights up onto a geometric grid of at most k+1 values;
+    the rounding runs on the instance's ints."""
+    epsilon = parse_rational(epsilon)
+    kernel = inst._kernel
+    rounded, k = _round_up_geometric(kernel.weights, epsilon)
+    weights, scale = _canonical(rounded, kernel.weight_scale)
+    rounded = Instance._from_kernel(kernel._replace(weights=weights, weight_scale=scale))
+    return RoundedInstance(original=inst, rounded=rounded, k=k, epsilon=epsilon)
 
 
 def round_delays(inst: Instance, epsilon) -> RoundedInstance:
-    """Round resource delays up onto a geometric grid of at most k+1 values.
+    """Round resource delays up onto a geometric grid of at most k+1 values;
+    the rounding runs on the instance's ints.
 
     The rounding map is monotone, so resource order (and therefore assignment
     indices) carries over between the original and rounded instances.
     """
-    epsilon = _as_fraction(epsilon)
-    rounded, k = _round_up_geometric(inst.delays, epsilon)
-    return RoundedInstance(
-        original=inst,
-        rounded=Instance(weights=inst.weights, delays=tuple(rounded)),
-        k=k,
-        epsilon=epsilon,
-    )
+    epsilon = parse_rational(epsilon)
+    kernel = inst._kernel
+    rounded, k = _round_up_geometric(kernel.delays, epsilon)
+    delays, scale = _canonical(rounded, kernel.delay_scale)
+    rounded = Instance._from_kernel(kernel._replace(delays=delays, delay_scale=scale))
+    return RoundedInstance(original=inst, rounded=rounded, k=k, epsilon=epsilon)
 
 
 def approx_solve_weights(inst: Instance, epsilon) -> DPSolution:

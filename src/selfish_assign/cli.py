@@ -12,17 +12,10 @@ instance file, --epsilon or a gen range) whose numerator or denominator
 would have more than `model.MAX_NUMBER_DIGITS` digits; that error line
 states the digits required and allowed.
 
-Instance files are read straight into the instance's integer kernel
-(`model.loads_instance`); the report digest and the routing of
-`solve --algorithm auto` read that kernel too, and reports are written by
-`model.dumps_json`, which writes a list of same-shaped records, such as
-`verify`'s improving moves, from one template.  `verify` renders each
-distinct new load once and its moves share that rendering, and its three
-evaluators read the weight sums of one pass over the tasks
-(`model._summed`).  `gen random`
-builds the kernel directly (`instances.gen_random`), and `gen` writes
-instance files from the kernel, one encoding per distinct value
-(`model.dumps_instance`).
+Instance files are read by `model.loads_instance` and written by
+`model.dumps_instance`; reports are written by `model.dumps_json`.
+`verify` renders each distinct new load once, and its three evaluators read
+the weight sums of one pass over the tasks (`model._summed`).
 """
 
 import argparse

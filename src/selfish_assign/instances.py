@@ -10,7 +10,7 @@ seeds give identical instances everywhere.
 import math
 from fractions import Fraction
 
-from .model import Assignment, Instance, _Kernel, _as_fraction, format_rational
+from .model import Assignment, Instance, _canonical, _Kernel, format_rational, parse_rational
 
 
 def gen_big_nash(n: int) -> Instance:
@@ -35,7 +35,7 @@ def gen_uniform_gap(epsilon) -> Instance:
     at epsilon = 0 two equilibria coexist with costs 2 and 3/2, meeting the
     4/3 equilibrium-gap bound for identical weights exactly.
     """
-    epsilon = _as_fraction(epsilon)
+    epsilon = parse_rational(epsilon)
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     return Instance(
@@ -55,7 +55,7 @@ def gen_nash_ratio_lb(epsilon):
     unit tasks onto every resource (cost at least (6b+13)*10b).  The cost
     ratio segregated/mixed is at most (3/5)(1+epsilon).
     """
-    epsilon = _as_fraction(epsilon)
+    epsilon = parse_rational(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     big = math.ceil(Fraction(2) / epsilon)
@@ -139,7 +139,7 @@ def _scaled_grid(bounds):
     """The RANDOM_GRID_POINTS evenly spaced rationals of the range (lo, hi),
     one point if lo == hi, as ints and a common denominator: with lo = a/b,
     hi = c/d and k = points - 1, point j is (k*a*d + j*(c*b - a*d)) / (k*b*d)."""
-    lo, hi = map(_as_fraction, bounds)
+    lo, hi = map(parse_rational, bounds)
     if lo <= 0:
         raise ValueError("ranges must be positive")
     if hi < lo:
@@ -153,14 +153,10 @@ def _scaled_grid(bounds):
 
 
 def _draw_scaled(rng: SplitMix64, grid, count: int):
-    """`count` grid values drawn by `rng`, as ints and their scale, reduced
-    to the LCM of the drawn values' reduced denominators, as an instance's
-    kernel is: the gcd of the scale and the drawn ints divides both out."""
+    """`count` grid values drawn by `rng`, as an instance's kernel holds
+    them: ints and their scale, reduced by `_canonical`."""
     ints, scale = grid
-    picks = rng.draws(count, len(ints))
-    common = math.gcd(scale, *map(ints.__getitem__, set(picks)))
-    values = [k // common for k in ints]
-    return tuple(map(values.__getitem__, picks)), scale // common
+    return _canonical(list(map(ints.__getitem__, rng.draws(count, len(ints)))), scale)
 
 
 def gen_random(n: int, m: int, weight_range, delay_range, seed: int) -> Instance:

@@ -16,17 +16,10 @@ before it builds either and raises NumberTooLongError (a ValueError) above.
 
 Inside, an instance is its ints (`Instance._kernel`): weights and delays
 each multiplied by the LCM of their reduced denominators, which keeps every
-comparison and tie.  Instance files are read straight into those ints, and
-the Fraction tuples `weights` and `delays` are built only when something
-reads them.  The evaluators here, the greedy builders, the dynamic programs
-and the oracle all compute on the ints and build a Fraction only for the
-values they return.  Instance files are written from the kernel too, one
-encoding per distinct value.  `dumps_json` writes every JSON document the
-package emits, byte-identical to `json.dumps(value, indent=2)`; a list of
-scalars, or of at least five records of one shape, is written in one
-piece, the records filled into one template and a nested record that rows
-share written once.
-`improving_moves` returns one Fraction per distinct new load.
+comparison and tie.  The constructor and instance files read numbers
+straight into those ints, and the Fraction tuples `weights` and `delays`
+are built only when something reads them.  `dumps_json` writes every JSON
+document the package emits, byte-identical to `json.dumps(value, indent=2)`.
 """
 
 import decimal
@@ -197,11 +190,16 @@ def _rationals(ints, scale) -> tuple:
     return tuple(map(values.__getitem__, ints))
 
 
-def _as_fraction(x) -> Fraction:
-    """x as a Fraction; a string is read by the number grammar."""
-    if type(x) is Fraction:
-        return x
-    return parse_rational(x) if isinstance(x, str) else Fraction(x)
+def _canonical(ints, scale: int):
+    """The kernel form of the rationals ints[i] / scale: the ints and the
+    scale divided by their gcd, which leaves the scale the LCM of the
+    reduced denominators."""
+    distinct = set(ints)
+    common = math.gcd(scale, *distinct)
+    if common == 1:
+        return tuple(ints), scale
+    reduced = {k: k // common for k in distinct}
+    return tuple(map(reduced.__getitem__, ints)), scale // common
 
 
 class _Kernel(NamedTuple):
@@ -229,29 +227,28 @@ class Instance:
 
     The instance is its kernel (`_kernel`): the weights and the delays each
     scaled to ints by the LCM of their reduced denominators.  That scaling
-    is canonical, so equality and hashing compare kernels.  The `weights`
-    and `delays` Fraction tuples are built on first use (threads that race
-    build equal values); instance files are read straight into a kernel.
+    is canonical, so equality and hashing compare kernels.  The constructor
+    reads each number as an instance file does (`parse_rational`'s reader),
+    straight into the kernel; the `weights` and `delays` Fraction tuples
+    are built on first use (threads that race build equal values).
     """
 
     _kernel: _Kernel
 
     def __init__(self, weights, delays):
-        weights = tuple(map(_as_fraction, weights))
-        delays = tuple(sorted(map(_as_fraction, delays)))
-        self._set_kernel(_Kernel(*_scaled(weights), *_scaled(delays)))
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "delays", delays)
+        self._set_kernel(_Kernel(*_scaled(tuple(weights)), *_scaled(tuple(delays))))
 
     @classmethod
     def _from_kernel(cls, kernel: _Kernel) -> "Instance":
-        """The instance with this kernel; its delays may be in any order."""
+        """The instance with this canonical kernel; its delays may be in any order."""
         inst = cls.__new__(cls)
-        inst._set_kernel(kernel._replace(delays=tuple(sorted(kernel.delays))))
+        inst._set_kernel(kernel)
         return inst
 
     def _set_kernel(self, kernel: _Kernel):
-        """Set the kernel once it passes the one check of every instance."""
+        """Sort the delays and set the kernel once it passes the one check
+        of every instance."""
+        kernel = kernel._replace(delays=tuple(sorted(kernel.delays)))
         if not kernel.weights:
             raise ValueError("an instance needs at least one task")
         if not kernel.delays:
@@ -576,30 +573,28 @@ def improving_moves(inst: Instance, a: Assignment):
 class RatioReport:
     """Extreme costs over all assignments and over the Nash subset.
 
-    Ratios: coordination_ratio = worst Nash / optimum, nash_gap = worst Nash /
-    best Nash, opt_gap = best Nash / optimum.  Each extreme value comes with a
-    witness assignment that re-evaluates to it.
+    Ratios, derived from the costs: coordination_ratio = worst Nash /
+    optimum, nash_gap = worst Nash / best Nash, opt_gap = best Nash /
+    optimum.  Each extreme value comes with a witness assignment that
+    re-evaluates to it.
     """
 
     min_cost: Fraction
     min_nash_cost: Fraction
     max_nash_cost: Fraction
-    coordination_ratio: Fraction
-    nash_gap: Fraction
-    opt_gap: Fraction
     min_cost_witness: Assignment
     min_nash_witness: Assignment
     max_nash_witness: Assignment
+    coordination_ratio: Fraction = field(init=False)
+    nash_gap: Fraction = field(init=False)
+    opt_gap: Fraction = field(init=False)
 
     def __post_init__(self):
         if not self.min_cost <= self.min_nash_cost <= self.max_nash_cost:
             raise ValueError("extreme costs violate min <= min Nash <= max Nash")
-        if self.coordination_ratio != self.max_nash_cost / self.min_cost:
-            raise ValueError("coordination_ratio inconsistent with extreme costs")
-        if self.nash_gap != self.max_nash_cost / self.min_nash_cost:
-            raise ValueError("nash_gap inconsistent with extreme costs")
-        if self.opt_gap != self.min_nash_cost / self.min_cost:
-            raise ValueError("opt_gap inconsistent with extreme costs")
+        object.__setattr__(self, "coordination_ratio", self.max_nash_cost / self.min_cost)
+        object.__setattr__(self, "nash_gap", self.max_nash_cost / self.min_nash_cost)
+        object.__setattr__(self, "opt_gap", self.min_nash_cost / self.min_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +626,7 @@ def instance_from_jsonable(obj):
     for key in ("weights", "delays"):
         if key not in obj or not isinstance(obj[key], list):
             raise ValueError(f'instance document needs a "{key}" array')
-    inst = Instance._from_kernel(
-        _Kernel(*_scaled(obj["weights"]), *_scaled(obj["delays"]))
-    )
+    inst = Instance(obj["weights"], obj["delays"])
     named = obj.get("reference_assignments", {})
     if not isinstance(named, dict):
         raise ValueError('"reference_assignments" must be a JSON object')

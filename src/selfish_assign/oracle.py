@@ -5,12 +5,13 @@ equilibrium, and the ratios between them.  Also checks the
 equilibrium-quality bounds that hold for restricted instance families.
 
 Identical-weight instances take a closed form on the instance's ints: the
-optimum is `find_opt`'s count vector, and every Nash count vector has the
-same largest load L, the n-th smallest of the loads c * d_j, so the Nash
-vectors are one lower vector plus one task on h of the resources whose
-delay divides L.  The cheapest raises the h largest delays, the dearest
-the h smallest: O(m log m) int operations, and O(n) to write out the
-witnesses, where the budget still counts the C(n+m-1, m-1) count vectors.
+optimum is `find_opt`'s count vector and the cheapest Nash vector
+`find_opt_nash`'s.  Every Nash count vector has the same largest load L,
+the n-th smallest of the loads c * d_j, so the Nash vectors are one lower
+vector plus one task on h of the resources whose delay divides L, and the
+dearest raises the h smallest delays: O(m log m) int operations, and O(n)
+to write out the witnesses, where the budget still counts the
+C(n+m-1, m-1) count vectors.
 
 Other instances are enumerated by one incremental walk on ints: weights
 and delays are scaled by the LCM of their denominators, and states come in
@@ -28,7 +29,6 @@ the three extremes; `cost` and `is_nash` stay the public evaluators, which
 `verify_bounds` re-checks the witnesses with.
 """
 
-import bisect
 import itertools
 import operator
 from dataclasses import dataclass
@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .algorithms import _lowest_index, _marginal_counts
+from .algorithms import _fewest_tasks, _lowest_index, _marginal_counts
 from .model import (
     Assignment,
     CountAssignment,
@@ -97,10 +97,11 @@ def iter_count_vectors(n: int, m: int):
         vec[j + 1] = rest + 1
 
 
-def _nash_level(n: int, delays):
-    """The Nash count vectors of n identical tasks on the scaled-int
-    `delays` (non-decreasing), as (lower, flexible, h): each is `lower`
-    with one more task on h of the resources listed in `flexible`.
+def _nash_level(cheapest, delays):
+    """The Nash count vectors of identical tasks on the scaled-int `delays`
+    (non-decreasing), given `cheapest`, `find_opt_nash`'s vector, as
+    (lower, flexible, h): each is `lower` with one more task on h of the
+    resources listed in `flexible`.
 
     A count vector with largest load L is Nash iff c_j * d_j <= L <=
     (c_j + 1) * d_j for every j, so c_j is floor(L / d_j) or, where d_j
@@ -112,14 +113,13 @@ def _nash_level(n: int, delays):
     coordinate, and as both sum to n they would be one vector with two
     largest loads.  That L is the n-th smallest of the loads c * d_j
     (c >= 1), the largest load of the greedy that places each task where
-    its own load is least, which `_marginal_counts` finds in O(m log m)
-    int operations; h = n - sum(lower) is then between 1 and the number of
-    flexible resources.
+    its own load is least, whichever way it breaks ties; h = n - sum(lower)
+    is then between 1 and the number of flexible resources.
     """
-    top = max(map(operator.mul, _marginal_counts(delays, n, 1, _lowest_index), delays))
+    top = max(map(operator.mul, cheapest, delays))
     lower = list(map((top - 1).__floordiv__, delays))
     flexible = [j for j, rest in enumerate(map(top.__mod__, delays)) if not rest]
-    return lower, flexible, n - sum(lower)
+    return lower, flexible, sum(cheapest) - sum(lower)
 
 
 def _raised(lower, raised) -> tuple:
@@ -143,7 +143,8 @@ def enumerate_nash_count_vectors(inst: Instance, budget: EnumerationBudget = Non
         raise ValueError("count-vector enumeration needs identical task weights")
     budget = budget or EnumerationBudget()
     _check_budget(comb(inst.n + inst.m - 1, inst.m - 1), budget)
-    lower, flexible, h = _nash_level(inst.n, inst._kernel.delays)
+    delays = inst._kernel.delays
+    lower, flexible, h = _nash_level(_marginal_counts(delays, inst.n, 1, _fewest_tasks), delays)
     return [
         CountAssignment(_raised(lower, raised))
         for raised in itertools.combinations(flexible, h)
@@ -164,23 +165,17 @@ def _count_vector_extremes(n: int, w: int, delays):
     level (`_nash_level`), and raising flexible resource j from
     L / d_j - 1 to L / d_j tasks adds (2L - d_j) to the cost, so the
     cheapest Nash vector raises the h largest delays and the dearest the h
-    smallest; among equal delays the earliest index is raised, which keeps
-    the vector lexicographically largest.
+    smallest, each the earliest index among equal delays.  The cheapest is
+    `find_opt_nash`'s vector: its last h placements, at marginal L, go to
+    the flexible resources in order of fewest tasks, that is of largest
+    delay, then of lowest index.
     """
     best = _marginal_counts(delays, n, 2, _lowest_index)
-    lower, flexible, h = _nash_level(n, delays)
-    # the h largest delays; those equal to the smallest of them form one run
-    # of resources, all flexible, whose earliest indices are raised instead
-    cheap = flexible[-h:]
-    edge = delays[cheap[0]]
-    shift = cheap[0] - bisect.bisect_left(delays, edge)
+    cheapest = _marginal_counts(delays, n, 1, _fewest_tasks)
+    lower, flexible, h = _nash_level(cheapest, delays)
     witnesses = {}  # one Assignment per distinct vector
     extremes = []
-    for vec in (
-        tuple(best),
-        _raised(lower, [j - shift if delays[j] == edge else j for j in cheap]),
-        _raised(lower, flexible[:h]),
-    ):
+    for vec in (tuple(best), tuple(cheapest), _raised(lower, flexible[:h])):
         if vec not in witnesses:
             witnesses[vec] = _materialized(vec)
         value = sum(map(operator.mul, map(operator.mul, vec, vec), delays))
@@ -307,9 +302,6 @@ def enumerate_extremes(inst: Instance, budget: EnumerationBudget = None) -> Rati
         min_cost=best,
         min_nash_cost=low,
         max_nash_cost=high,
-        coordination_ratio=high / best,
-        nash_gap=high / low,
-        opt_gap=low / best,
         min_cost_witness=best_at,
         min_nash_witness=low_at,
         max_nash_witness=high_at,
@@ -343,33 +335,16 @@ def verify_bounds(inst: Instance, report: RatioReport):
         if not is_nash(inst, witness):
             raise ValueError("report does not match instance: Nash witness is not a Nash assignment")
 
-    checks = []
     kernel = inst._kernel
-    if min(kernel.weights) >= kernel.weight_scale:  # every weight at least 1
-        bound = 4 * inst.weight_spread
-        checks.append(
-            BoundCheck(
-                "coordination-ratio-weight-range",
-                report.coordination_ratio <= bound,
-                bound - report.coordination_ratio,
-            )
-        )
-    if inst.identical_delays:
-        bound = Fraction(3)
-        checks.append(
-            BoundCheck(
-                "nash-gap-identical-delays",
-                report.nash_gap <= bound,
-                bound - report.nash_gap,
-            )
-        )
-    if inst.identical_weights:
-        bound = Fraction(4, 3)
-        checks.append(
-            BoundCheck(
-                "nash-gap-identical-weights",
-                report.nash_gap <= bound,
-                bound - report.nash_gap,
-            )
-        )
-    return checks
+    table = (  # (name, hypothesis, value, bound)
+        ("coordination-ratio-weight-range",
+         min(kernel.weights) >= kernel.weight_scale,  # every weight at least 1
+         report.coordination_ratio, 4 * inst.weight_spread),
+        ("nash-gap-identical-delays", inst.identical_delays, report.nash_gap, Fraction(3)),
+        ("nash-gap-identical-weights", inst.identical_weights, report.nash_gap, Fraction(4, 3)),
+    )
+    return [
+        BoundCheck(name, value <= bound, bound - value)
+        for name, holds, value, bound in table
+        if holds
+    ]

@@ -3,6 +3,7 @@ functions are written from first principles (no reuse of the package's
 cost/equilibrium code paths); the other references are the package's
 earlier, straightforward implementations."""
 
+import bisect
 import heapq
 import math
 import operator
@@ -20,6 +21,7 @@ from selfish_assign import (
     is_nash,
     iter_count_vectors,
 )
+from selfish_assign.algorithms import _grid_steps, _int_kth_root
 from selfish_assign.instances import RANDOM_GRID_POINTS
 
 
@@ -290,6 +292,45 @@ def count_grid_steps(ratio, epsilon):
     return k
 
 
+def reference_rational_kth_root(q, k):
+    """Exact k-th root of a positive rational, or None if irrational."""
+    num = _int_kth_root(q.numerator, k)
+    if num is None:
+        return None
+    den = _int_kth_root(q.denominator, k)
+    if den is None:
+        return None
+    return Fraction(num, den)
+
+
+def reference_round_up_geometric(values, epsilon):
+    """The geometric rounding on Fractions: each value up to the smallest
+    grid point lo * (hi/lo)**(t/k) at or above it, the grid point itself
+    when rational, else the largest value of its cell; (rounded, k)."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    lo, hi = min(values), max(values)
+    ratio = hi / lo
+    if ratio == 1:
+        return list(values), 1
+    k = _grid_steps(ratio, epsilon)
+
+    def cell_index(v):
+        vk = v**k
+        return bisect.bisect_left(range(k + 1), True, key=lambda t: vk <= lo ** (k - t) * hi**t)
+
+    cells = {}
+    for v in set(values):
+        cells.setdefault(cell_index(v), []).append(v)
+    rounded_value = {}
+    for t, cell_values in cells.items():
+        grid_point = reference_rational_kth_root(lo ** (k - t) * hi**t, k)
+        rounded = grid_point if grid_point is not None else max(cell_values)
+        for v in cell_values:
+            rounded_value[v] = rounded
+    return [rounded_value[v] for v in values], k
+
+
 # Reference dynamic programs: the straightforward Fraction implementations
 # the package's integer kernels must agree with, answer and tie-breaks alike.
 
@@ -482,9 +523,6 @@ def reference_enumerate_extremes(inst):
         min_cost=best.cost,
         min_nash_cost=best_nash.cost,
         max_nash_cost=worst_nash.cost,
-        coordination_ratio=worst_nash.cost / best.cost,
-        nash_gap=worst_nash.cost / best_nash.cost,
-        opt_gap=best_nash.cost / best.cost,
         min_cost_witness=Assignment(best.witness),
         min_nash_witness=Assignment(best_nash.witness),
         max_nash_witness=Assignment(worst_nash.witness),
@@ -553,9 +591,6 @@ def reference_walk_extremes(inst):
         min_cost=best,
         min_nash_cost=low,
         max_nash_cost=high,
-        coordination_ratio=high / best,
-        nash_gap=high / low,
-        opt_gap=low / best,
         min_cost_witness=best_at,
         min_nash_witness=low_at,
         max_nash_witness=high_at,

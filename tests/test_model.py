@@ -4,6 +4,7 @@ import dataclasses
 import enum
 import json
 import pickle
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import product
 
@@ -148,6 +149,24 @@ class TestInstance:
     def test_rejects_bad_instances(self, weights, delays):
         with pytest.raises(ValueError):
             Instance(weights=weights, delays=delays)
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            (0.5, "non-integer JSON number 0.5 is inexact; quote it as a string"),
+            (Decimal("0.5"), "not a rational number: Decimal('0.5')"),
+            (True, "not a rational number: True"),
+            ("1_000", "not a rational number: '1_000'"),
+        ],
+    )
+    def test_reads_numbers_as_instance_files_do(self, value, message):
+        with pytest.raises(ValueError) as raised:
+            Instance(weights=(1, value), delays=(1,))
+        assert str(raised.value) == message
+
+    def test_accepts_any_iterable(self):
+        inst = Instance(weights=(F(k) for k in (1, 2)), delays=iter([F(3), 1]))
+        assert inst.weights == (F(1), F(2)) and inst.delays == (F(1), F(3))
 
     def test_value_semantics_with_cached_kernel(self):
         inst = Instance(weights=(F(1, 3), 2), delays=(F(5, 7), 1))

@@ -195,19 +195,27 @@ class TestEnumerateExtremes:
 
 
 class TestRatioReportValidation:
-    def test_inconsistent_ratios_rejected(self):
-        with pytest.raises(ValueError):
-            RatioReport(
-                min_cost=F(1),
-                min_nash_cost=F(2),
-                max_nash_cost=F(2),
-                coordination_ratio=F(3),  # should be 2
-                nash_gap=F(1),
-                opt_gap=F(2),
-                min_cost_witness=Assignment((1,)),
-                min_nash_witness=Assignment((1,)),
-                max_nash_witness=Assignment((1,)),
-            )
+    @staticmethod
+    def _report(min_cost, min_nash_cost, max_nash_cost):
+        one = Assignment((1,))
+        return RatioReport(min_cost=min_cost, min_nash_cost=min_nash_cost,
+                           max_nash_cost=max_nash_cost, min_cost_witness=one,
+                           min_nash_witness=one, max_nash_witness=one)
+
+    def test_ratios_are_the_cost_quotients(self):
+        report = self._report(F(2), F(3), F(7))
+        assert report.coordination_ratio == F(7, 2)
+        assert report.nash_gap == F(7, 3)
+        assert report.opt_gap == F(3, 2)
+        with pytest.raises(TypeError):
+            RatioReport(F(1), F(1), F(1), Assignment((1,)), Assignment((1,)),
+                        Assignment((1,)), coordination_ratio=F(3))
+
+    @pytest.mark.parametrize("costs", [(F(2), F(1), F(3)), (F(1), F(3), F(2))],
+                             ids=["min-nash-below-min", "max-nash-below-min-nash"])
+    def test_cost_chain_violation_rejected(self, costs):
+        with pytest.raises(ValueError, match="min <= min Nash <= max Nash"):
+            self._report(*costs)
 
 
 class TestCountVectors:

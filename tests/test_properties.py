@@ -13,6 +13,7 @@ independent p/q fractions (wide denominators).
 """
 
 import json
+import re
 from fractions import Fraction as F
 from math import comb
 
@@ -24,6 +25,7 @@ from selfish_assign import (
     Assignment,
     CountAssignment,
     DPSolution,
+    EnumerationBudget,
     Instance,
     SplitMix64,
     algorithms,
@@ -71,6 +73,7 @@ from helpers import (
     reference_improving_moves,
     reference_is_nash,
     reference_resource_load,
+    reference_round_up_geometric,
     reference_threshold_counts,
     reference_walk_extremes,
     scan_greedy_nash,
@@ -285,6 +288,45 @@ def test_approximation_equals_reference(inst, epsilon):
         inst, round_delays(inst, epsilon), reference_dp_few_delays)
 
 
+@st.composite
+def perfect_power_grids(draw, max_n=6, max_m=5):
+    """(instance, epsilon) whose weights and delays span lo * root**k for a
+    rational root = 1 + epsilon, so every grid point lo * root**t is
+    rational; the values are grid points or lie between them."""
+    root = draw(st.builds(F, st.integers(2, 7), st.integers(1, 3)).filter(lambda r: r > 1))
+
+    def side(size):
+        lo, k = draw(WIDE), draw(st.integers(1, 4))
+        between = st.builds(lambda t, x: lo * root**t * (1 + x * (root - 1)),
+                            st.integers(0, k - 1), st.sampled_from((F(1, 3), F(1, 2), F(1))))
+        return (lo, lo * root**k) + tuple(draw(st.lists(between, max_size=size - 2)))
+
+    return Instance(side(max_n), side(max_m)), root - 1
+
+
+@PROPERTY
+@given(st.one_of(st.tuples(instances(max_n=6, max_m=5), EPSILONS), perfect_power_grids()))
+@example((Instance((1, F(3, 2), 3, 5, 8), (F(1, 2), F(2, 3))), F(1)))  # grid 1, 2, 4, 8
+# k = 9 and grid points 3**(t/3): 5/2 rounds to 3, and 2, in an irrational
+# cell, stays the largest value of its cell
+@example((Instance((1, 2, F(5, 2), 27), (1,)), F(1, 2)))
+# the rounded ints (2, 4, 8) over the scale 2 are the instance (1, 2, 4)
+@example((Instance((1, F(3, 2), 4), (1,)), F(1)))
+@example((Instance((1,), (1, F(3, 2), 4)), F(1)))
+def test_rounding_equals_fraction_reference(case):
+    inst, epsilon = case
+    weights, k = reference_round_up_geometric(inst.weights, epsilon)
+    rounding = round_weights(inst, epsilon)
+    assert rounding.k == k and rounding.epsilon == epsilon
+    assert rounding.rounded.weights == tuple(weights)
+    assert rounding.rounded == Instance(weights, inst.delays)
+    delays, k = reference_round_up_geometric(inst.delays, epsilon)
+    rounding = round_delays(inst, epsilon)
+    assert rounding.k == k
+    assert rounding.rounded.delays == tuple(delays)
+    assert rounding.rounded == Instance(inst.weights, delays)
+
+
 # Exact DPs equal brute force; the approximation lies in [opt, (1+eps) opt].
 
 @PROPERTY
@@ -383,6 +425,26 @@ def test_closed_form_equals_count_vector_walk(inst):
         for vec in iter_count_vectors(inst.n, inst.m)
         if is_nash(inst, CountAssignment(vec))
     ]
+
+
+@PROPERTY
+@given(st.integers(1, 200), st.lists(TIE_HEAVY_DELAYS, min_size=1, max_size=10), st.one_of(TIED, WIDE))
+@example(7, [F(2), F(3), F(3), F(3), F(6)], F(1))  # h = 2 of five flexible resources
+@example(8, [F(2), F(3), F(3), F(3), F(6)], F(5, 3))  # h = 3
+@example(12, [F(3)] * 5, F(1))  # all delays tied
+@example(2, [F(1), F(2), F(4), F(4), F(12)], F(1))  # m > n
+def test_cheapest_nash_is_find_opt_nash(n, delays, weight):
+    """The oracle's cheapest Nash vector is `find_opt_nash`'s, and that is
+    the lexicographically largest of the cheapest Nash vectors, as a walk
+    in `iter_count_vectors` order keeps it."""
+    inst = Instance((weight,) * n, tuple(delays))
+    budget = EnumerationBudget(comb(inst.n + inst.m - 1, inst.m - 1))
+    witness = enumerate_extremes(inst, budget).min_nash_witness.target
+    counts = find_opt_nash(inst).counts
+    assert tuple(map(witness.count, range(1, inst.m + 1))) == counts
+    cheapest = min(enumerate_nash_count_vectors(inst, budget),
+                   key=lambda c: (cost(inst, c), [-x for x in c.counts]))
+    assert counts == cheapest.counts == heap_find_opt_nash(inst.n, inst._kernel.delays)
 
 
 # The evaluators and greedy_nash on the integer kernel against the Fraction
@@ -638,23 +700,37 @@ FILE_NUMBERS = st.one_of(
     st.builds("{}.{}".format, st.integers(0, 9), st.integers(1, 99)),
     st.integers(1, 9).map(float),
 )
+# The constructor reads those and Fractions, which a file holds as "p/q".
+CONSTRUCTOR_NUMBERS = st.one_of(FILE_NUMBERS, WIDE, st.integers(1, 2**53).map(float))
+
+
+def _file_number(value):
+    return f"{value.numerator}/{value.denominator}" if isinstance(value, F) else value
 
 
 @PROPERTY
-@given(st.lists(FILE_NUMBERS, min_size=1, max_size=12), st.lists(FILE_NUMBERS, min_size=1, max_size=6))
+@given(st.lists(CONSTRUCTOR_NUMBERS, min_size=1, max_size=12),
+       st.lists(CONSTRUCTOR_NUMBERS, min_size=1, max_size=6))
 @example(["2/4", 1, "0.5", 3.0], ["6/3", "2"])
+@example([1, "2/4", F(1, 2), "7e-1", 2.0**53], [F(6, 3), " 1.5 ", 2.0])
 def test_reader_equals_parse_rational(weights, delays):
-    text = json.dumps({"weights": weights, "delays": delays})
+    """A file, the constructor on the same numbers and the constructor on
+    their `parse_rational` Fractions build one instance, or fail alike."""
+    text = json.dumps({"weights": list(map(_file_number, weights)),
+                       "delays": list(map(_file_number, delays))})
     try:
         built = Instance(tuple(map(parse_rational, weights)), tuple(map(parse_rational, delays)))
     except ValueError as exc:  # a zero "0/q"
-        with pytest.raises(ValueError, match=str(exc)):
-            loads_instance(text)
+        for build in (lambda: loads_instance(text), lambda: Instance(weights, delays)):
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                build()
         return
     inst, _ = loads_instance(text)
     assert inst == built and hash(inst) == hash(built) and inst._kernel == built._kernel
     assert inst.weights == built.weights and inst.delays == built.delays
     assert loads_instance(dumps_instance(inst))[0]._kernel == built._kernel
+    direct = Instance(weights, delays)
+    assert direct == built and direct._kernel == built._kernel
 
 
 # The random family: drawn in batches and built from its kernel, against
