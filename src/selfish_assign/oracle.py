@@ -17,10 +17,12 @@ Other instances are enumerated by one incremental walk on ints: weights
 and delays are scaled by the LCM of their denominators, and states come in
 ascending lexicographic order of their assignment.  Each move of a task
 updates the running cost and the per-resource counts, weight sums and
-lightest weights in O(1), and a canonical floor (no task below the
-resource of the previous task of its weight) skips every assignment but
-the lexicographically first of each weight-class count matrix: cost and
-equilibrium depend only on that matrix.  The equilibrium check (only the
+lightest weights in O(1).  Permuting tasks of equal weight or resources of
+equal delay changes neither cost nor equilibrium, and the walk visits only
+the lexicographically smallest assignment of each such orbit: a canonical
+floor (no task below the resource of the previous task of its weight), and
+within each run of equal delays no task on an unused resource while an
+earlier one of the run is unused.  The equilibrium check (only the
 lightest task on a resource can be tempted to move) runs only on a state
 whose cost would replace the cheapest or the dearest Nash state found so
 far.  Witnesses are those of a full enumeration: the lexicographically
@@ -189,21 +191,31 @@ def _walk_assignments(weights, delays):
     `delays`, as (cost, Assignment) pairs.
 
     An explicit-stack odometer over tasks 0..n-2 in itertools.product
-    order, with a canonical floor: tasks of equal weight are
+    order, with two canonical rules.  Tasks of equal weight are
     interchangeable, so a task never goes below the resource of the
-    previous task of its weight.  The walk then visits exactly the
-    lexicographically first assignment of each weight-class count matrix,
-    in ascending lexicographic order, and strict comparisons keep the
-    witnesses of the full walk.  Placing a weight-w task on resource r adds
-    d_r * (S_r + (c_r + 1) * w) to the running cost, where c_r and S_r are
-    the count and weight sum there before; removing it takes the same
-    amount off.  Each placed task saves the lightest weight it overwrote on
-    its resource, and tasks leave in LIFO order, so restoring it undoes the
-    move.  The last task is tried on every resource from its floor up
-    without being placed: a state whose last task could move somewhere
-    cheaper is not Nash, so only the resources where its load is least
-    over all resources get the equilibrium check, and only when the
-    state's cost would replace a Nash extreme.
+    previous task of its weight (the floor).  Resources of equal delay
+    (consecutive, as delays are sorted) are interchangeable too, so a task
+    goes to an unused resource only if every earlier resource of its delay
+    is used, and the used resources of each delay class form a prefix of
+    it; where the odometer would move a task from an unused r to an unused
+    r + 1 of the same delay, it goes on at the next delay class instead.
+    Relabelling each class's resources in order of first use gives an
+    assignment no larger, and swapping two out-of-order tasks of equal
+    weight a smaller one, so the lexicographically smallest assignment of
+    each orbit obeys both rules and is visited, in ascending lexicographic
+    order, and strict comparisons keep the witnesses of the full walk.
+    Distinct delays never trigger the second rule.
+
+    Placing a weight-w task on resource r adds d_r * (S_r + (c_r + 1) * w)
+    to the running cost, where c_r and S_r are the count and weight sum
+    there before; removing it takes the same amount off.  Each placed task
+    saves the lightest weight it overwrote on its resource, and tasks leave
+    in LIFO order, so restoring it undoes the move.  The last task is tried
+    on every resource the two rules allow, from its floor up, without being
+    placed: a state whose last task could move somewhere cheaper is not
+    Nash, so only the resources where its load is least over all resources
+    get the equilibrium check, and only when the state's cost would replace
+    a Nash extreme.
     """
     n, m = len(weights), len(delays)
     counts, sums, lightest = [0] * m, [0] * m, [0] * m  # lightest 0: no task
@@ -219,6 +231,10 @@ def _walk_assignments(weights, delays):
     placed = 0  # tasks 0..placed-1 are on their target
     w_last = weights[-1]
     w_last_delays = [w_last * d for d in delays]
+    # tied[r]: resource r has the delay of resource r - 1 (delays are sorted)
+    tied = [False, *map(operator.eq, delays, delays[1:])]
+    ties = any(tied)
+    top, unwind = m - 1, range(n - 2, -1, -1)
     best = low = high = best_at = low_at = high_at = None
     while True:
         for i in range(placed, n - 1):
@@ -234,7 +250,10 @@ def _walk_assignments(weights, delays):
         # the last task's load on each resource
         loads = list(map(operator.mul, delays, map(w_last.__add__, sums)))
         cheapest = min(loads)
-        for r in range(target[above[-1]], m):
+        resources = range(target[above[-1]], m)
+        if ties:  # the first unused resource of a class stands for the rest
+            resources = [r for r in resources if not tied[r] or counts[r - 1]]
+        for r in resources:
             load = loads[r]
             value = total + load + counts[r] * w_last_delays[r]
             if best is None or value < best:
@@ -250,15 +269,24 @@ def _walk_assignments(weights, delays):
                         low, low_at = value, (*target[:-1], r)
                     if high is None or value > high:
                         high, high_at = value, (*target[:-1], r)
-        for i in range(n - 2, -1, -1):
+        for i in unwind:
             r, w = target[i], weights[i]
             c = counts[r]
             counts[r] = c - 1
             sums[r] -= w
             total -= delays[r] * (sums[r] + c * w)
             lightest[r] = saved[i]
-            if r < m - 1:
-                target[i] = r + 1
+            if r < top:
+                r += 1
+                if tied[r] and c == 1 and not counts[r]:
+                    # r - 1 and r are unused and of one delay, and so is the
+                    # rest of the class: go on at the next class
+                    r += 1
+                    while r < m and tied[r]:
+                        r += 1
+                    if r == m:
+                        continue
+                target[i] = r
                 placed = i
                 break
         else:
@@ -274,16 +302,18 @@ def enumerate_extremes(inst: Instance, budget: EnumerationBudget = None) -> Rati
     Identical-weight instances take the closed form of
     `_count_vector_extremes` (cost and equilibrium only depend on the count
     vector): `find_opt`'s optimum and the two extremes of the one Nash
-    level, O(m log m) int operations.  Everything else is enumerated as assignments,
-    of which the walk visits only the lexicographically first of each
-    weight-class count matrix, on ints, weights and delays scaled by the
-    LCM of their denominators, in ascending lexicographic order, so strict
-    comparisons resolve witnesses with tied costs to the lexicographically
-    smallest assignment; a state gets the equilibrium check only when its
-    cost would replace the cheapest or the dearest Nash cost found so far.
-    Either way the witnesses are those of a full enumeration.  The budget
-    still counts every state, m^n assignments or C(n+m-1, m-1) count
-    vectors, and is checked before any work.
+    level, O(m log m) int operations.  Everything else is enumerated as
+    assignments, on ints, weights and delays scaled by the LCM of their
+    denominators.  Permuting tasks of equal weight or resources of equal
+    delay changes neither cost nor equilibrium, and the walk visits only
+    the lexicographically smallest assignment of each such orbit, in
+    ascending lexicographic order, so strict comparisons resolve witnesses
+    with tied costs to the lexicographically smallest assignment; a state
+    gets the equilibrium check only when its cost would replace the
+    cheapest or the dearest Nash cost found so far.  Either way the
+    witnesses are those of a full enumeration.  The budget still counts
+    every state, m^n assignments or C(n+m-1, m-1) count vectors, and is
+    checked before any work.
     """
     budget = budget or EnumerationBudget()
     kernel = inst._kernel

@@ -22,6 +22,7 @@ from selfish_assign import (
     gen_uniform_gap,
     is_nash,
     iter_count_vectors,
+    oracle,
     verify_bounds,
 )
 
@@ -108,6 +109,46 @@ class TestEnumerateExtremes:
         )
         assert report.max_nash_witness == Assignment((1, 1, 1, 1, 1, 1, 1, 2, 1, 2, 1, 2, 3, 3))
         assert all(check.satisfied for check in verify_bounds(inst, report))
+
+    def test_identical_delays_walk_one_labelling_per_orbit(self):
+        # 8^8 = 16 777 216 assignments, but the labellings of each partition
+        # of the tasks are one orbit, 4140 partitions; a walk over every
+        # relabelling gives this report in about 28 s
+        inst = Instance(weights=tuple(F(k) for k in range(1, 9)), delays=(F(3, 2),) * 8)
+        started = time.perf_counter()
+        report = enumerate_extremes(inst, EnumerationBudget(8**8))
+        assert time.perf_counter() - started < 2
+        alone = Assignment(tuple(range(1, 9)))  # every task on a resource of its own
+        assert report.min_cost == report.min_nash_cost == F(3, 2) * 36
+        assert report.min_cost_witness == report.min_nash_witness == alone
+        assert cost(inst, report.max_nash_witness) == report.max_nash_cost
+        assert is_nash(inst, report.max_nash_witness)
+
+    @pytest.mark.parametrize("weights, delays", [
+        ((1, 2, 3), (1, 1, 1)),
+        ((1, 2, 3, 4), (1, 1, 1, 1)),
+        ((3, 1, 2, 1), (1, 1, 2, 2)),
+        ((1, F(3, 2), 2, 3), (1, 2, 2, 2, 3)),
+    ])
+    def test_walk_checks_only_canonical_states(self, monkeypatch, weights, delays):
+        # within each delay class the walk uses a prefix of the resources,
+        # so no state whose equilibrium it checks leaves a resource unused
+        # before a used one of the same delay
+        checked = []
+        stay = oracle._lightest_tasks_stay
+
+        def recording(delays, sums, lightest):
+            checked.append(tuple(sums))
+            return stay(delays, sums, lightest)
+
+        monkeypatch.setattr(oracle, "_lightest_tasks_stay", recording)
+        inst = Instance(weights, delays)
+        enumerate_extremes(inst)
+        assert checked
+        scaled = inst._kernel.delays
+        for sums in checked:
+            for r in range(1, inst.m):
+                assert scaled[r] != scaled[r - 1] or sums[r - 1] or not sums[r], sums
 
     def test_matches_naive_scan_mixed_weights(self):
         for seed in range(25):

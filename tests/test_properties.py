@@ -134,6 +134,21 @@ def few_valued_instances(draw, max_n=8, max_m=6, max_delays=4):
 
 
 @st.composite
+def tied_delay_instances(draw, max_states=4096):
+    """Weights that are not all equal (so the assignment walk runs) on 2 to 6
+    delays from a pool of one or two values, so that resources of equal
+    delay form classes; at most `max_states` assignments, for the reference
+    enumeration."""
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(2, max(k for k in range(2, 13) if m**k <= max_states)))
+    pool = draw(st.lists(draw(VALUES), min_size=1, max_size=2, unique=True))
+    delays = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    weights = draw(st.lists(draw(VALUES), min_size=n, max_size=n)
+                   .filter(lambda ws: len(set(ws)) > 1))
+    return Instance(tuple(weights), tuple(delays))
+
+
+@st.composite
 def tied_run_instances(draw, max_n=40, max_m=5):
     """Up to `max_n` tasks whose weights come from a pool of one or two
     small values, on one to three delay classes, so that many runs of tasks
@@ -366,8 +381,19 @@ def test_approximation_within_factor_of_optimum(inst, epsilon):
 @example(Instance((F(1), F(1), F(1), F(1), F(3), F(1)), (F(1), F(1), F(2))))  # one class of five
 @example(Instance((F(1), F(3, 2), F(1), F(3, 2), F(1), F(3, 2), F(1)), (F(1), F(3, 2))))  # m = 2
 @example(Instance((F(3), F(1), F(1), F(3)), (F(5), F(5))))  # m = 2, tied delays
+# resources of equal delay: each class's used resources are a prefix of it
+@example(Instance((F(1), F(2), F(3), F(4)), (F(2),) * 4))  # n = m, distinct weights
+@example(Instance((F(1), F(3, 2), F(2)), (F(1),) * 5))  # m > n
+@example(Instance((F(1), F(1), F(2), F(3)), (F(1), F(1), F(2), F(2))))  # witnesses on 2 and 4
+@example(Instance((F(1), F(2), F(3), F(4)), (F(1), F(2), F(2), F(3))))
 def test_oracle_walk_equals_reference(inst):
     assert enumerate_extremes(inst) == reference_enumerate_extremes(inst)
+
+
+@PROPERTY
+@given(tied_delay_instances())
+def test_oracle_walk_equals_reference_on_tied_delays(inst):
+    assert enumerate_extremes(inst, EnumerationBudget(4096)) == reference_enumerate_extremes(inst)
 
 
 @PROPERTY
