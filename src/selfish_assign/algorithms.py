@@ -5,12 +5,15 @@ Exact solvers: two O(n + m log m) greedy builders for identical-weight tasks
 form from the fractional optimum, an O(n log m + classes * m) greedy
 equilibrium builder for arbitrary weights, and dynamic programs for few
 distinct delays (identical delays being its one-class case) and for few
-distinct weights.  The delay program solves each (count vector, class) row
-in O(n log n) by divide and conquer: a run's cost obeys the quadrangle
-inequality, so the best start of the last run never decreases with the
-number of tasks.  Approximate solvers round weights (or delays) up onto a
-geometric grid and run the matching DP; the result, re-costed under the
-original instance, is within 1+epsilon of optimal.
+distinct weights.  Both programs keep table values only and rebuild their
+choices on the reconstruction path alone.  The delay program solves each
+(count vector, class) row in O(n log n) by divide and conquer: a run's cost
+obeys the quadrangle inequality, so the best start of the last run never
+decreases with the number of tasks.  The weights program gives each
+resource a run of the weight order, which bounds the takes it tries.
+Approximate solvers round weights (or delays) up onto a geometric grid and
+run the matching DP; the result, re-costed under the original instance, is
+within 1+epsilon of optimal.
 
 Everything is exact.  Inputs and results are Fractions; inside, the greedy
 builders, the DPs and the geometric rounding run on the instance's ints
@@ -197,32 +200,46 @@ def _count_vectors(members, rows: int):
 
 def _row_minima(prev, scaled, n: int):
     """value[j] = min over i <= j of prev[i] + (j - i) * (scaled[j] - scaled[i])
-    for j = 0..n, and start[j] the largest minimizing i.
+    for j = 0..n.
 
     The run cost (j - i) * (scaled[j] - scaled[i]) obeys the quadrangle
     inequality for non-decreasing `scaled`, and adding prev[i] keeps it, so
-    start[j] never decreases with j.  Each midpoint j of a range scans only
-    the i that the neighbouring solved j allow, then splits the range at it:
-    O(n log n) per row.
+    start[j], the largest minimizing i, never decreases with j.  The j are
+    solved coarsest first: at step h, a power of two, each j with j + 1 an
+    odd multiple of h scans only the i between the starts of j - h and
+    j + h, solved at a coarser step: O(n log n) per row.
     """
     value = [0] * (n + 1)
     start = [0] * (n + 1)
-    stack = [(0, n, 0, n)]  # j in [jlo, jhi] has its start in [ilo, ihi]
-    while stack:
-        jlo, jhi, ilo, ihi = stack.pop()
-        j = (jlo + jhi) // 2
-        top = scaled[j]
-        best, bi = prev[ilo] + (j - ilo) * (top - scaled[ilo]), ilo
-        for i in range(ilo + 1, min(ihi, j) + 1):
-            candidate = prev[i] + (j - i) * (top - scaled[i])
-            if candidate <= best:
-                best, bi = candidate, i
-        value[j], start[j] = best, bi
-        if jlo < j:
-            stack.append((jlo, j - 1, ilo, bi))
-        if j < jhi:
-            stack.append((j + 1, jhi, bi, ihi))
-    return value, start
+    half = 1 << n.bit_length()
+    while half:
+        for j in range(half - 1, n + 1, 2 * half):
+            ilo = start[j - half] if j >= half else 0
+            ihi = min(start[j + half], j) if j + half <= n else j
+            top = scaled[j]
+            best, bi = prev[ilo] + (j - ilo) * (top - scaled[ilo]), ilo
+            for i in range(ilo + 1, ihi + 1):
+                candidate = prev[i] + (j - i) * (top - scaled[i])
+                if candidate <= best:
+                    best, bi = candidate, i
+            value[j], start[j] = best, bi
+        half >>= 1
+    return value
+
+
+def _last_run(prev, scaled, j: int):
+    """The minimum over i <= j of prev[i] + (j - i) * (scaled[j] - scaled[i])
+    and the largest i attaining it, in one O(j) scan; prev None is the row of
+    no resources, where only i = 0 is possible."""
+    top = scaled[j]
+    if prev is None:
+        return j * top, 0
+    best, bi = prev[0] + j * top, 0
+    for i in range(1, j + 1):
+        candidate = prev[i] + (j - i) * (top - scaled[i])
+        if candidate <= best:
+            best, bi = candidate, i
+    return best, bi
 
 
 def _delay_class_dp(inst: Instance, delays, members) -> DPSolution:
@@ -232,60 +249,63 @@ def _delay_class_dp(inst: Instance, delays, members) -> DPSolution:
     With tasks sorted by non-increasing weight there is an optimal assignment
     whose resource groups are consecutive runs of that order.  table[v][j] is
     the cheapest placement of the j heaviest tasks on the resources counted
-    by vector v: the last run goes on one more resource of some class, the
-    first minimum over (class, run size).  choice[v][j] = size * classes +
-    class; at j = 0 the resources left stay empty, first class first.
+    by vector v: the last run goes on one more resource of some class.
 
-    The table is filled one vector at a time, a whole row of n + 1 entries,
-    by resources used.  For class c the row is the minimum over i <= j of
-    table[prev][i] + d_c * C(i, j), prev being v less one resource of class
-    c and C(i, j) = (j - i)(P_j - P_i) the run i+1..j, with P the weight
-    prefix sums.  For
-    i < i' <= j < j', C(i, j') + C(i', j) - C(i, j) - C(i', j') =
+    The table keeps values only and is filled one vector at a time, a whole
+    row of n + 1 entries, by resources used.  For class c the row is the
+    minimum over i <= j of table[prev][i] + d_c * C(i, j), prev being v less
+    one resource of class c and C(i, j) = (j - i)(P_j - P_i) the run
+    i+1..j, with P the weight prefix sums; the vector's row is the entrywise
+    minimum of its class rows.  For i < i' <= j < j',
+    C(i, j') + C(i', j) - C(i, j) - C(i', j') =
     (i' - i)(P_j' - P_j) + (j' - j)(P_i' - P_i) >= 0 (the quadrangle
     inequality), so the largest minimizing i, the shortest run, never
-    decreases with j, and `_row_minima` solves a row in O(n log n).
+    decreases with j, and `_row_minima` solves a row in O(n log n).  The
+    full vector is read only at j = n, so each of its class rows is one
+    O(n) scan.
+
+    The choices are rebuilt on the path alone, from the full vector at
+    j = n back to no resources: the first class whose row attains the entry,
+    with the largest i that does (the shortest last run); at j = 0 the
+    resources left stay empty, first class first.
     """
-    n, beta = inst.n, len(delays)
+    n = inst.n
     radix, strides, vectors = _count_vectors(members, n + 1)
     weights = inst._kernel.weights
     order = sorted(range(n), key=lambda i: (-weights[i], i))
     prefix = list(itertools.accumulate(map(weights.__getitem__, order), initial=0))
     # scaled[cls][i] = d * P_i, so a run i+1..j on class cls costs (j - i)(scaled[j] - scaled[i])
     scaled = [[d * p for p in prefix] for d in delays]
-    table = [None] * vectors
-    choice = [None] * vectors
+    table = [None] * vectors  # table[0], no resources, stays None
     # count vectors by resources used, then in product order: every table[prev]
     # row is complete before a vector one resource larger reads it
-    for vec in sorted(itertools.product(*map(range, radix)), key=sum)[1:]:
+    for vec in sorted(itertools.product(*map(range, radix)), key=sum)[1:-1]:
         v = sum(map(operator.mul, vec, strides))
-        best = None
-        for cls in range(beta):
-            if not vec[cls]:
-                continue
-            prev = v - strides[cls]
-            if prev:
-                value, start = _row_minima(table[prev], scaled[cls], n)
-            else:  # the first resource used takes all j tasks
-                value, start = [j * x for j, x in enumerate(scaled[cls])], [0] * (n + 1)
-            if best is None:
-                best, pick = value, [(j - i) * beta + cls for j, i in enumerate(start)]
-                continue
-            for j in itertools.compress(range(n + 1), map(operator.lt, value, best)):
-                best[j], pick[j] = value[j], (j - start[j]) * beta + cls
-        table[v], choice[v] = best, pick
+        rows = [_row_minima(table[v - stride], scaled[cls], n) if v - stride
+                else [j * x for j, x in enumerate(scaled[cls])]  # one resource takes all j
+                for cls, stride in enumerate(strides) if vec[cls]]
+        table[v] = list(map(min, *rows)) if len(rows) > 1 else rows[0]
+    full = vectors - 1
+    best = min(_last_run(table[full - stride], scaled[cls], n)[0]
+               for cls, stride in enumerate(strides))
 
     target = [0] * n
     remaining = [list(idx) for idx in members]
-    j, v = n, vectors - 1
+    j, v, value = n, full, best
     while v:
-        size, cls = divmod(choice[v][j], beta)
+        for cls, (stride, base) in enumerate(zip(strides, radix)):
+            if v // stride % base:
+                found, i = _last_run(table[v - stride], scaled[cls], j)
+                if found == value:
+                    break
+        else:
+            raise AssertionError(f"no class row attains the entry at j = {j}")
         resource = remaining[cls].pop() + 1
-        for pos in range(j - size, j):
+        for pos in range(i, j):
             target[order[pos]] = resource
-        j -= size
-        v -= strides[cls]
-    return DPSolution(inst._kernel.rational(table[-1][n]), Assignment(tuple(target)))
+        j, v = i, v - stride
+        value = table[v][j] if v else 0
+    return DPSolution(inst._kernel.rational(best), Assignment(tuple(target)))
 
 
 def dp_identical_delays(inst: Instance) -> DPSolution:
@@ -313,12 +333,43 @@ def dp_few_delays(inst: Instance, alpha: int = DEFAULT_DISTINCT_VALUES) -> DPSol
     return _delay_class_dp(inst, *_classes(inst._kernel.delays, "delay", alpha))
 
 
+def _run_takes(radix, strides):
+    """For each count vector v in product order, the take vectors t <= v, as
+    mixed-radix ints, whose classes with t_c > 0 form an interval a..b of
+    the weight order, the classes strictly inside taken whole and the two
+    ends in part or whole: 1 + sum v_a + sum over a < b of v_a * v_b takes.
+    Vectors with a common prefix share the takes that end within it."""
+
+    def extend(c, takes, heads):
+        # takes: those ending below class c; heads: what a take that goes on
+        # to class c holds below it
+        if c == len(radix):
+            yield takes
+            return
+        stride = strides[c]
+        for count in range(radix[c]):
+            parts = range(stride, (count + 1) * stride, stride)  # class c in part or whole
+            yield from extend(c + 1, takes + [h + x for h in heads for x in parts],
+                              [0, *parts, *[h + count * stride for h in heads[1:]]])
+
+    return extend(0, [0], [0])
+
+
 def dp_few_weights(inst: Instance, alpha: int = DEFAULT_DISTINCT_VALUES) -> DPSolution:
     """Optimal assignment when the weights take at most `alpha` distinct values.
 
     The state is the number of tasks of each weight class already placed on
     the first k resources; each step chooses how many tasks of each class the
     k-th resource receives, the first minimum in itertools.product order.
+
+    Swapping a heavier task a on resource r with a lighter task b on
+    resource s changes the cost by (w_a - w_b)(d_s * c_s - d_r * c_r), so
+    every table entry has an optimum in which each resource takes a run of
+    the weight order, and the minimum runs over those takes alone
+    (`_run_takes`).  The table keeps values only, and the last resource is
+    filled only at the full vector, the one entry of it that is read.  The
+    choices are rebuilt on the path alone: at each of the m - 1 steps, the
+    first take in product order whose value attains the entry.
     """
     weights, members = _classes(inst._kernel.weights, "weight", alpha)
     delays, m = inst._kernel.delays, inst.m
@@ -326,35 +377,47 @@ def dp_few_weights(inst: Instance, alpha: int = DEFAULT_DISTINCT_VALUES) -> DPSo
     # group[t]: tasks in take vector t times their weight, before the delay
     group = [sum(t) * sum(map(operator.mul, t, weights))
              for t in itertools.product(*map(range, radix))]
-    # table[k][v]: cheapest placement of the tasks counted by v on resources
-    # 1..k+1, choice[k][v] the take of resource k+1.  Entry v reads entries
-    # u <= v of the previous resource only, so v can run outermost.
-    table = [[0] * vectors for _ in range(m)]
-    choice = [[0] * vectors for _ in range(m)]
-    for v, vec in enumerate(itertools.product(*map(range, radix))):
-        takes = [0]  # take vectors t <= v, in product order
-        for c, stride in zip(vec, strides):
-            takes = [t + x * stride for t in takes for x in range(c + 1)]
-        rest = [v - t for t in takes]
-        costs = [group[t] for t in takes]
-        table[0][v], choice[0][v] = delays[0] * group[v], v
-        for k in range(1, m):
-            candidates = list(map(operator.add, map(table[k - 1].__getitem__, rest),
-                                  map(delays[k].__mul__, costs)))
-            table[k][v] = min(candidates)
-            choice[k][v] = takes[candidates.index(table[k][v])]
+
+    def attained(k, rest, costs):
+        """table[k - 1][v - t] + d_k * group[t] over takes t of resource k+1,
+        given rest = v - t and costs = group[t]."""
+        return map(operator.add, map(table[k - 1].__getitem__, rest), map(delays[k].__mul__, costs))
+
+    # table[k][v], k < m - 1: cheapest placement of the tasks counted by v on
+    # resources 1..k+1.  Entry v reads entries u <= v of the previous resource
+    # only, so v can run outermost.
+    table = [[delays[0] * g for g in group]] + [[0] * vectors for _ in range(2, m)]
+    full = vectors - 1
+    best = table[0][full]  # one resource takes every task
+    for v, takes in enumerate(_run_takes(radix, strides) if m > 1 else ()):
+        rest, costs = [v - t for t in takes], list(map(group.__getitem__, takes))
+        for k in range(1, m - 1):
+            table[k][v] = min(attained(k, rest, costs))
+        if v == full:  # the one entry of the last resource that is read
+            best = min(attained(m - 1, rest, costs))
+
+    v, value, taken = full, best, []
+    for k in range(m - 1, 0, -1):
+        takes = [0]  # every take vector t <= v, in product order
+        for stride, base in zip(strides, radix):
+            takes = [t + x * stride for t in takes for x in range(v // stride % base + 1)]
+        values = attained(k, [v - t for t in takes], map(group.__getitem__, takes))
+        try:
+            take = takes[operator.indexOf(values, value)]
+        except ValueError:
+            raise AssertionError(f"no take attains the entry of resource {k + 1}") from None
+        taken.append(take)
+        v -= take
+        value = table[k - 1][v]
+    taken.append(v)  # resource 1 takes the rest
 
     target = [0] * inst.n
     queues = [iter(idx) for idx in members]
-    v, taken = vectors - 1, []
-    for k in range(m - 1, -1, -1):
-        taken.append(choice[k][v])
-        v -= taken[-1]
     for k, t in enumerate(reversed(taken), start=1):
         for queue, stride, base in zip(queues, strides, radix):
             for _ in range(t // stride % base):
                 target[next(queue)] = k
-    return DPSolution(inst._kernel.rational(table[-1][-1]), Assignment(tuple(target)))
+    return DPSolution(inst._kernel.rational(best), Assignment(tuple(target)))
 
 
 def _int_kth_root(x: int, k: int):

@@ -104,6 +104,10 @@ def _refused_number(exc: ValueError) -> int:
     return EXIT_BUDGET if isinstance(exc, NumberTooLongError) else EXIT_PARSE
 
 
+#: The message for a document nested deeper than the JSON reader recurses.
+_TOO_DEEP = "JSON nested too deeply to read"
+
+
 def _load_instance_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -114,6 +118,8 @@ def _load_instance_file(path: str):
         return loads_instance(text)
     except (json.JSONDecodeError, ValueError) as exc:
         raise _CliError(_refused_number(exc), f"bad instance file {path}: {exc}") from exc
+    except RecursionError:
+        raise _CliError(EXIT_PARSE, f"bad instance file {path}: {_TOO_DEEP}") from None
 
 
 def _load_assignment_file(path: str, inst: Instance) -> Assignment:
@@ -124,6 +130,8 @@ def _load_assignment_file(path: str, inst: Instance) -> Assignment:
         raise _CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _CliError(EXIT_PARSE, f"bad assignment file {path}: {exc}") from exc
+    except RecursionError:
+        raise _CliError(EXIT_PARSE, f"bad assignment file {path}: {_TOO_DEEP}") from None
     if not isinstance(data, list):
         raise _CliError(EXIT_PARSE, "assignment file must be a JSON array of resource indices")
     if len(data) != inst.n:

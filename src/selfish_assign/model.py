@@ -42,7 +42,8 @@ Rational = Fraction
 def parse_rational(value) -> Fraction:
     """Read one number exactly: an int (not a bool), a Fraction, an integral
     float, or a string of the number grammar (see the module docstring).  A
-    non-integral float is refused as inexact, anything else as not a number."""
+    non-integral float is refused as inexact, an infinite one (a JSON number
+    beyond float range) as such, anything else as not a number."""
     return Fraction(*_reduced(value))
 
 
@@ -103,6 +104,8 @@ def _reduced(value):
     if isinstance(value, float):
         if value.is_integer():
             return int(value), 1
+        if math.isinf(value):
+            raise ValueError("JSON number beyond float range; quote it as a string")
         raise ValueError(f"non-integer JSON number {value!r} is inexact; quote it as a string")
     match = _NUMBER.fullmatch(value) if isinstance(value, str) else None
     if match is None:
@@ -492,8 +495,7 @@ def _improving_moves_of(delays, sums, resource: int, w: int, own: int):
 
 def _counts_are_nash(counts, delays) -> bool:
     """The equilibrium test of a count vector of identical-weight tasks:
-    c_i * d_i <= (c_j + 1) * d_j for all resource pairs i, j.  Works on
-    Fractions and on scaled ints alike."""
+    c_i * d_i <= (c_j + 1) * d_j for all resource pairs i, j."""
     loads = list(map(operator.mul, counts, delays))
     return max(loads) <= min(map(operator.add, loads, delays))
 
@@ -502,7 +504,7 @@ def _lightest_tasks_stay(delays, sums, lightest) -> bool:
     """The lightest-task equilibrium check, given per-resource weight sums
     and lightest weights (a false value for an empty resource): one
     deviation scan per occupied resource, slowest first, stopping at the
-    first improving move.  Works on Fractions and on scaled ints alike."""
+    first improving move."""
     for resource in range(len(delays) - 1, -1, -1):
         w = lightest[resource]
         if w:

@@ -18,15 +18,20 @@ and delays are scaled by the LCM of their denominators, and states come in
 ascending lexicographic order of their assignment.  Each move of a task
 updates the running cost and the per-resource counts, weight sums and
 lightest weights in O(1).  Permuting tasks of equal weight or resources of
-equal delay changes neither cost nor equilibrium, and the walk visits only
-the lexicographically smallest assignment of each such orbit: a canonical
-floor (no task below the resource of the previous task of its weight), and
-within each run of equal delays no task on an unused resource while an
-earlier one of the run is unused.  The equilibrium check (only the
+equal delay changes neither cost nor equilibrium, and the walk cuts states
+by two rules that the lexicographically smallest assignment of each such
+orbit obeys: a canonical floor (no task below the resource of the previous
+task of its weight), and within each run of equal delays no task on an
+unused resource while an earlier one of the run is unused.  It visits one
+state per orbit when only weights or only delays tie, and can visit more
+when both do: weights (2, 2, 1) on delays (2, 2) give four states for three
+orbits.  The equilibrium check (only the
 lightest task on a resource can be tempted to move) runs only on a state
 whose cost would replace the cheapest or the dearest Nash state found so
-far.  Witnesses are those of a full enumeration: the lexicographically
-smallest assignment of each extreme cost.  Costs become Fractions only for
+far.  Strict comparisons in lexicographic order keep the first state of
+each extreme cost, the minimum of its own orbit, so witnesses are those of
+a full enumeration: the lexicographically smallest assignment of each
+extreme cost.  Costs become Fractions only for
 the three extremes; `cost` and `is_nash` stay the public evaluators, which
 `verify_bounds` re-checks the witnesses with.
 """
@@ -203,8 +208,11 @@ def _walk_assignments(weights, delays):
     assignment no larger, and swapping two out-of-order tasks of equal
     weight a smaller one, so the lexicographically smallest assignment of
     each orbit obeys both rules and is visited, in ascending lexicographic
-    order, and strict comparisons keep the witnesses of the full walk.
-    Distinct delays never trigger the second rule.
+    order.  When weights and delays both tie, other states of an orbit
+    can obey both rules too and are visited as well; strict comparisons
+    keep the first state of each extreme cost, its orbit's minimum, so the
+    witnesses are those of the full walk.  Distinct delays never trigger
+    the second rule.
 
     Placing a weight-w task on resource r adds d_r * (S_r + (c_r + 1) * w)
     to the running cost, where c_r and S_r are the count and weight sum
@@ -305,12 +313,13 @@ def enumerate_extremes(inst: Instance, budget: EnumerationBudget = None) -> Rati
     level, O(m log m) int operations.  Everything else is enumerated as
     assignments, on ints, weights and delays scaled by the LCM of their
     denominators.  Permuting tasks of equal weight or resources of equal
-    delay changes neither cost nor equilibrium, and the walk visits only
-    the lexicographically smallest assignment of each such orbit, in
-    ascending lexicographic order, so strict comparisons resolve witnesses
-    with tied costs to the lexicographically smallest assignment; a state
-    gets the equilibrium check only when its cost would replace the
-    cheapest or the dearest Nash cost found so far.  Either way the
+    delay changes neither cost nor equilibrium, and the walk visits the
+    lexicographically smallest assignment of each such orbit, in ascending
+    lexicographic order, with more states of some orbits when weights and
+    delays both tie.  Strict comparisons resolve witnesses with tied
+    costs to the lexicographically smallest assignment, its orbit's
+    minimum; a state gets the equilibrium check only when its cost would
+    replace the cheapest or the dearest Nash cost found so far.  Either way the
     witnesses are those of a full enumeration.  The budget still counts
     every state, m^n assignments or C(n+m-1, m-1) count vectors, and is
     checked before any work.

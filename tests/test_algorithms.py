@@ -1,7 +1,10 @@
 """Algorithms against brute-force ground truth on small instances."""
 
+import itertools
+import operator
 import time
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
@@ -263,6 +266,23 @@ class TestDpFewWeights:
         inst = Instance(weights=(F(1), F(2), F(3)), delays=(F(1),))
         with pytest.raises(ValueError):
             dp_few_weights(inst, alpha=2)
+
+    @pytest.mark.parametrize("counts", [(3,), (2, 3), (3, 0, 2), (2, 1, 2), (1, 2, 0, 2)])
+    def test_run_takes_are_the_interval_shaped_takes(self, counts):
+        # a take is run-shaped when its classes form an interval and the
+        # classes inside it are taken whole
+        radix = [c + 1 for c in counts]
+        strides = [prod(radix[c + 1:]) for c in range(len(radix))]
+        vectors = list(itertools.product(*map(range, radix)))
+        for vec, takes in zip(vectors, algorithms._run_takes(radix, strides), strict=True):
+            expected = set()
+            for take in itertools.product(*(range(c + 1) for c in vec)):
+                used = [c for c, t in enumerate(take) if t]
+                if not used or all(take[c] == vec[c] for c in range(used[0] + 1, used[-1])):
+                    expected.add(sum(map(operator.mul, take, strides)))
+            assert sorted(takes) == sorted(expected)
+            assert len(takes) == 1 + sum(vec) + sum(
+                vec[a] * vec[b] for a in range(len(vec)) for b in range(a + 1, len(vec)))
 
 
 class TestRoundWeights:

@@ -463,6 +463,11 @@ FAILURES = {
     "gen-out-missing-directory": (["gen", "big-nash", "--n", "3", "--out", "{missing}"], None, {}, 2),
 }
 
+#: Deeper than the JSON reader of any supported Python recurses: 1000
+#: levels reach the recursion limit of 3.10 and 3.11, and newer versions
+#: have a larger one for C code.
+TOO_DEEP = "[" * 100_000
+
 
 class TestFailurePaths:
     @pytest.mark.parametrize("case", sorted(FAILURES))
@@ -485,6 +490,24 @@ class TestFailurePaths:
         assert report is None
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, argv", [("instance", ["nash", "{doc}"]),
+                                            ("assignment", ["verify", "{instance}", "{doc}"])])
+    def test_nesting_beyond_the_json_reader_is_a_parse_error(self, kind, argv, tmp_path, capsys):
+        doc = tmp_path / "deep.json"
+        doc.write_text(TOO_DEEP, encoding="utf-8")
+        paths = {"doc": str(doc), "instance": write_instance(tmp_path, gen_uniform_gap(F(1, 10)))}
+        code, report, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 2 and report is None
+        assert err == f"error: bad {kind} file {doc}: JSON nested too deeply to read\n"
+
+    def test_number_beyond_float_range_says_so(self, tmp_path, capsys):
+        doc = tmp_path / "huge.json"
+        doc.write_text('{"weights": [1, 1e400], "delays": [1]}', encoding="utf-8")
+        code, report, err = run_cli(capsys, "solve", str(doc))
+        assert code == 2 and report is None
+        assert err == (f"error: bad instance file {doc}:"
+                       " JSON number beyond float range; quote it as a string\n")
 
     def test_empty_gen_range_prints_rationals(self, capsys):
         code, report, err = run_cli(capsys, "gen", "random", "--n", "2", "--m", "2",

@@ -559,6 +559,12 @@ class TestKernelBuiltInstance:
                 loads_instance(json.dumps(doc))
             assert str(raised.value) == message
 
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400"])
+    def test_number_beyond_float_range_is_refused_as_such(self, literal):
+        with pytest.raises(ValueError) as raised:
+            loads_instance('{"weights": [1, %s], "delays": [1]}' % literal)
+        assert str(raised.value) == "JSON number beyond float range; quote it as a string"
+
     def test_first_unreadable_value_is_reported(self):
         with pytest.raises(ValueError, match="'abc'"):
             loads_instance('{"weights": [1, "abc", "xyz", "abc"], "delays": [1]}')

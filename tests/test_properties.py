@@ -161,6 +161,36 @@ def tied_run_instances(draw, max_n=40, max_m=5):
     return Instance(tuple(weights), tuple(classes + more))
 
 
+@st.composite
+def weight_class_instances(draw, max_n=9, max_m=5):
+    """Three or four weight classes of small ints on delays from
+    {1, 2, 3, 4, 6}, so that resources with equal d * c (6 * 1, 3 * 2,
+    2 * 3) are common and many takes cost the same: the few-weights DP's
+    tie-breaks decide the assignment."""
+    pool = draw(st.lists(st.integers(1, 6), min_size=3, max_size=4, unique=True))
+    n = draw(st.integers(len(pool), max_n))
+    weights = pool + draw(st.lists(st.sampled_from(pool), min_size=n - len(pool), max_size=n - len(pool)))
+    delays = draw(st.lists(st.sampled_from((1, 2, 3, 4, 6)), min_size=1, max_size=max_m))
+    return Instance(tuple(draw(st.permutations(weights))), tuple(delays))
+
+
+#: 1, 9/8, ..., 2: the nine-point grid `gen random` samples 1..2 from.
+#: Rounding with epsilon = 1/2 maps these onto 1, sqrt 2 and 2, the middle
+#: point taken as its cell's largest value, so they fall in three classes.
+SPREAD_WEIGHTS = tuple(1 + F(j, 8) for j in range(9))
+
+
+@st.composite
+def spread_weight_instances(draw, max_n=9, max_m=5):
+    """Weights from SPREAD_WEIGHTS with 1, 5/4 and 2 among them, so that
+    rounding them with epsilon = 1/2 gives three classes, on tied delays."""
+    n = draw(st.integers(3, max_n))
+    weights = [F(1), F(5, 4), F(2)] + draw(
+        st.lists(st.sampled_from(SPREAD_WEIGHTS), min_size=n - 3, max_size=n - 3))
+    delays = draw(st.lists(st.sampled_from((F(1), F(3, 2), F(2), F(3))), min_size=1, max_size=max_m))
+    return Instance(tuple(draw(st.permutations(weights))), tuple(delays))
+
+
 @PROPERTY
 @given(assigned())
 def test_is_nash_agrees_with_naive_predicate_and_moves(case):
@@ -277,11 +307,16 @@ def test_few_delay_dp_equals_reference_on_tied_runs(inst):
 
 
 @PROPERTY
-@given(few_valued_instances(max_n=7, max_m=5, max_delays=5))
+@given(st.one_of(few_valued_instances(max_n=7, max_m=5, max_delays=5), weight_class_instances()))
 @example(Instance((F(4),), (F(1), F(3))))  # n = 1
 @example(Instance((F(1, 2), F(3)), (F(1), F(2), F(5), F(7))))  # m > n
 @example(Instance((F(2, 3),) * 4, (F(5, 7),)))  # one class, one resource
 @example(Instance((F(10**30, 3), F(1, 10**20), F(1, 10**20)), (F(97, 5), F(10**18, 7))))
+@example(Instance((F(3),), (F(2), F(3), F(6))))  # n = 1, equal d * c
+@example(Instance((F(1), F(2), F(3)), (F(1), F(2), F(3), F(6), F(6))))  # m > n, three classes
+@example(Instance((F(2),) * 6, (F(1), F(2), F(3), F(6))))  # one class, equal d * c
+@example(Instance((F(1), F(1), F(2), F(2), F(3), F(3), F(4), F(4)), (F(1), F(2), F(3), F(6))))
+@example(Instance((F(1), F(2), F(2), F(2), F(3)), (F(1), F(1))))  # a run across a whole class
 def test_few_weight_dp_equals_reference(inst):
     assert dp_few_weights(inst) == reference_dp_few_weights(inst)
 
@@ -301,6 +336,17 @@ def test_approximation_equals_reference(inst, epsilon):
         inst, round_weights(inst, epsilon), reference_dp_few_weights)
     assert approx_solve_delays(inst, epsilon) == _reference_approx(
         inst, round_delays(inst, epsilon), reference_dp_few_delays)
+
+
+@PROPERTY
+@given(spread_weight_instances())
+@example(Instance((F(1), F(5, 4), F(2)), (F(1),)))  # one resource takes every class
+@example(Instance((F(1), F(9, 8), F(5, 4), F(3, 2), F(2), F(2)), (F(1), F(2), F(3))))
+def test_weight_approximation_on_three_rounded_classes_equals_reference(inst):
+    rounding = round_weights(inst, F(1, 2))
+    assert len(rounding.rounded.distinct_weight_values) == 3
+    assert approx_solve_weights(inst, F(1, 2)) == _reference_approx(
+        inst, rounding, reference_dp_few_weights)
 
 
 @st.composite
