@@ -15,10 +15,10 @@ Approximate solvers round weights (or delays) up onto a geometric grid and
 run the matching DP; the result, re-costed under the original instance, is
 within 1+epsilon of optimal.
 
-Everything is exact.  Inputs and results are Fractions; inside, the greedy
-builders, the DPs and the geometric rounding run on the instance's ints
-(`Instance._kernel`): weights and delays each multiplied by the LCM of
-their denominators, the cost divided back out at the end.
+Everything is exact.  Inputs and results are Fractions; inside, every
+algorithm here runs on the instance's ints (`Instance._kernel`): weights
+and delays each multiplied by the LCM of their denominators, the cost
+divided back out at the end.
 """
 
 import bisect
@@ -29,7 +29,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Assignment, CountAssignment, Instance, _canonical, cost, parse_rational
+from .model import (Assignment, CountAssignment, Instance, _canonical, _reciprocal_sum, cost,
+                    parse_rational)
 
 #: Default bound on the number of distinct weight/delay values the DPs accept.
 DEFAULT_DISTINCT_VALUES = 4
@@ -70,8 +71,7 @@ def _counts_below_threshold(delays, n: int, slope: int) -> list:
     On the instance's scaled-int delays D_k, with L their LCM and
     P = sum(L / D_k), x_k = (top - D_k * P) / (slope * D_k * P) for
     top = (slope * (n - m) + m) * L: O(m) int operations, no Fraction."""
-    common = math.lcm(*set(delays))  # L
-    reciprocals = sum(map(common.__floordiv__, delays))  # P
+    reciprocals, common = _reciprocal_sum(delays)  # P, L
     top = (slope * (n - len(delays)) + len(delays)) * common
     return [max(0, -((d * reciprocals - top) // (slope * d * reciprocals))) for d in delays]
 
@@ -579,12 +579,16 @@ def fractional_opt(inst: Instance) -> FractionalOptimum:
     When there are more resources than tasks, the m - n largest-delay
     resources are dropped first; no integral assignment benefits from them
     and they would inflate the throughput.
+
+    On the kept scaled-int delays D_k = s * d_k, with sum(1 / D_k) = P / L,
+    the throughput is s * P / L, the load n * L / (s * P) and resource k's
+    mass n * L / (P * D_k).
     """
     if not inst.unit_weights:
         raise ValueError("the fractional optimum is defined for unit weights")
-    n = inst.n
-    kept = inst.delays[: min(inst.m, n)]
-    throughput = sum((Fraction(1, 1) / d for d in kept), Fraction(0))
-    load = n / throughput
-    masses = tuple(load / d for d in kept)
+    n, kernel = inst.n, inst._kernel
+    kept = kernel.delays[:n]
+    reciprocals, common = _reciprocal_sum(kept)
+    load = Fraction(n * common, kernel.delay_scale * reciprocals)
+    masses = tuple(Fraction(n * common, reciprocals * d) for d in kept)
     return FractionalOptimum(masses=masses, load=load, cost=n * load)

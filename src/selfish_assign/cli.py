@@ -108,30 +108,27 @@ def _refused_number(exc: ValueError) -> int:
 _TOO_DEEP = "JSON nested too deeply to read"
 
 
-def _load_instance_file(path: str):
+def _read_file(path: str, kind: str, decode):
+    """decode(text) of the UTF-8 file at `path`, the one reader of input
+    files.  A file that cannot be read or decoded is refused with one line
+    and exit 2, a number with too many digits with exit 4."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return decode(handle.read())
     except OSError as exc:
         raise _CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
-    try:
-        return loads_instance(text)
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise _CliError(_refused_number(exc), f"bad instance file {path}: {exc}") from exc
+    except ValueError as exc:  # also bytes that are not UTF-8 and a NUL in the path
+        raise _CliError(_refused_number(exc), f"bad {kind} file {path}: {exc}") from exc
     except RecursionError:
-        raise _CliError(EXIT_PARSE, f"bad instance file {path}: {_TOO_DEEP}") from None
+        raise _CliError(EXIT_PARSE, f"bad {kind} file {path}: {_TOO_DEEP}") from None
+
+
+def _load_instance_file(path: str):
+    return _read_file(path, "instance", loads_instance)
 
 
 def _load_assignment_file(path: str, inst: Instance) -> Assignment:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise _CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _CliError(EXIT_PARSE, f"bad assignment file {path}: {exc}") from exc
-    except RecursionError:
-        raise _CliError(EXIT_PARSE, f"bad assignment file {path}: {_TOO_DEEP}") from None
+    data = _read_file(path, "assignment", json.loads)
     if not isinstance(data, list):
         raise _CliError(EXIT_PARSE, "assignment file must be a JSON array of resource indices")
     if len(data) != inst.n:
@@ -369,7 +366,7 @@ def _cmd_gen(args) -> dict:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise _CliError(EXIT_PARSE, f"cannot write {args.out}: {exc}") from exc
         return _report(
             "gen",
@@ -410,12 +407,18 @@ def _report(command: str, args, inst: Instance, result: dict, elapsed_ms: float)
     }
 
 
+def _one_line(message: str) -> str:
+    """`message`, escaped if a path or an argument put a line break or
+    another unprintable character in it, so that every error is one line."""
+    return message if message.isprintable() else repr(message)[1:-1]
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Rejects bad arguments with one `error:` line and exit 2, like every
     other CLI failure, instead of a usage block; subparsers share the class."""
 
     def error(self, message):
-        self.exit(EXIT_PARSE, f"error: {message}\n")
+        self.exit(EXIT_PARSE, f"error: {_one_line(message)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,7 +479,7 @@ def main(argv=None) -> int:
     try:
         report = args.func(args)
     except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(str(exc))}", file=sys.stderr)
         return exc.exit_code
     if report is not None:
         text = dumps_json(report) + "\n"

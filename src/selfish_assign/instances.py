@@ -103,20 +103,10 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
-    def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def below(self, bound: int) -> int:
-        """Uniform-ish draw in [0, bound); fine for test plumbing."""
-        return self.next_u64() % bound
-
     def draws(self, count: int, bound: int) -> list:
-        """The next `count` draws of `below(bound)`, in one loop over locals.
-        With bound 1 every draw is 0, so the state only advances."""
+        """The next `count` 64-bit outputs, each taken modulo `bound` (a
+        uniform-ish draw in [0, bound)), in one loop over locals.  With
+        bound 1 every draw is 0, so the state only advances."""
         if bound == 1:
             self.state = (self.state + count * _GAMMA) & _MASK64
             return [0] * count

@@ -34,10 +34,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import NamedTuple, Union
 
-#: Exact rational number: p/q in lowest terms, q > 0.  All weights, delays,
-#: loads, costs and ratios in this package are Rationals.
-Rational = Fraction
-
 
 def parse_rational(value) -> Fraction:
     """Read one number exactly: an int (not a bool), a Fraction, an integral
@@ -205,6 +201,13 @@ def _canonical(ints, scale: int):
     return tuple(map(reduced.__getitem__, ints)), scale // common
 
 
+def _reciprocal_sum(delays):
+    """The sum of 1 / d over the positive ints `delays` as (P, L), P / L:
+    L is the LCM of the distinct delays and P the sum of L // d."""
+    common = math.lcm(*set(delays))
+    return sum(map(common.__floordiv__, delays)), common
+
+
 class _Kernel(NamedTuple):
     """An instance on ints: weights times `weight_scale` and delays times
     `delay_scale`, each scale the LCM of the denominators.  A load or cost
@@ -291,8 +294,8 @@ class Instance:
         """Sum of reciprocal delays; the fractional optimum loads every
         resource to n/throughput."""
         kernel = self._kernel
-        common = math.lcm(*kernel.delays)
-        return Fraction(kernel.delay_scale * sum(map(common.__floordiv__, kernel.delays)), common)
+        reciprocals, common = _reciprocal_sum(kernel.delays)
+        return Fraction(kernel.delay_scale * reciprocals, common)
 
     @property
     def average_load(self) -> Fraction:
@@ -803,5 +806,11 @@ def dumps_instance(inst: Instance, reference_assignments=None) -> str:
     return dumps_json(instance_to_jsonable(inst, reference_assignments)) + "\n"
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"JSON constant {name} is not a rational number")
+
+
 def loads_instance(text: str):
-    return instance_from_jsonable(json.loads(text))
+    """Read an instance file: a bare NaN, Infinity or -Infinity, which json
+    would read as a float, is refused by name."""
+    return instance_from_jsonable(json.loads(text, parse_constant=_refuse_constant))

@@ -36,7 +36,6 @@ the three extremes; `cost` and `is_nash` stay the public evaluators, which
 `verify_bounds` re-checks the witnesses with.
 """
 
-import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +45,6 @@ from typing import NamedTuple
 from .algorithms import _fewest_tasks, _lowest_index, _marginal_counts
 from .model import (
     Assignment,
-    CountAssignment,
     Instance,
     RatioReport,
     _lightest_tasks_stay,
@@ -85,25 +83,6 @@ def _check_budget(required: int, budget: EnumerationBudget):
         raise BudgetExceededError(required, budget.max_states)
 
 
-def iter_count_vectors(n: int, m: int):
-    """All ways to split n tasks over m resources, largest-first-coordinate
-    order (so materialized assignments appear in ascending lexicographic
-    order).  Iterative: each step moves one task from the last coordinate
-    before the final one that has any, and gathers the tail behind it."""
-    vec = [n] + [0] * (m - 1)
-    while True:
-        yield tuple(vec)
-        j = m - 2
-        while j >= 0 and not vec[j]:
-            j -= 1
-        if j < 0:
-            return
-        rest = vec[-1]
-        vec[-1] = 0
-        vec[j] -= 1
-        vec[j + 1] = rest + 1
-
-
 def _nash_level(cheapest, delays):
     """The Nash count vectors of identical tasks on the scaled-int `delays`
     (non-decreasing), given `cheapest`, `find_opt_nash`'s vector, as
@@ -129,35 +108,6 @@ def _nash_level(cheapest, delays):
     return lower, flexible, sum(cheapest) - sum(lower)
 
 
-def _raised(lower, raised) -> tuple:
-    """`lower` with one more task on each resource in `raised`."""
-    vec = lower.copy()
-    for j in raised:
-        vec[j] += 1
-    return tuple(vec)
-
-
-def enumerate_nash_count_vectors(inst: Instance, budget: EnumerationBudget = None):
-    """Exactly the Nash count vectors of an identical-weight instance, in
-    `iter_count_vectors` order.
-
-    They are the vectors of the one Nash level (`_nash_level`): choosing
-    which h flexible resources take one more task in lexicographic order of
-    their indices gives descending count vectors, so the work is
-    proportional to the output.  The budget still counts every count
-    vector, C(n+m-1, m-1), and is checked first."""
-    if not inst.identical_weights:
-        raise ValueError("count-vector enumeration needs identical task weights")
-    budget = budget or EnumerationBudget()
-    _check_budget(comb(inst.n + inst.m - 1, inst.m - 1), budget)
-    delays = inst._kernel.delays
-    lower, flexible, h = _nash_level(_marginal_counts(delays, inst.n, 1, _fewest_tasks), delays)
-    return [
-        CountAssignment(_raised(lower, raised))
-        for raised in itertools.combinations(flexible, h)
-    ]
-
-
 def _count_vector_extremes(n: int, w: int, delays):
     """Cheapest state, cheapest and dearest Nash state over the count
     vectors of n tasks of the scaled-int weight `w` on resources with the
@@ -166,23 +116,26 @@ def _count_vector_extremes(n: int, w: int, delays):
     operations, and O(n) to write out the witnesses.
 
     Each witness is the lexicographically largest count vector of its cost,
-    which is what an enumeration in `iter_count_vectors` order keeps with
-    strict comparisons.  The optimum is `find_opt`'s vector: its heap gives
-    equal marginals to the lowest index.  Every Nash vector lies on one
-    level (`_nash_level`), and raising flexible resource j from
-    L / d_j - 1 to L / d_j tasks adds (2L - d_j) to the cost, so the
-    cheapest Nash vector raises the h largest delays and the dearest the h
-    smallest, each the earliest index among equal delays.  The cheapest is
-    `find_opt_nash`'s vector: its last h placements, at marginal L, go to
-    the flexible resources in order of fewest tasks, that is of largest
-    delay, then of lowest index.
+    which is what an enumeration of the count vectors in descending order
+    (their assignments ascending) keeps with strict comparisons.  The
+    optimum is `find_opt`'s vector: its heap gives equal marginals to the
+    lowest index.  Every Nash vector lies on one level (`_nash_level`), and
+    raising flexible resource j from L / d_j - 1 to L / d_j tasks adds
+    (2L - d_j) to the cost, so the cheapest Nash vector raises the h
+    largest delays and the dearest the h smallest, each the earliest index
+    among equal delays.  The cheapest is `find_opt_nash`'s vector: its last
+    h placements, at marginal L, go to the flexible resources in order of
+    fewest tasks, that is of largest delay, then of lowest index.
     """
     best = _marginal_counts(delays, n, 2, _lowest_index)
     cheapest = _marginal_counts(delays, n, 1, _fewest_tasks)
     lower, flexible, h = _nash_level(cheapest, delays)
+    dearest = lower.copy()
+    for j in flexible[:h]:
+        dearest[j] += 1
     witnesses = {}  # one Assignment per distinct vector
     extremes = []
-    for vec in (tuple(best), tuple(cheapest), _raised(lower, flexible[:h])):
+    for vec in map(tuple, (best, cheapest, dearest)):
         if vec not in witnesses:
             witnesses[vec] = _materialized(vec)
         value = sum(map(operator.mul, map(operator.mul, vec, vec), delays))

@@ -8,18 +8,17 @@ import heapq
 import math
 import operator
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from selfish_assign import (
     Assignment,
     CountAssignment,
     DPSolution,
+    FractionalOptimum,
     Instance,
     RatioReport,
-    SplitMix64,
     cost,
     is_nash,
-    iter_count_vectors,
 )
 from selfish_assign.algorithms import _grid_steps, _int_kth_root
 from selfish_assign.instances import RANDOM_GRID_POINTS
@@ -154,9 +153,27 @@ def reference_threshold_counts(n, delays, slope):
     return [max(0, math.ceil((threshold / d - 1) / slope)) for d in delays]
 
 
+class OneDrawSplitMix64:
+    """SplitMix64 one draw at a time, with the published constants of
+    Steele, Lea & Flood: the state advances by the golden gamma and each
+    output is the state through two xor-shift-multiply rounds."""
+
+    def __init__(self, seed):
+        self.state = seed % 2**64
+
+    def below(self, bound):
+        """The next 64-bit output modulo `bound`."""
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
+        z = self.state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        return (z ^ (z >> 31)) % bound
+
+
 def reference_gen_random(n, m, weight_range, delay_range, seed):
     """The random family drawn value by value: a Fraction grid per range,
-    one `below` per task and per resource, and the Instance constructor."""
+    one `OneDrawSplitMix64.below` per task and per resource, and the
+    Instance constructor."""
     if n < 1 or m < 1:
         raise ValueError("need at least one task and one resource")
 
@@ -173,7 +190,7 @@ def reference_gen_random(n, m, weight_range, delay_range, seed):
 
     weight_grid = grid(weight_range)
     delay_grid = grid(delay_range)
-    rng = SplitMix64(seed)
+    rng = OneDrawSplitMix64(seed)
     weights = tuple(weight_grid[rng.below(len(weight_grid))] for _ in range(n))
     delays = tuple(delay_grid[rng.below(len(delay_grid))] for _ in range(m))
     return Instance(weights=weights, delays=delays)
@@ -281,6 +298,18 @@ def reference_greedy_nash(inst):
         heapq.heapreplace(heap, (delays[r] * (sums[r] + w), r))
         target[i] = r + 1
     return Assignment(tuple(target))
+
+
+def reference_fractional_opt(inst):
+    """The fractional optimum on the instance's Fraction delays: the m - n
+    largest dropped when m > n, load n / sum(1 / d), mass load / d on each
+    kept resource and cost n * load."""
+    n = inst.n
+    kept = inst.delays[: min(inst.m, n)]
+    throughput = sum((Fraction(1, 1) / d for d in kept), Fraction(0))
+    load = n / throughput
+    masses = tuple(load / d for d in kept)
+    return FractionalOptimum(masses=masses, load=load, cost=n * load)
 
 
 def count_grid_steps(ratio, epsilon):
@@ -481,6 +510,29 @@ def reference_count_vectors(n, m):
             yield (first,) + rest
 
 
+def reference_nash_count_vectors(inst):
+    """The Nash count vectors of an identical-weight instance, in
+    `reference_count_vectors` order.
+
+    On the scaled-int delays d_j, every Nash vector has the same largest
+    load L, the n-th smallest of the loads c * d_j (c >= 1), found here by
+    sorting them.  Resource j then takes floor(L / d_j) tasks, or, where
+    d_j divides L, L / d_j - 1; every choice of which of those resources
+    take the larger count that places n tasks is a Nash vector, and
+    choices in lexicographic order give descending vectors."""
+    n, delays = inst.n, inst._kernel.delays
+    level = sorted(c * d for d in delays for c in range(1, n + 1))[n - 1]
+    lower = [(level - 1) // d for d in delays]
+    flexible = [j for j, d in enumerate(delays) if level % d == 0]
+    vectors = []
+    for raised in combinations(flexible, n - sum(lower)):
+        vec = list(lower)
+        for j in raised:
+            vec[j] += 1
+        vectors.append(CountAssignment(tuple(vec)))
+    return vectors
+
+
 class _ReferenceExtreme:
     def __init__(self, prefer_high):
         self.prefer_high = prefer_high
@@ -530,7 +582,7 @@ def reference_enumerate_extremes(inst):
 
 
 # Reference for the identical-weight closed form: a walk over every count
-# vector in `iter_count_vectors` order, each evaluated in O(1) on ints.
+# vector in `reference_count_vectors` order, each evaluated in O(1) on ints.
 
 def reference_walk_count_vectors(n, w, delays):
     """Cheapest state, cheapest and dearest Nash state over the count
@@ -540,7 +592,7 @@ def reference_walk_count_vectors(n, w, delays):
 
     A count vector is Nash iff its largest load c*d is at most its smallest
     next load (c+1)*d.  The first m-2 coordinates and what remains for the
-    last two form a head from `iter_count_vectors(n, m-1)`; its cost,
+    last two form a head from `reference_count_vectors(n, m-1)`; its cost,
     largest load and smallest next load are computed once.  The last two
     coordinates (a, rest-a), a from rest down to 0, then cost O(1) each,
     cost and equilibrium test alike, in the same largest-first order.
@@ -551,7 +603,7 @@ def reference_walk_count_vectors(n, w, delays):
     d1, d2 = delays[-2:]
     unbounded = (n + 1) * max(delays)  # above every load
     best = low = high = best_at = low_at = high_at = None
-    for *head, rest in iter_count_vectors(n, m - 1):
+    for *head, rest in reference_count_vectors(n, m - 1):
         base = sum(map(operator.mul, map(operator.mul, head, head), delays))
         loads = list(map(operator.mul, head, delays))
         top = max(loads, default=0)

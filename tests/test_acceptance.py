@@ -26,7 +26,6 @@ from selfish_assign import (
     dp_few_weights,
     dp_identical_delays,
     enumerate_extremes,
-    enumerate_nash_count_vectors,
     find_opt,
     find_opt_nash,
     fractional_opt,
@@ -39,20 +38,20 @@ from selfish_assign import (
     verify_bounds,
 )
 
-from helpers import reference_enumerate_extremes
+from helpers import reference_enumerate_extremes, reference_nash_count_vectors
 
 SWEEP_SIZE = 300
 
 
 def sweep_instance(seed):
     shape = SplitMix64(seed * 1_000_003 + 7)
-    n = 1 + shape.below(6)
-    m = 1 + shape.below(3)
+    n = 1 + shape.draws(1, 6)[0]
+    m = 1 + shape.draws(1, 3)[0]
     kind = seed % 3
     if kind == 0:  # unit weights, mixed delays
         weight_range, delay_range = (F(1), F(1)), (F(1), F(4))
     elif kind == 1:  # mixed weights, one shared delay value
-        value = 1 + F(shape.below(13), 4)
+        value = 1 + F(shape.draws(1, 13)[0], 4)
         weight_range, delay_range = (F(1), F(4)), (value, value)
     else:  # fully mixed
         weight_range, delay_range = (F(1), F(4)), (F(1), F(4))
@@ -98,7 +97,7 @@ def test_criterion_1_heavy_pair_golden_values():
 def test_criterion_2_uneven_pair_golden_values():
     inst = gen_uniform_gap(F(1, 10))
     report = enumerate_extremes(inst)
-    assert len(enumerate_nash_count_vectors(inst)) == 1
+    assert len(reference_nash_count_vectors(inst)) == 1
     assert report.min_nash_cost == report.max_nash_cost == F(2)
     assert report.min_cost == F(8, 5)
     assert report.opt_gap == F(5, 4)
@@ -146,7 +145,7 @@ def test_criterion_4_oracle_equivalence_sweep(sweep):
             best_nash = find_opt_nash(inst)
             assert is_nash(inst, best_nash)
             assert cost(inst, best_nash) == report.min_nash_cost
-            nash_vectors = enumerate_nash_count_vectors(inst)
+            nash_vectors = reference_nash_count_vectors(inst)
             assert cost(inst, best_nash) == min(cost(inst, v) for v in nash_vectors)
             runs["find_opt_nash"] += 1
         if inst.identical_delays:
@@ -220,7 +219,7 @@ def test_criterion_6_structural_equilibrium_facts(sweep):
     vector_pairs = window_checks = 0
     for index, inst in enumerate(sweep["instances"]):
         if inst.identical_weights:
-            vectors = [v.counts for v in enumerate_nash_count_vectors(inst)]
+            vectors = [v.counts for v in reference_nash_count_vectors(inst)]
             for left, right in itertools.combinations(vectors, 2):
                 assert all(abs(a - b) <= 1 for a, b in zip(left, right))
                 vector_pairs += 1

@@ -1,15 +1,20 @@
 """Command-line interface: dispatch, report shape, exit codes, file round-trips."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import selfish_assign
 from selfish_assign import (
@@ -422,7 +427,8 @@ class TestReportShape:
 
 
 # Failure paths: (argv with {instance}, {wide} and {assignment} filled in,
-# assignment file content or None for no file, environment, exit code).
+# assignment file content (text, or bytes written as they are) or None for
+# no file, environment, exit code).
 # {instance} has 2 tasks on 2 resources; {wide} has five distinct weights
 # and five distinct delays, so no exact algorithm applies.
 FAILURES = {
@@ -432,6 +438,11 @@ FAILURES = {
     "assignment-entry-zero": (["verify", "{instance}", "{assignment}"], "[0, 1]", {}, 2),
     "assignment-entry-true": (["verify", "{instance}", "{assignment}"], "[true, 1]", {}, 2),
     "assignment-beyond-m": (["verify", "{instance}", "{assignment}"], "[1, 3]", {}, 3),
+    # json refuses an int of more than 4300 digits with a plain ValueError
+    "assignment-integer-too-long": (
+        ["verify", "{instance}", "{assignment}"], f"[{'1' * 4301}, 1]", {}, 2),
+    "assignment-not-utf-8": (["verify", "{instance}", "{assignment}"], b"[1, \xff]", {}, 2),
+    "instance-not-utf-8": (["solve", "{assignment}"], b'{"weights": [\xff]}', {}, 2),
     "budget-env-not-int": (["ratio", "{instance}"], None, {"SELFISH_ASSIGN_BUDGET": "abc"}, 2),
     "budget-env-zero": (["ratio", "{instance}"], None, {"SELFISH_ASSIGN_BUDGET": "0"}, 2),
     "solve-epsilon-not-rational": (["solve", "{instance}", "--epsilon", "abc"], None, {}, 2),
@@ -474,7 +485,9 @@ class TestFailurePaths:
     def test_exit_code_and_one_error_line(self, case, tmp_path, capsys, monkeypatch):
         argv, content, env, expected = FAILURES[case]
         assignment = tmp_path / "assignment.json"
-        if content is not None:
+        if isinstance(content, bytes):
+            assignment.write_bytes(content)
+        elif content is not None:
             assignment.write_text(content, encoding="utf-8")
         wide = Instance(weights=tuple(map(F, range(1, 6))), delays=tuple(map(F, range(1, 6))))
         paths = {
@@ -508,6 +521,15 @@ class TestFailurePaths:
         assert code == 2 and report is None
         assert err == (f"error: bad instance file {doc}:"
                        " JSON number beyond float range; quote it as a string\n")
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_bare_json_constant_is_refused_by_name(self, constant, tmp_path, capsys):
+        doc = tmp_path / "constant.json"
+        doc.write_text(f'{{"weights": [1, {constant}], "delays": [1]}}', encoding="utf-8")
+        code, report, err = run_cli(capsys, "solve", str(doc))
+        assert code == 2 and report is None
+        assert err == (f"error: bad instance file {doc}:"
+                       f" JSON constant {constant} is not a rational number\n")
 
     def test_empty_gen_range_prints_rationals(self, capsys):
         code, report, err = run_cli(capsys, "gen", "random", "--n", "2", "--m", "2",
@@ -751,3 +773,148 @@ class TestClosedStdout:
         process.stderr.close()
         assert process.wait(timeout=60) == 1
         assert b"Traceback" not in err
+
+
+# The CLI contract on generated runs: argv, the contents of the instance and
+# assignment files and the budget variable are drawn at small sizes, and
+# `main` runs in-process.  Every run ends with exit 0, 2, 3 or 4, or with
+# argparse's SystemExit 0 (help) or 2; a failure writes nothing to stdout
+# and one `error: ` line to stderr; no other exception escapes.  `gen` sizes
+# stay small: a large --n, or a tiny nash-ratio-lb --epsilon, builds lists
+# of that many entries.
+
+# argv tokens that stand for paths in the run's directory
+INSTANCE, ASSIGNMENT, MISSING, DIRECTORY, OUT = (
+    "<instance>", "<assignment>", "<missing>", "<directory>", "<out>")
+TEXT = st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 10**25) | st.floats() | TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+NUMBER_TEXTS = st.sampled_from([
+    "3", "1/2", "7/3", "0", "-1", "2/0", "1e3", ".5", "5.", "1e-3", " 7/3 ", "e5", "1/0x",
+    f"1e{MAX_NUMBER_DIGITS}", f"1e{MAX_NUMBER_DIGITS + 1}", f"1e-{MAX_NUMBER_DIGITS + 1}",
+])
+NUMBERS = st.sampled_from([
+    st.integers(1, 4),  # many ties
+    st.integers(1, 4),
+    st.builds("{}/{}".format, st.integers(1, 10**30), st.integers(1, 10**20)),  # wide
+    st.integers(-2, 10**25) | st.floats() | NUMBER_TEXTS | JSON_VALUES,  # mostly refused
+])
+
+
+def _weighted(*choices):
+    """One of the strategies, drawn with the given weights."""
+    return st.sampled_from([s for s, weight in choices for _ in range(weight)]).flatmap(lambda s: s)
+
+
+_rarely = st.sampled_from([False] * 4 + [True])
+
+
+@st.composite
+def cli_files(draw):
+    """The texts (or bytes) of an instance file and an assignment file.
+    Mostly an instance document, whose numbers may be refused, with an
+    assignment that fits it; else any JSON value, text or bytes."""
+    others = _weighted((JSON_VALUES.map(json.dumps), 1), (TEXT, 1), (st.binary(max_size=8), 1))
+    assignment = draw(_weighted((st.lists(st.integers(-1, 5), max_size=5).map(json.dumps), 1),
+                                (others, 1)))
+    if draw(_rarely):
+        return draw(others), assignment  # JSON writes NaN and Infinity bare
+    doc = {key: draw(st.lists(draw(NUMBERS), min_size=1, max_size=size))
+           for key, size in (("weights", 4), ("delays", 3))}
+    n, m = len(doc["weights"]), len(doc["delays"])
+    fits = st.lists(st.integers(1, m), min_size=n, max_size=n)
+    if draw(_rarely):
+        doc["reference_assignments"] = {"a": draw(fits | st.lists(st.integers(-1, 4), max_size=5))}
+    if draw(_rarely):
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    if draw(st.booleans()):
+        assignment = json.dumps(draw(fits))
+    return json.dumps(doc), assignment
+
+
+PATHS = _weighted((st.just(INSTANCE), 6), (st.sampled_from([MISSING, DIRECTORY]), 1), (TEXT, 1))
+EPSILONS = st.sampled_from(["1/2", "1", "2", "1/3", "0", "-1", "abc", "3/0",
+                            f"1e{MAX_NUMBER_DIGITS + 1}", f"1e-{MAX_NUMBER_DIGITS + 1}"])
+RANGES = st.sampled_from(["1:2", "1/2:3", "1:1", "2:1", "0:1", "1-2", "a:b",
+                          f"1:1e{MAX_NUMBER_DIGITS + 1}"])
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for one subcommand, each of its options present or not, and
+    sometimes one more token of any text."""
+    command = draw(st.sampled_from(["solve", "nash", "ratio", "verify", "gen"]))
+    options = {
+        "solve": [("--algorithm", st.sampled_from(
+                      ["auto", "find-opt", "dp-delays", "dp-weights", "approx", "bogus"])),
+                  ("--epsilon", EPSILONS | TEXT)],
+        "nash": [("--mode", st.sampled_from(["any", "best", "worst"]))],
+        "ratio": [("--budget", _weighted((st.integers(-2, 300).map(str), 4), (st.just("x"), 1)))],
+        "verify": [],
+        "gen": [("--n", st.integers(-1, 6).map(str)), ("--m", st.integers(-1, 6).map(str)),
+                ("--epsilon", EPSILONS), ("--weights", RANGES), ("--delays", RANGES),
+                ("--seed", st.integers(-(2**70), 2**70).map(str)),
+                ("--out", st.sampled_from([OUT, MISSING, DIRECTORY, "a\x00b"]))],
+    }[command]
+    if command == "gen":
+        argv = [command, draw(st.sampled_from(
+            ["big-nash", "nash-ratio-lb", "uniform-gap", "random", "bogus"]))]
+    else:
+        argv = [command, draw(PATHS)]
+        if command == "verify":
+            argv.append(draw(_weighted((st.just(ASSIGNMENT), 6), (PATHS, 1))))
+    for flag, values in options:
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    if draw(_rarely):
+        argv.append(draw(TEXT))
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(cli_argv(), cli_files(), st.sampled_from([None, None, None, "", "x", "0", "3", "1000"]))
+@example(["verify", INSTANCE, ASSIGNMENT],  # json's digit limit: once a traceback
+         ('{"weights": [1, 1], "delays": [1, 2]}', f"[{'1' * 4301}, 1]"), None)
+@example(["solve", INSTANCE], (b"\xff", ""), None)  # not UTF-8: once a traceback
+@example(["solve", "a\nb"], ("", ""), None)  # a line break in a missing path
+@example(["gen", "big-nash", "--n", "3", "--out", "a\x00b"], ("", ""), None)
+@example(["gen", "random", "--n", "3", "--m", "2", "--weights", "1:2", "--delays", "1/2:3",
+          "--out", OUT], ("", ""), None)
+@example(["gen", "nash-ratio-lb", "--epsilon", "1/2"], ("", ""), None)
+def test_cli_contract(tmp_path_factory, argv, files, budget):
+    root = tmp_path_factory.getbasetemp() / "contract"
+    root.mkdir(exist_ok=True)
+    paths = {INSTANCE: root / "instance.json", ASSIGNMENT: root / "assignment.json",
+             MISSING: root / "missing" / "file.json", DIRECTORY: root, OUT: root / "out.json"}
+    for path, content in zip((paths[INSTANCE], paths[ASSIGNMENT]), files):
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+    argv = [str(paths.get(token, token)) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(root)  # a generated relative path, such as `--ou=x`, stays in the run's directory
+    try:
+        with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+            os.environ.pop(cli.BUDGET_ENV_VAR, None)
+            if budget is not None:
+                os.environ[cli.BUDGET_ENV_VAR] = budget
+            code = main(argv)
+    except SystemExit as exc:  # from argparse
+        assert exc.code in (0, 2)
+        if exc.code == 0:  # --help: the usage block
+            return
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n")
+    else:
+        assert err.getvalue() == ""

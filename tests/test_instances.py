@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from selfish_assign import (
+    SplitMix64,
     cost,
     enumerate_extremes,
     gen_big_nash,
@@ -16,6 +17,8 @@ from selfish_assign import (
     is_nash,
     verify_bounds,
 )
+
+from helpers import OneDrawSplitMix64
 
 
 class TestBigNash:
@@ -107,3 +110,14 @@ class TestGenRandom:
             inst = gen_random(1 + seed % 6, 1 + seed % 3, (F(1), F(4)), (F(1), F(4)), seed)
             report = enumerate_extremes(inst)
             assert all(c.satisfied for c in verify_bounds(inst, report))
+
+
+class TestSplitMix64:
+    #: splitmix64's published first three outputs from seed 0
+    SEED_ZERO = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    def test_published_seed_zero_outputs(self):
+        assert SplitMix64(0).draws(3, 2**64) == self.SEED_ZERO
+        one = OneDrawSplitMix64(0)
+        assert [one.below(2**64) for _ in range(3)] == self.SEED_ZERO
+

@@ -16,17 +16,20 @@ from selfish_assign import (
     SplitMix64,
     cost,
     enumerate_extremes,
-    enumerate_nash_count_vectors,
     gen_big_nash,
     gen_random,
     gen_uniform_gap,
     is_nash,
-    iter_count_vectors,
     oracle,
     verify_bounds,
 )
 
-from helpers import all_targets, brute_extremes
+from helpers import (
+    all_targets,
+    brute_extremes,
+    reference_count_vectors,
+    reference_nash_count_vectors,
+)
 
 
 class TestEnumerateExtremes:
@@ -73,9 +76,6 @@ class TestEnumerateExtremes:
         with pytest.raises(BudgetExceededError) as err:
             enumerate_extremes(identical)
         assert err.value.required == comb(109, 9)
-        with pytest.raises(BudgetExceededError) as err:
-            enumerate_nash_count_vectors(identical)
-        assert err.value.required == comb(109, 9)
 
     def test_one_resource_many_tasks(self):
         # a single state; the walk keeps its own stack, so depth is no limit
@@ -92,7 +92,7 @@ class TestEnumerateExtremes:
         report = enumerate_extremes(inst)
         assert report.min_cost == report.min_nash_cost == report.max_nash_cost == F(1)
         assert report.max_nash_witness == Assignment((1,))
-        assert len(enumerate_nash_count_vectors(inst)) == 1
+        assert len(reference_nash_count_vectors(inst)) == 1
 
     def test_two_weight_classes_walk_one_assignment_per_count_matrix(self):
         # 3^14 = 4 782 969 assignments but 36 * 36 weight-class count
@@ -191,7 +191,7 @@ class TestEnumerateExtremes:
         report = enumerate_extremes(inst)
         rng = SplitMix64(7)
         for _ in range(100):
-            target = tuple(1 + rng.below(inst.m) for _ in range(inst.n))
+            target = tuple(1 + rng.draws(1, inst.m)[0] for _ in range(inst.n))
             assert report.min_cost <= cost(inst, Assignment(target))
 
     def test_partitioned_reduction_matches_sequential_scan(self):
@@ -261,27 +261,22 @@ class TestRatioReportValidation:
 
 class TestCountVectors:
     def test_iteration_order_materializes_ascending(self):
-        vectors = list(iter_count_vectors(2, 2))
+        vectors = list(reference_count_vectors(2, 2))
         assert vectors == [(2, 0), (1, 1), (0, 2)]
 
     def test_unique_nash_vector(self):
         inst = gen_uniform_gap(F(1, 10))
-        assert enumerate_nash_count_vectors(inst) == [CountAssignment((2, 0))]
+        assert reference_nash_count_vectors(inst) == [CountAssignment((2, 0))]
+        report = enumerate_extremes(inst)
+        assert report.min_nash_witness == report.max_nash_witness == Assignment((1, 1))
 
     def test_two_nash_vectors_at_zero_epsilon(self):
         inst = gen_uniform_gap(F(0))
-        found = enumerate_nash_count_vectors(inst)
+        found = reference_nash_count_vectors(inst)
         assert found == [CountAssignment((2, 0)), CountAssignment((1, 1))]
-
-    def test_needs_identical_weights(self):
-        inst = Instance(weights=(F(1), F(2)), delays=(F(1),))
-        with pytest.raises(ValueError):
-            enumerate_nash_count_vectors(inst)
-
-    def test_budget(self):
-        inst = Instance(weights=(F(1),) * 10, delays=(F(1),) * 3)
-        with pytest.raises(BudgetExceededError):
-            enumerate_nash_count_vectors(inst, EnumerationBudget(max_states=10))
+        report = enumerate_extremes(inst)
+        assert report.max_nash_witness == Assignment((1, 1))
+        assert report.min_nash_witness == Assignment((1, 2))
 
 
 class TestVerifyBounds:

@@ -36,15 +36,14 @@ from selfish_assign import (
     dp_few_weights,
     dp_identical_delays,
     enumerate_extremes,
-    enumerate_nash_count_vectors,
     find_opt,
     find_opt_nash,
+    fractional_opt,
     gen_random,
     greedy_nash,
     improving_moves,
     is_nash,
     dumps_instance,
-    iter_count_vectors,
     loads_instance,
     parse_rational,
     resource_load,
@@ -56,6 +55,7 @@ from selfish_assign import (
 from selfish_assign.model import _TEMPLATE_MIN_ROWS, _summed, dumps_json
 
 from helpers import (
+    OneDrawSplitMix64,
     brute_min_cost,
     count_grid_steps,
     heap_find_opt,
@@ -68,10 +68,12 @@ from helpers import (
     reference_dp_identical_delays,
     reference_cost,
     reference_enumerate_extremes,
+    reference_fractional_opt,
     reference_gen_random,
     reference_greedy_nash,
     reference_improving_moves,
     reference_is_nash,
+    reference_nash_count_vectors,
     reference_resource_load,
     reference_round_up_geometric,
     reference_threshold_counts,
@@ -454,11 +456,9 @@ def test_oracle_walk_equals_reference_on_tied_delays(inst):
 @example(Instance((F(10**12, 7),) * 6, (F(97, 5), F(10**9, 11), F(1, 10**9))))
 def test_count_vector_walk_equals_reference(inst):
     assert enumerate_extremes(inst) == reference_enumerate_extremes(inst)
-    vectors = list(iter_count_vectors(inst.n, inst.m))
-    assert vectors == list(reference_count_vectors(inst.n, inst.m))
-    assert enumerate_nash_count_vectors(inst) == [
+    assert reference_nash_count_vectors(inst) == [
         CountAssignment(vec)
-        for vec in vectors
+        for vec in reference_count_vectors(inst.n, inst.m)
         if is_nash(inst, CountAssignment(vec).to_assignment())  # the per-task check
     ]
 
@@ -492,9 +492,9 @@ def walkable_identical_weight_instances(draw, max_n=44, max_m=8):
 @example(Instance((F(5, 3),) * 8, (F(1, 2), F(3, 4), F(3, 4), F(3, 4), F(3, 2))))
 def test_closed_form_equals_count_vector_walk(inst):
     assert enumerate_extremes(inst) == reference_walk_extremes(inst)
-    assert enumerate_nash_count_vectors(inst) == [
+    assert reference_nash_count_vectors(inst) == [
         CountAssignment(vec)
-        for vec in iter_count_vectors(inst.n, inst.m)
+        for vec in reference_count_vectors(inst.n, inst.m)
         if is_nash(inst, CountAssignment(vec))
     ]
 
@@ -508,13 +508,13 @@ def test_closed_form_equals_count_vector_walk(inst):
 def test_cheapest_nash_is_find_opt_nash(n, delays, weight):
     """The oracle's cheapest Nash vector is `find_opt_nash`'s, and that is
     the lexicographically largest of the cheapest Nash vectors, as a walk
-    in `iter_count_vectors` order keeps it."""
+    in `reference_count_vectors` order keeps it."""
     inst = Instance((weight,) * n, tuple(delays))
     budget = EnumerationBudget(comb(inst.n + inst.m - 1, inst.m - 1))
     witness = enumerate_extremes(inst, budget).min_nash_witness.target
     counts = find_opt_nash(inst).counts
     assert tuple(map(witness.count, range(1, inst.m + 1))) == counts
-    cheapest = min(enumerate_nash_count_vectors(inst, budget),
+    cheapest = min(reference_nash_count_vectors(inst),
                    key=lambda c: (cost(inst, c), [-x for x in c.counts]))
     assert counts == cheapest.counts == heap_find_opt_nash(inst.n, inst._kernel.delays)
 
@@ -588,6 +588,22 @@ def test_evaluators_equal_fraction_references(case):
 @example(Instance((F(10**30, 7), F(1, 10**20), F(10**30, 7), F(3)), (F(10**25, 11), F(3, 10**20))))
 def test_greedy_nash_equals_fraction_reference(inst):
     assert greedy_nash(inst) == reference_greedy_nash(inst)
+
+
+@PROPERTY
+@given(st.integers(1, 12), DP_VALUES.flatmap(lambda v: st.lists(v, min_size=1, max_size=16)))
+@example(1, [F(3), F(1), F(2)])  # m > n: the two slowest resources are dropped
+@example(4, [F(2)] * 4)  # n = m, tied delays
+@example(5, [F(3, 2), F(3, 2), F(1, 2), F(7), F(7), F(7), F(7)])  # m > n, a tie at the cut
+@example(3, [F(10**30, 7), F(1, 10**20), F(10**25, 11), F(3, 10**20), F(5)])  # wide, m > n
+def test_fractional_opt_equals_fraction_reference(n, delays):
+    inst = Instance((F(1),) * n, tuple(delays))
+    opt, expected = fractional_opt(inst), reference_fractional_opt(inst)
+    assert len(opt.masses) == min(n, inst.m)
+    for value, reference in zip((opt.load, opt.cost, *opt.masses),
+                                (expected.load, expected.cost, *expected.masses), strict=True):
+        _assert_fraction_equal(value, reference)
+    _assert_fraction_equal(inst.throughput, sum(1 / d for d in inst.delays))
 
 
 @PROPERTY
@@ -837,6 +853,6 @@ def test_gen_random_equals_value_by_value_reference(n, m, weight_range, delay_ra
 @example(2**64 - 1, 300, 1)  # the state wraps
 @example(2**64 - 2, 3, 9)
 def test_draws_equal_repeated_below(seed, count, bound):
-    batch, single = SplitMix64(seed), SplitMix64(seed)
+    batch, single = SplitMix64(seed), OneDrawSplitMix64(seed)
     assert batch.draws(count, bound) == [single.below(bound) for _ in range(count)]
     assert batch.state == single.state
