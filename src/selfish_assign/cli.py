@@ -15,7 +15,9 @@ states the digits required and allowed.
 Instance files are read by `model.loads_instance` and written by
 `model.dumps_instance`; reports are written by `model.dumps_json`.
 `verify` renders each distinct new load once, and its three evaluators read
-the weight sums of one pass over the tasks (`model._summed`).
+the weight sums of one pass over the tasks (`model._summed`); its improving
+moves take one deviation scan per task weight plus at most one per
+resource, and its report's record lists are written column by column.
 """
 
 import argparse
@@ -32,11 +34,11 @@ from .model import (
     Assignment,
     Instance,
     NumberTooLongError,
+    _digits,
     _summed,
     cost,
     dumps_instance,
     dumps_json,
-    format_rational,
     improving_moves,
     is_nash,
     loads_instance,
@@ -75,16 +77,16 @@ def _rat(x: Fraction) -> dict:
     fewer significant digits), it is a decimal string in scientific
     notation with 17 significant digits, correctly rounded.
     """
+    p, q = x.numerator, x.denominator
     try:
         # the int true division float(x) makes, without its extra call
-        approximate = x.numerator / x.denominator
-        wide = abs(approximate) < sys.float_info.min and x != 0
+        approximate = p / q
+        wide = abs(approximate) < sys.float_info.min and p != 0
     except OverflowError:
         wide = True
     if wide:
-        numerator, denominator = decimal.Decimal(x.numerator), decimal.Decimal(x.denominator)
-        approximate = f"{_WIDE_DECIMAL.divide(numerator, denominator):.16e}"
-    return {"exact": format_rational(x), "approximate": approximate}
+        approximate = f"{_WIDE_DECIMAL.divide(decimal.Decimal(p), decimal.Decimal(q)):.16e}"
+    return {"exact": f"{_digits(p)}/{_digits(q)}", "approximate": approximate}
 
 
 def _instance_digest(inst: Instance) -> dict:

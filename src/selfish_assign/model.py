@@ -19,7 +19,12 @@ each multiplied by the LCM of their reduced denominators, which keeps every
 comparison and tie.  The constructor and instance files read numbers
 straight into those ints, and the Fraction tuples `weights` and `delays`
 are built only when something reads them.  `dumps_json` writes every JSON
-document the package emits, byte-identical to `json.dumps(value, indent=2)`.
+document the package emits, byte-identical to `json.dumps(value, indent=2)`,
+and a list of records column by column.
+
+One deviation scan (`_moves_below`) serves `is_nash`, which stops at the
+first improving move, and `improving_moves`, which finds each task
+weight's best move once and reuses it on every resource.
 """
 
 import decimal
@@ -466,12 +471,19 @@ def resource_loads(inst: Instance, a: AnyAssignment) -> list:
     return list(map(inst._kernel.rational, _loads_on_resources(inst, a)))
 
 
-def task_load(inst: Instance, a: Assignment, task: int) -> Fraction:
-    """Load incurred by the 1-based `task`: the load of the resource it uses."""
+def task_load(inst: Instance, a: AnyAssignment, task: int) -> Fraction:
+    """Load incurred by the 1-based `task`: the load of the resource it uses.
+    A count vector is read as its materialized assignment."""
     if not 1 <= task <= inst.n:
         raise IndexError(f"task index {task} out of range 1..{inst.n}")
     loads = _loads_on_resources(inst, a)
-    return inst._kernel.rational(loads[a.target[task - 1] - 1])
+    return inst._kernel.rational(loads[_target(a)[task - 1] - 1])
+
+
+def _target(a: AnyAssignment) -> tuple:
+    """The 1-based resource of each task; a count vector, validated before,
+    fills resources in index order as `CountAssignment.to_assignment` does."""
+    return a.to_assignment().target if isinstance(a, CountAssignment) else a.target
 
 
 def cost(inst: Instance, a: AnyAssignment) -> Fraction:
@@ -484,16 +496,16 @@ def cost(inst: Instance, a: AnyAssignment) -> Fraction:
     return kernel.rational(sum(map(operator.mul, map(operator.mul, counts, kernel.delays), sums)))
 
 
-def _improving_moves_of(delays, sums, resource: int, w: int, own: int):
-    """The deviation scan: every move of a weight-`w` task off the 0-based
-    `resource` that would incur a load below `own`, as (new load, 0-based
-    target) in target order, given the per-resource weight sums.  Its
-    minimum is the best move: lowest load, lowest target index on ties."""
+def _moves_below(delays, sums, w: int, bound: int):
+    """The deviation scan: every resource where a weight-`w` task would
+    incur a load below `bound`, as (new load, 0-based target) in target
+    order, given the per-resource weight sums.  Its minimum is the best
+    move: lowest load, lowest target index on ties.  A task's own resource
+    r never qualifies with bound = d_r * S_r, since it would cost d_r * (S_r + w)."""
     for other, d in enumerate(delays):
-        if other != resource:
-            load = d * (sums[other] + w)
-            if load < own:
-                yield load, other
+        load = d * (sums[other] + w)
+        if load < bound:
+            yield load, other
 
 
 def _counts_are_nash(counts, delays) -> bool:
@@ -512,7 +524,7 @@ def _lightest_tasks_stay(delays, sums, lightest) -> bool:
         w = lightest[resource]
         if w:
             own = delays[resource] * sums[resource]
-            if next(_improving_moves_of(delays, sums, resource, w, own), None):
+            if next(_moves_below(delays, sums, w, own), None):
                 return False
     return True
 
@@ -540,36 +552,47 @@ def is_nash(inst: Instance, a: AnyAssignment) -> bool:
     return _lightest_tasks_stay(kernel.delays, sums, lightest)
 
 
-def improving_moves(inst: Instance, a: Assignment):
+def improving_moves(inst: Instance, a: AnyAssignment):
     """One best improving move per deviating task: (task, resource, new load).
 
     Empty iff the assignment is a Nash equilibrium.  The witness move is the
     one minimizing the task's new load, lowest resource index on ties.  It
-    depends only on the task's resource and weight, so the deviation scan
-    runs once per distinct (resource, weight) pair, lightest first; as in
-    `is_nash`, once a weight on a resource has no improving move, no heavier
-    task there has one.  O(n + p*m) for p scanned pairs.  Moves to equal
-    loads share one Fraction, so a caller can render each load once.
+    depends only on the task's weight: the task's own resource always costs
+    it more than its own load, so whenever a move beats that load, the
+    lowest-load, lowest-index resource over all m does too.  Each weight's
+    best move is thus found by one deviation scan and reused on every other
+    resource, where it is a move iff its load is below the resource's own
+    load; as in `is_nash`, once a weight on a resource has no improving
+    move, no heavier task there has one.  So at most one scan per distinct
+    weight plus one per resource: O(n + (k + m) * m) for k distinct weights.
+    Moves to equal loads share one Fraction, so a caller can render each
+    load once.  A count vector is evaluated as its materialized assignment.
     """
     kernel = inst._kernel
     delays = kernel.delays
     _, sums = _weight_on_resources(inst, a)
     tasks_by_weight = [{} for _ in range(inst.m)]
-    for task, (w, resource) in enumerate(zip(kernel.weights, a.target), start=1):
+    for task, (w, resource) in enumerate(zip(kernel.weights, _target(a)), start=1):
         tasks_by_weight[resource - 1].setdefault(w, []).append(task)
     moves = []
+    best = {}  # weight -> (load, 1-based target, the load's Fraction), once found
     rationals = {}  # one Fraction per distinct new load
     for resource, groups in enumerate(tasks_by_weight):
         own = delays[resource] * sums[resource]
         for w in sorted(groups):
-            best = min(_improving_moves_of(delays, sums, resource, w, own), default=None)
-            if best is None:
+            move = best.get(w)
+            if move is None:
+                found = min(_moves_below(delays, sums, w, own), default=None)
+                if found is None:
+                    break
+                load, other = found
+                if load not in rationals:
+                    rationals[load] = kernel.rational(load)
+                move = best[w] = load, other + 1, rationals[load]
+            elif move[0] >= own:
                 break
-            load, other = best
-            if load not in rationals:
-                rationals[load] = kernel.rational(load)
-            load = rationals[load]
-            moves.extend((task, other + 1, load) for task in groups[w])
+            _, other, load = move
+            moves.extend((task, other, load) for task in groups[w])
     moves.sort()
     return moves
 
@@ -655,11 +678,11 @@ def dumps_json(value) -> str:
     A non-empty list is written in one piece when its items are all such
     scalars, or at least `_TEMPLATE_MIN_ROWS` records of one shape:
     non-empty plain dicts with the same keys in the same order, each value
-    such a scalar or such a record.  The rows fill one `%` template built
-    from the first row, and a nested record that rows share (one object) is
-    written once.  A shorter list of records, or one with a row of another
-    shape, is walked item by item, as is every dict; scalar subclasses and
-    empty containers are written by json.dumps."""
+    such a scalar or such a record.  Such a list is written column by
+    column, and a nested record that rows share (one object) is written
+    once.  A shorter list of records, or one with a row of another shape,
+    is walked item by item, as is every dict; scalar subclasses and empty
+    containers are written by json.dumps."""
     chunks = []
     _write_json(value, "\n", chunks.append)
     return "".join(chunks)
@@ -682,71 +705,46 @@ _SCALAR_TEXT = {
 }
 
 
-class _Misfit(Exception):
-    """A row whose shape differs from the first row of its list."""
+#: Fewest records a list must have to be written column by column: the
+#: columns cost more than walking a shorter list item by item.
+_TEMPLATE_MIN_ROWS = 5
 
 
-def _record_writer(record, newline: str):
-    """The function that writes a record shaped like `record` at the depth
-    whose line breaks are `newline`, or None if `record` is not a record: a
-    non-empty plain dict whose values are scalars or records.  The function
-    raises _Misfit, or KeyError for a value that is not a scalar where
-    `record` has one, on a row of another shape.  A nested record that rows
-    share, one object, is written once."""
-    if type(record) is not dict or not record:
+def _scalar_texts(items, kinds):
+    """The JSON text of each of `items`, scalars of the exact types `kinds`."""
+    if len(kinds) == 1:
+        return map(_SCALAR_TEXT[next(iter(kinds))], items)
+    return [_SCALAR_TEXT[type(item)](item) for item in items]
+
+
+def _record_texts(rows, newline: str):
+    """The JSON text of each of `rows`, plain dicts, written column by column
+    at the depth whose line breaks are `newline`; None unless the rows are
+    records of one shape: non-empty, with the same keys in the same order,
+    and each column all scalars or all such records.  A record column is
+    written once per distinct object in it (the rows keep every id alive),
+    by a recursive call on those objects, and the rows fill one `%`
+    template."""
+    shapes = set(map(tuple, rows))
+    keys = shapes.pop()
+    if shapes or not keys:
         return None
     inner = newline + "  "
-    keys = list(record)
-    fields = []  # per value: None for a scalar, else the nested record's writer
-    for value in record.values():
-        if type(value) in _SCALAR_TEXT:
-            fields.append(None)
-        else:
-            nested = _record_writer(value, inner)
-            if nested is None:
-                return None
-            fields.append(_shared(nested))
+    columns = []
+    for column in zip(*map(dict.values, rows)):
+        kinds = set(map(type, column))
+        if kinds <= _SCALAR_TEXT.keys():
+            columns.append(_scalar_texts(column, kinds))
+            continue
+        distinct = {id(value): value for value in column}
+        texts = _record_texts(list(distinct.values()), inner) if kinds == {dict} else None
+        if texts is None:
+            return None
+        columns.append(map(dict(zip(distinct, texts)).__getitem__, map(id, column)))
     template = "{" + inner + ("," + inner).join(
         _encode_str(key).replace("%", "%%") + ": %s" for key in keys
     ) + newline + "}"
-
-    if not any(fields):  # every value a scalar: no field to dispatch on
-
-        def write(row):
-            if type(row) is not dict or list(row) != keys:
-                raise _Misfit
-            return template % tuple([_SCALAR_TEXT[type(value)](value) for value in row.values()])
-
-    else:
-
-        def write(row):
-            if type(row) is not dict or list(row) != keys:
-                raise _Misfit
-            return template % tuple([
-                _SCALAR_TEXT[type(value)](value) if field is None else field(value)
-                for field, value in zip(fields, row.values())
-            ])
-
-    return write
-
-
-def _shared(write):
-    """`write`, once per object: the rows of one list are alive while it is
-    written, so an id names one object there."""
-    texts = {}
-
-    def write_once(value):
-        text = texts.get(id(value))
-        if text is None:
-            text = texts[id(value)] = write(value)
-        return text
-
-    return write_once
-
-
-#: Fewest records a list must have to be written from a template: building
-#: the template costs more than walking a shorter list item by item.
-_TEMPLATE_MIN_ROWS = 5
+    return list(map(template.__mod__, zip(*columns)))
 
 
 def _one_piece(items, newline: str):
@@ -756,19 +754,12 @@ def _one_piece(items, newline: str):
     inner = newline + "  "
     kinds = set(map(type, items))
     if kinds <= _SCALAR_TEXT.keys():
-        if len(kinds) == 1:
-            pieces = map(_SCALAR_TEXT[kinds.pop()], items)
-        else:
-            pieces = [_SCALAR_TEXT[type(item)](item) for item in items]
-    elif len(items) < _TEMPLATE_MIN_ROWS:
+        pieces = _scalar_texts(items, kinds)
+    elif kinds != {dict} or len(items) < _TEMPLATE_MIN_ROWS:
         return None
     else:
-        write = _record_writer(items[0], inner)
-        if write is None:
-            return None
-        try:
-            pieces = list(map(write, items))
-        except (_Misfit, KeyError):
+        pieces = _record_texts(items, inner)
+        if pieces is None:
             return None
     return "[" + inner + ("," + inner).join(pieces) + newline + "]"
 

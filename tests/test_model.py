@@ -337,6 +337,18 @@ class TestImprovingMoves:
         moves = improving_moves(inst, Assignment((1, 2)))
         assert moves == [(2, 1, F(1))]
 
+    def test_count_vector(self):
+        # read as its materialized assignment, and refused as is_nash refuses it
+        inst = Instance([1, 1, 1], [1, 2])
+        vector = CountAssignment((3, 0))
+        assert improving_moves(inst, vector) == [(1, 2, F(2)), (2, 2, F(2)), (3, 2, F(2))]
+        assert [task_load(inst, vector, task) for task in (1, 2, 3)] == [F(3)] * 3
+        for evaluate in (is_nash, improving_moves, lambda i, a: task_load(i, a, 1)):
+            with pytest.raises(ValueError, match="places 2 tasks"):
+                evaluate(inst, CountAssignment((2, 0)))
+            with pytest.raises(ValueError, match="identical-weight"):
+                evaluate(Instance([1, 2, 1], [1, 2]), vector)
+
 
 class TestModelProperties:
     @pytest.mark.parametrize(

@@ -52,6 +52,7 @@ from selfish_assign import (
     round_weights,
     task_load,
 )
+from selfish_assign import model
 from selfish_assign.model import _TEMPLATE_MIN_ROWS, _summed, dumps_json
 
 from helpers import (
@@ -202,11 +203,37 @@ def test_is_nash_agrees_with_naive_predicate_and_moves(case):
     assert (not improving_moves(inst, a)) == expected
 
 
+# Each weight's best move is found once and reused on every resource.
 @PROPERTY
 @given(assigned(max_n=12, max_m=6))
+# weight 1 misses on the fast resource, then moves off the slow one
+@example((Instance((1, 1), (1, 1, 10)), Assignment((1, 3))))
+# the best move of weight 1 goes to resource 2, which holds a weight-1 task
+@example((Instance((1,) * 4, (1, 1)), Assignment((1, 1, 1, 2))))
+# resources 2 and 3 tie at load 2: resource 2, from resources 1 and 4 alike
+@example((Instance((1,) * 6, (1, 2, 2, 8)), Assignment((1, 1, 1, 1, 1, 4))))
+# the best load, 2, equals resource 3's own load: no move from there
+@example((Instance((1,) * 5, (1, 1, 2)), Assignment((1, 1, 1, 2, 3))))
 def test_improving_moves_equal_per_task_scan(case):
     inst, a = case
     assert improving_moves(inst, a) == scan_improving_moves(inst.weights, inst.delays, a.target)
+
+
+def test_improving_moves_scan_once_per_weight_and_resource(monkeypatch):
+    # 9 weights round-robin on 16 resources: every resource holds every weight
+    inst = Instance([1 + i % 9 for i in range(200)], range(1, 17))
+    a = Assignment(tuple(1 + i % 16 for i in range(200)))
+    scans, calls = model._moves_below, []
+
+    def counted(*args):
+        calls.append(args)
+        return scans(*args)
+
+    monkeypatch.setattr(model, "_moves_below", counted)
+    moves = improving_moves(inst, a)
+    assert moves == scan_improving_moves(inst.weights, inst.delays, a.target)
+    assert len(moves) > 100
+    assert len(calls) <= 9 + 16
 
 
 @PROPERTY
@@ -269,6 +296,9 @@ def test_count_vector_evaluates_like_its_assignment(inst, data):
     vector = CountAssignment(tuple(counts))
     assert cost(inst, vector) == cost(inst, vector.to_assignment())
     assert is_nash(inst, vector) == is_nash(inst, vector.to_assignment())
+    moves = improving_moves(inst, vector)
+    assert moves == improving_moves(inst, vector.to_assignment())
+    assert (not moves) == is_nash(inst, vector)
 
 
 # The integer dynamic programs against the Fraction references: the same
@@ -670,6 +700,7 @@ class _Float(float):
     pass
 
 
+SHARED = {"exact": "1/2", "approximate": 0.5}
 RECORD_KEYS = st.one_of(st.text(max_size=3), st.sampled_from(["%", "%s", "%%", "a%sb", "%(k)s", "exact"]))
 RECORD_LEAVES = st.one_of(
     st.integers(),
@@ -745,6 +776,11 @@ def record_lists(draw):
          * _TEMPLATE_MIN_ROWS)
 @example(({"exact": "1/1", "approximate": 1.0},) * _TEMPLATE_MIN_ROWS)  # one object in every row
 @example([{"a": 1}, {"a": 1.5}, {"b": 2}])  # short: walked
+@example([{"a": 1}, {"a": 1.5}, {"a": True}] * 2)  # one column of int, float and bool
+@example([{"a": {"b": 1}}, {"a": 2}] * 3)  # a column of a record and a scalar
+@example([{"a": {"b": 1}}, {"a": {"c": 1}}] * 3)  # nested records of two shapes
+@example([{"x": SHARED}] * _TEMPLATE_MIN_ROWS + [{"x": dict(SHARED)}])  # shared, and an equal copy
+@example([{"a": {"b": 1, "c": 2}}] * _TEMPLATE_MIN_ROWS + [{"a": {"c": 2, "b": 1}}])  # nested key order
 def test_record_lists_equal_json_dumps_indent_2(value):
     assert dumps_json(value) == json.dumps(value, indent=2)
     assert dumps_json({"rows": value, "x": [value]}) == json.dumps({"rows": value, "x": [value]}, indent=2)
