@@ -12,18 +12,24 @@ instance file, --epsilon or a gen range) whose numerator or denominator
 would have more than `model.MAX_NUMBER_DIGITS` digits; that error line
 states the digits required and allowed.
 
-Instance files are read by `model.loads_instance` and written by
-`model.dumps_instance`; reports are written by `model.dumps_json`.
-`verify` renders each distinct new load once, and its three evaluators read
-the weight sums of one pass over the tasks (`model._summed`); its improving
-moves take one deviation scan per task weight plus at most one per
-resource, and its report's record lists are written column by column.
+Each call parses its arguments once: an argv that starts with a
+subcommand's name is read by that subcommand's parser alone, as the whole
+parser would hand it on.  Input files are read as bytes and decoded from
+UTF-8 once, with "\\r\\n" and a lone "\\r" read as "\\n", as a text-mode read
+gives them.  Instance files are read by `model.loads_instance` and written
+by `model.dumps_instance`; reports are written by `model.dumps_json`, the
+instance digest computed on the kernel ints.  `nash` and `verify` walk an
+assignment's tasks once for the weight sums their evaluators read
+(`model._summed`).  `verify` renders each distinct new load once; its
+improving moves take one deviation scan per task weight plus at most one
+per resource, and its report's record lists are written column by column.
 """
 
 import argparse
 import decimal
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -35,6 +41,7 @@ from .model import (
     Instance,
     NumberTooLongError,
     _digits,
+    _reciprocal_sum,
     _summed,
     cost,
     dumps_instance,
@@ -69,17 +76,19 @@ class _CliError(Exception):
 _WIDE_DECIMAL = decimal.Context(prec=17, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
-def _rat(x: Fraction) -> dict:
-    """A rational for the report: exact "p/q" plus a labeled approximation.
+def _rat(terms) -> dict:
+    """The rational p/q of the pair `terms` = (p, q), in lowest terms with
+    q > 0, for the report: exact "p/q" plus a labeled approximation.  A
+    Fraction x is passed as `x.as_integer_ratio()`.
 
     The approximation is a float.  For a value above float range, or a
     nonzero one that would become 0.0 or a subnormal float (which keeps
     fewer significant digits), it is a decimal string in scientific
     notation with 17 significant digits, correctly rounded.
     """
-    p, q = x.numerator, x.denominator
+    p, q = terms
     try:
-        # the int true division float(x) makes, without its extra call
+        # the int true division float(Fraction(p, q)) makes
         approximate = p / q
         wide = abs(approximate) < sys.float_info.min and p != 0
     except OverflowError:
@@ -89,14 +98,26 @@ def _rat(x: Fraction) -> dict:
     return {"exact": f"{_digits(p)}/{_digits(q)}", "approximate": approximate}
 
 
+def _lowest(p: int, q: int):
+    """p/q in lowest terms, for positive ints p and q."""
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
 def _instance_digest(inst: Instance) -> dict:
+    """The instance's size, total weight, throughput, average load and
+    weight spread, computed on its kernel ints."""
+    kernel = inst._kernel
+    weights, scale = kernel.weights, kernel.weight_scale
+    total = sum(weights)
+    reciprocals, common = _reciprocal_sum(kernel.delays)
     return {
         "tasks": inst.n,
         "resources": inst.m,
-        "total_weight": _rat(inst.total_weight),
-        "throughput": _rat(inst.throughput),
-        "average_load": _rat(inst.average_load),
-        "weight_spread": _rat(inst.weight_spread),
+        "total_weight": _rat(_lowest(total, scale)),
+        "throughput": _rat(_lowest(kernel.delay_scale * reciprocals, common)),
+        "average_load": _rat(_lowest(total, scale * inst.m)),
+        "weight_spread": _rat(_lowest(max(weights), min(weights))),
     }
 
 
@@ -110,13 +131,23 @@ def _refused_number(exc: ValueError) -> int:
 _TOO_DEEP = "JSON nested too deeply to read"
 
 
+def _read_text(path: str) -> str:
+    """The text of the UTF-8 file at `path` as text mode reads it: its bytes
+    read at once and decoded once, then "\\r\\n" and a lone "\\r" read as
+    "\\n" (translated only in a text that holds a "\\r")."""
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _read_file(path: str, kind: str, decode):
     """decode(text) of the UTF-8 file at `path`, the one reader of input
     files.  A file that cannot be read or decoded is refused with one line
     and exit 2, a number with too many digits with exit 4."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return decode(handle.read())
+        return decode(_read_text(path))
     except OSError as exc:
         raise _CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # also bytes that are not UTF-8 and a NUL in the path
@@ -184,9 +215,10 @@ def _pick_algorithm(inst: Instance, requested: str, epsilon) -> str:
         return requested
     if inst.identical_weights:
         return "find-opt"
-    if len(inst.distinct_delay_values) <= algorithms.DEFAULT_DISTINCT_VALUES:
+    kernel = inst._kernel
+    if len(set(kernel.delays)) <= algorithms.DEFAULT_DISTINCT_VALUES:
         return "dp-delays"
-    if len(inst.distinct_weight_values) <= algorithms.DEFAULT_DISTINCT_VALUES:
+    if len(set(kernel.weights)) <= algorithms.DEFAULT_DISTINCT_VALUES:
         return "dp-weights"
     if epsilon is None:
         raise _CliError(
@@ -235,14 +267,14 @@ def _cmd_solve(args) -> dict:
     result = {
         "algorithm": algorithm,
         "approximate": approximate,
-        "cost": _rat(value),
+        "cost": _rat(value.as_integer_ratio()),
         "assignment": list(assignment.target),
     }
     if counts is not None:
         result["counts"] = list(counts.counts)
     if approximate:
-        result["epsilon"] = _rat(epsilon)
-        result["approximation_factor"] = _rat(1 + epsilon)
+        result["epsilon"] = _rat(epsilon.as_integer_ratio())
+        result["approximation_factor"] = _rat((1 + epsilon).as_integer_ratio())
     return _report("solve", args, inst, result, elapsed)
 
 
@@ -260,11 +292,12 @@ def _cmd_nash(args) -> dict:
         raise _CliError(EXIT_PRECONDITION, str(exc)) from exc
     elapsed = (time.perf_counter() - started) * 1000
 
-    # the count vector, where there is one, evaluates in O(m)
-    evaluated = assignment if counts is None else counts
+    # the count vector, where there is one, evaluates in O(m); an assignment
+    # is walked once for the weight sums that both evaluators read
+    evaluated = _summed(inst, assignment) if counts is None else counts
     result = {
         "mode": args.mode,
-        "cost": _rat(cost(inst, evaluated)),
+        "cost": _rat(cost(inst, evaluated).as_integer_ratio()),
         "assignment": list(assignment.target),
         "is_nash": is_nash(inst, evaluated),
     }
@@ -290,19 +323,20 @@ def _cmd_ratio(args) -> dict:
     elapsed = (time.perf_counter() - started) * 1000
 
     result = {
-        "min_cost": _rat(report.min_cost),
-        "min_nash_cost": _rat(report.min_nash_cost),
-        "max_nash_cost": _rat(report.max_nash_cost),
-        "coordination_ratio": _rat(report.coordination_ratio),
-        "nash_gap": _rat(report.nash_gap),
-        "opt_gap": _rat(report.opt_gap),
+        "min_cost": _rat(report.min_cost.as_integer_ratio()),
+        "min_nash_cost": _rat(report.min_nash_cost.as_integer_ratio()),
+        "max_nash_cost": _rat(report.max_nash_cost.as_integer_ratio()),
+        "coordination_ratio": _rat(report.coordination_ratio.as_integer_ratio()),
+        "nash_gap": _rat(report.nash_gap.as_integer_ratio()),
+        "opt_gap": _rat(report.opt_gap.as_integer_ratio()),
         "witnesses": {
             "min_cost": list(report.min_cost_witness.target),
             "min_nash": list(report.min_nash_witness.target),
             "max_nash": list(report.max_nash_witness.target),
         },
         "bounds": [
-            {"bound": c.name, "satisfied": c.satisfied, "slack": _rat(c.slack)}
+            {"bound": c.name, "satisfied": c.satisfied,
+             "slack": _rat(c.slack.as_integer_ratio())}
             for c in checks
         ],
     }
@@ -321,10 +355,12 @@ def _cmd_verify(args) -> dict:
     # moves to equal loads share one load object: render each object once
     # and let its moves share the result (`moves` keeps every id alive)
     loads = {id(load): load for _, _, load in moves}
-    rendered = {key: _rat(load) for key, load in loads.items()}
+    rendered = {key: _rat(load.as_integer_ratio()) for key, load in loads.items()}
     result = {
-        "cost": _rat(cost(inst, assignment)),
-        "resource_loads": [_rat(load) for load in resource_loads(inst, assignment)],
+        "cost": _rat(cost(inst, assignment).as_integer_ratio()),
+        "resource_loads": [
+            _rat(load.as_integer_ratio()) for load in resource_loads(inst, assignment)
+        ],
         "is_nash": not moves,
         "improving_moves": [
             {"task": task, "to_resource": resource, "new_load": rendered[id(load)]}
@@ -424,6 +460,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers():
+    """The command's parser and each subcommand's parser by name."""
     parser = _ArgumentParser(
         prog="selfish-assign",
         description="Exact solvers and equilibrium analysis for selfish resource assignment",
@@ -466,18 +507,35 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("assignment", help="JSON array of 1-based resource indices")
     verify.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, {"solve": solve, "nash": nash, "ratio": ratio, "gen": gen, "verify": verify}
 
 
 @functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built on its first call; parsing returns a
-    fresh namespace each time and leaves the parser unchanged."""
-    return build_parser()
+def _parsers():
+    """`_build_parsers()`, built on the first call of `main`; parsing
+    returns a fresh namespace each time and leaves the parsers unchanged."""
+    return _build_parsers()
+
+
+def _parse_args(argv):
+    """The namespace of `argv` (default: the process's arguments) as the
+    command's parser reads it.  That parser hands everything after a
+    subcommand's name to that subcommand's parser, and the one option of
+    its own, -h, counts only before the name; so an argv that starts with a
+    subcommand's name is read by that subcommand's parser alone, and any
+    other argv, the empty one included, by the command's parser."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         report = args.func(args)
     except _CliError as exc:

@@ -17,10 +17,12 @@ before it builds either and raises NumberTooLongError (a ValueError) above.
 Inside, an instance is its ints (`Instance._kernel`): weights and delays
 each multiplied by the LCM of their reduced denominators, which keeps every
 comparison and tie.  The constructor and instance files read numbers
-straight into those ints, and the Fraction tuples `weights` and `delays`
-are built only when something reads them.  `dumps_json` writes every JSON
-document the package emits, byte-identical to `json.dumps(value, indent=2)`,
-and a list of records column by column.
+straight into those ints; an array of ints alone is its own kernel, with
+scale 1.  The Fraction tuples `weights` and `delays` are built only when
+something reads them.  Instance texts are read by one module-level JSON
+decoder.  `dumps_json` writes every JSON document the package emits,
+byte-identical to `json.dumps(value, indent=2)`, and a list of records
+column by column.
 
 One deviation scan (`_moves_below`) serves `is_nash`, which stops at the
 first improving move, and `improving_moves`, which finds each task
@@ -175,9 +177,14 @@ def _json_numbers(ints, scale: int) -> list:
 def _scaled(values):
     """Ints proportional to the positive rationals `values`, and the LCM of
     their denominators they were multiplied by, which keeps every comparison
-    and tie.  An array of ints and strings is read one distinct value at a
-    time, in order of first appearance, so errors come in scan order."""
-    if set(map(type, values)) <= {int, str}:
+    and tie.  An array of ints (exactly int: a bool is refused below) is its
+    own kernel, with scale 1.  An array of ints and strings is read one
+    distinct value at a time, in order of first appearance, so errors come
+    in scan order."""
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return tuple(values), 1
+    if kinds <= {int, str}:
         reduced = {v: _reduced(v) for v in dict.fromkeys(values)}
         scale = math.lcm(*(q for _, q in reduced.values()))
         scaled = {v: p * (scale // q) for v, (p, q) in reduced.items()}
@@ -801,7 +808,18 @@ def _refuse_constant(name: str):
     raise ValueError(f"JSON constant {name} is not a rational number")
 
 
+#: The one decoder of instance texts, built once.
+_INSTANCE_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def loads_instance(text: str):
     """Read an instance file: a bare NaN, Infinity or -Infinity, which json
-    would read as a float, is refused by name."""
-    return instance_from_jsonable(json.loads(text, parse_constant=_refuse_constant))
+    would read as a float, is refused by name.  A str is read by one
+    module-level decoder; bytes, and a str that starts with a byte order
+    mark (which the decoder alone would not name), go through json.loads,
+    which decodes the one and refuses the other with its own message."""
+    if isinstance(text, str) and not text.startswith("\ufeff"):
+        document = _INSTANCE_DECODER.decode(text)
+    else:
+        document = json.loads(text, parse_constant=_refuse_constant)
+    return instance_from_jsonable(document)

@@ -49,6 +49,7 @@ from .model import (
     RatioReport,
     _lightest_tasks_stay,
     _materialized,
+    _summed,
     cost,
     is_nash,
 )
@@ -322,6 +323,7 @@ def verify_bounds(inst: Instance, report: RatioReport):
         (report.min_nash_witness, report.min_nash_cost),
         (report.max_nash_witness, report.max_nash_cost),
     ):
+        witness = _summed(inst, witness)  # one walk for both evaluators
         if cost(inst, witness) != claimed:
             raise ValueError("report does not match instance: Nash witness re-costs differently")
         if not is_nash(inst, witness):

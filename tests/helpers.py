@@ -19,8 +19,9 @@ from selfish_assign import (
     RatioReport,
     cost,
     is_nash,
+    parse_rational,
 )
-from selfish_assign.algorithms import _grid_steps, _int_kth_root
+from selfish_assign.algorithms import _grid_steps
 from selfish_assign.instances import RANDOM_GRID_POINTS
 
 
@@ -321,12 +322,22 @@ def count_grid_steps(ratio, epsilon):
     return k
 
 
+def reference_int_kth_root(x, k):
+    """Exact integer k-th root of x >= 0, or None if x is not a perfect
+    power: the floor root by bisection on its bits."""
+    root = 0
+    for bit in reversed(range(x.bit_length() // k + 1)):
+        if (root | 1 << bit) ** k <= x:
+            root |= 1 << bit
+    return root if root**k == x else None
+
+
 def reference_rational_kth_root(q, k):
     """Exact k-th root of a positive rational, or None if irrational."""
-    num = _int_kth_root(q.numerator, k)
+    num = reference_int_kth_root(q.numerator, k)
     if num is None:
         return None
-    den = _int_kth_root(q.denominator, k)
+    den = reference_int_kth_root(q.denominator, k)
     if den is None:
         return None
     return Fraction(num, den)
@@ -647,3 +658,17 @@ def reference_walk_extremes(inst):
         min_nash_witness=low_at,
         max_nash_witness=high_at,
     )
+
+
+def reference_scaled(values):
+    """The kernel ints of the rationals `values` and their scale, the LCM
+    of the reduced denominators, one Fraction per value."""
+    fractions = [parse_rational(v) for v in values]
+    scale = math.lcm(*(f.denominator for f in fractions))
+    return tuple(int(f * scale) for f in fractions), scale
+
+
+def reference_read_text(path):
+    """The text of a UTF-8 file as text mode reads it, universal newlines on."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()

@@ -329,6 +329,25 @@ class TestRoundWeights:
         with pytest.raises(ValueError, match="about 2.2e3000 grid steps"):
             round_delays(Instance(weights=(F(1),), delays=(F(1), F(9))), F(1, 10**3000))
 
+    def test_power_bits_bound(self):
+        # epsilon = 1 on 1 and 2**(B - 1) takes k = B - 1 steps, powers of k * B bits
+        bound = algorithms.MAX_GRID_POWER_BITS
+        admitted = round_weights(Instance(weights=(F(1), F(2**511)), delays=(F(1),)), F(1))
+        assert (admitted.k, admitted.k * 512) == (511, 261632) and 261632 <= bound
+        assert admitted.rounded == admitted.original
+        with pytest.raises(ValueError) as raised:
+            round_delays(Instance(weights=(F(1),), delays=(F(1), F(2**512))), F(1))
+        assert str(raised.value) == (
+            f"geometric rounding needs powers of 262656 bits, above the bound {bound}")
+
+    def test_grid_step_powers_are_bounded_before_they_are_built(self):
+        # (1 + 10**-2000)**j has 6644 * j bits; k = 1000 would take minutes to find
+        inst = Instance(weights=(F(10**2000), F(10**2000 + 1000)), delays=(F(1),))
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=r"powers of \d+ bits, above the bound"):
+            round_weights(inst, F(1, 10**2000))
+        assert time.perf_counter() - started < 0.5
+
     @pytest.mark.parametrize("epsilon", [F(1), F(1, 2), F(1, 4)])
     def test_invariants_on_random_instances(self, epsilon):
         for seed in range(25):

@@ -30,6 +30,8 @@ from selfish_assign import cli
 from selfish_assign.cli import main
 from selfish_assign.model import MAX_NUMBER_DIGITS
 
+from helpers import reference_read_text
+
 
 def write_instance(tmp_path, inst, name="instance.json"):
     path = tmp_path / name
@@ -574,6 +576,145 @@ class TestArgumentErrors:
         assert captured.out.startswith("usage: selfish-assign") and captured.err == ""
 
 
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process run; argparse's
+    SystemExit gives the exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _nested_parse(argv):
+    """argv read by the command's whole parser, the subcommand's parser
+    nested in it."""
+    return cli.build_parser().parse_args(argv)
+
+
+# argv read by the subcommand's parser alone or, when argv[0] names no
+# subcommand, by the whole parser; {instance}, {assignment} and {out} are paths
+DISPATCH_ARGV = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["-h", "solve"],
+    ["solve", "-h"],
+    ["solve", "{instance}", "-h"],
+    ["solve", "{instance}", "-h", "--bogus"],
+    ["gen", "--help"],
+    ["solve", "{instance}", "--eps", "1/2", "--alg", "approx"],
+    ["solve", "{instance}", "--epsilon=1/2", "--algorithm=approx"],
+    ["solve", "{instance}", "--algorithm", "dp"],
+    ["solve", "--", "{instance}"],
+    ["solve", "{instance}", "--"],
+    ["ratio", "--budget", "50", "--", "{instance}"],
+    ["--", "solve", "{instance}"],
+    ["bogus"],
+    ["Solve", "{instance}"],
+    ["sol", "{instance}"],
+    ["--bogus", "solve", "{instance}"],
+    ["nash", "{instance}", "--fast"],
+    ["nash", "{instance}", "--mode"],
+    ["nash", "{instance}", "--mode", "any", "--mode", "best"],
+    ["nash", "{instance}", "-x", "--mode=any"],
+    ["ratio", "{instance}", "--budget"],
+    ["ratio", "{instance}", "--budget", "abc"],
+    ["ratio", "{instance}", "--budget", "3", "--budget", "100"],
+    ["solve"],
+    ["verify", "{instance}"],
+    ["verify", "{instance}", "{assignment}"],
+    ["verify", "{instance}", "{assignment}", "extra"],
+    ["gen", "--n", "3", "big-nash"],
+    ["gen", "random", "--n", "3", "--m", "2", "--weights", "1:3", "--delays", "1:2", "--seed", "5"],
+    ["gen", "big-nash", "--n", "4", "--out", "{out}"],
+    ["gen", "uniform-gap", "--epsilon", "-1/2"],
+    ["solve", "{instance}", "--epsilon", "-1"],
+]
+
+
+class TestArgumentDispatch:
+    """`main` reads argv with one parse, and every outcome (exit code,
+    stdout, stderr) equals that of the whole parser's nested parse."""
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=" ".join)
+    def test_equals_nested_parse(self, argv, tmp_path, capsys, monkeypatch):
+        assignment = tmp_path / "assignment.json"
+        assignment.write_text("[1, 2, 2, 1]", encoding="utf-8")
+        paths = {"instance": write_instance(tmp_path, gen_uniform_gap(F(1, 10))),
+                 "assignment": str(assignment), "out": str(tmp_path / "out.json")}
+        argv = [arg.format(**paths) for arg in argv]
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        outcome = _outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_parse_args", _nested_parse)
+        assert _outcome(capsys, argv) == outcome
+
+    def test_reads_the_process_arguments(self, tmp_path, capsys, monkeypatch):
+        path = write_instance(tmp_path, gen_uniform_gap(F(1, 10)))
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        monkeypatch.setattr(sys, "argv", ["selfish-assign", "nash", path, "--mode", "best"])
+        outcome = _outcome(capsys, None)
+        assert outcome[0] == 0 and json.loads(outcome[1])["result"]["mode"] == "best"
+        assert _outcome(capsys, ["nash", path, "--mode", "best"]) == outcome
+        monkeypatch.setattr(cli, "_parse_args", _nested_parse)
+        assert _outcome(capsys, None) == outcome
+
+
+# Input files whose reading must give the lines a text-mode read gives:
+# line breaks, a byte order mark, bytes that are not UTF-8
+READ_CORPUS = {
+    "crlf": b'{\r\n  "weights": [1, 2],\r\n  "delays": [1, 3]\r\n}\r\n',
+    "lone-cr": b'{"weights": [1, 2],\r"delays": [1, 3]}\r',
+    "cr-cr-lf": b'{"weights": [1, 2],\r\r\n"delays": [1, 3}',
+    "crlf-in-a-string": b'{"weights": [1, "x\r\n"], "delays": [1]}',
+    "cr-in-a-number": b'{"weights": [1, " 2\r"], "delays": [1, 3]}',
+    "crlf-before-an-error": b'{\r\n"weights": [1, 2],\r\n"delays": [1,]\r\n}',
+    "bom": b'\xef\xbb\xbf{"weights": [1, 2], "delays": [1, 3]}',
+    "not-utf-8": b'{"weights": [1, \xff], "delays": [1]}',
+    "not-utf-8-after-crlf": b'{\r\n"weights": [\xc3\x28]}',
+    "truncated-utf-8": b'[1, 2] \xe2\x82',
+    "empty": b"",
+    "only-cr": b"\r",
+    "assignment-crlf": b"[1,\r\n 2]\r\n",
+    "assignment-crlf-error": b"[1,\r\n]",
+}
+
+
+class TestFileReading:
+    """Input files are read as bytes and decoded once; the text, and every
+    error line, equal those of a text-mode read."""
+
+    @pytest.mark.parametrize("case", sorted(READ_CORPUS))
+    def test_text_equals_text_mode(self, case, tmp_path):
+        path = tmp_path / "file.json"
+        path.write_bytes(READ_CORPUS[case])
+        try:
+            expected = reference_read_text(path)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as raised:
+                cli._read_text(str(path))
+            assert str(raised.value) == str(exc)
+            return
+        assert cli._read_text(str(path)) == expected
+
+    @pytest.mark.parametrize("case", sorted(READ_CORPUS) + ["directory", "nul", "missing"])
+    @pytest.mark.parametrize("kind", ["instance", "assignment"])
+    def test_outcome_equals_text_mode(self, case, kind, tmp_path, capsys, monkeypatch):
+        path = {"directory": str(tmp_path), "nul": str(tmp_path / "a\0b"),
+                "missing": str(tmp_path / "missing.json")}.get(case, str(tmp_path / "file.json"))
+        if case in READ_CORPUS:
+            Path(path).write_bytes(READ_CORPUS[case])
+        instance = write_instance(tmp_path, Instance(weights=(F(1), F(2)), delays=(F(1), F(3))))
+        argv = ["solve", path] if kind == "instance" else ["verify", instance, path]
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        outcome = _outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_read_text", reference_read_text)
+        assert _outcome(capsys, argv) == outcome
+        assert outcome[0] == 0 or outcome[2].count("\n") == 1
+
+
 class TestReportBytes:
     """Every report is byte-identical to json.dumps(report, indent=2)."""
 
@@ -677,6 +818,27 @@ class TestNumberDigitBound:
         assert done.stderr.endswith(
             f"number '{number}' needs 100000000000 digits, at most {MAX_NUMBER_DIGITS} are allowed\n"
         )
+
+
+class TestRoundingPowerBound:
+    """Geometric rounding refuses powers of more than MAX_GRID_POWER_BITS
+    bits before it builds one; unbounded, the runs below did not end in
+    20 s (k = 2000 grid steps on 20000-digit values)."""
+
+    @pytest.mark.parametrize("weights", [[1, "1e19999"], [1, "1e19999", 3]],
+                             ids=["two-tasks", "three-tasks"])
+    def test_exits_3_within_a_second(self, weights, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"weights": weights, "delays": [1, "1e19999"]}), encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-m", "selfish_assign", "solve", str(path),
+             "--algorithm", "approx", "--epsilon", "1e10"],
+            capture_output=True, text=True, env=_package_env(), timeout=1,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        bits = 2000 * (10**19999).bit_length()
+        assert done.stderr == ("error: geometric rounding needs powers of"
+                               f" {bits} bits, above the bound {algorithms.MAX_GRID_POWER_BITS}\n")
 
 
 class TestVerifyReportBytes:

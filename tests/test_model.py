@@ -27,7 +27,8 @@ from selfish_assign import (
     resource_loads,
     task_load,
 )
-from selfish_assign.model import MAX_NUMBER_DIGITS, NumberTooLongError
+from selfish_assign import model
+from selfish_assign.model import MAX_NUMBER_DIGITS, NumberTooLongError, instance_from_jsonable
 
 from helpers import all_targets, naive_is_nash
 
@@ -582,3 +583,23 @@ class TestKernelBuiltInstance:
             loads_instance('{"weights": [1, "abc", "xyz", "abc"], "delays": [1]}')
         with pytest.raises(ValueError, match="1.5"):
             loads_instance('{"weights": [1, 1.5, true], "delays": [1]}')
+
+    @pytest.mark.parametrize("text", [
+        '\ufeff{"weights": [1], "delays": [1]}',
+        '{"weights": [1, 2], "delays": [1,]}',
+        '{"weights": [1, NaN], "delays": [1]}',
+        b'{"weights": [1, 2], "delays": [3]}',
+        '{"weights": [1, 2], "delays": [3]}',
+    ], ids=["byte-order-mark", "syntax-error", "bare-constant", "bytes", "str"])
+    def test_reads_as_json_loads(self, text):
+        """The module's one decoder reads as json.loads with the same
+        parse_constant does, its refusal of a leading byte order mark and
+        its reading of bytes included."""
+        try:
+            document = json.loads(text, parse_constant=model._refuse_constant)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as raised:
+                loads_instance(text)
+            assert str(raised.value) == str(exc)
+            return
+        assert loads_instance(text) == instance_from_jsonable(document)

@@ -52,7 +52,7 @@ from selfish_assign import (
     round_weights,
     task_load,
 )
-from selfish_assign import model
+from selfish_assign import cli, model
 from selfish_assign.model import _TEMPLATE_MIN_ROWS, _summed, dumps_json
 
 from helpers import (
@@ -77,6 +77,8 @@ from helpers import (
     reference_nash_count_vectors,
     reference_resource_load,
     reference_round_up_geometric,
+    reference_int_kth_root,
+    reference_scaled,
     reference_threshold_counts,
     reference_walk_extremes,
     scan_greedy_nash,
@@ -855,6 +857,69 @@ def test_reader_equals_parse_rational(weights, delays):
     assert loads_instance(dumps_instance(inst))[0]._kernel == built._kernel
     direct = Instance(weights, delays)
     assert direct == built and direct._kernel == built._kernel
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.integers(-5, 5), st.integers(-10**40, 10**40)), max_size=12),
+       st.one_of(st.none(), st.booleans(), st.integers(-9, 2**53).map(float)),
+       st.integers(0, 12))
+@example([], None, 0)
+@example([1, 2], True, 1)  # a bool is refused in an array of ints
+@example([3, 1], 1.0, 0)  # an integral float is read
+@example([2, 2], 2.0, 2)  # 2 and 2.0 are equal keys
+def test_int_arrays_scale_as_the_general_path(ints, extra, at):
+    """An array of ints is its own kernel with scale 1, the general path's
+    result; with a bool in it, it is refused as there, and an integral float
+    is read."""
+    values = list(ints)
+    if extra is not None:
+        values.insert(at, extra)
+    try:
+        expected = reference_scaled(values)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            model._scaled(tuple(values))
+        assert type(extra) is bool
+        return
+    assert model._scaled(tuple(values)) == expected
+    if extra is None:
+        assert expected == (tuple(ints), 1)
+    text = json.dumps({"weights": [1, *values], "delays": [1]})
+    if all(v > 0 for v in values):
+        assert loads_instance(text)[0]._kernel.weights == (1, *expected[0])
+
+
+@PROPERTY
+@given(instances(8, 5))
+@example(Instance((F(10**400), F(1, 10**400), F(3)), (F(3, 7), F(1, 10**400))))  # beyond float range
+@example(Instance((F(2, 3),) * 3, (F(5),) * 2))
+def test_instance_digest_equals_fraction_properties(inst):
+    """The report's instance digest, computed on the kernel ints, renders
+    the instance's Fraction properties."""
+    def rendered(x):
+        return cli._rat(x.as_integer_ratio())
+    assert cli._instance_digest(inst) == {
+        "tasks": inst.n,
+        "resources": inst.m,
+        "total_weight": rendered(inst.total_weight),
+        "throughput": rendered(inst.throughput),
+        "average_load": rendered(inst.average_load),
+        "weight_spread": rendered(inst.weight_spread),
+    }
+
+
+@PROPERTY
+@given(st.integers(0, 2**80), st.integers(1, 70), st.integers(-1, 1))
+@example(10, 9999, 0)  # k near MAX_GRID_STEPS
+@example(10, 9999, -1)
+@example(2**80 + 3, 7, 0)  # a root wider than a float's mantissa
+@example(2**80 - 1, 2, 1)
+@example(0, 3, 1)
+def test_int_kth_root_equals_bisection(r, k, shift):
+    """`_int_kth_root` on a k-th power and its neighbours, against the
+    bit-by-bit floor root."""
+    x = max(0, r**k + shift)
+    assert algorithms._int_kth_root(x, k) == reference_int_kth_root(x, k)
 
 
 # The random family: drawn in batches and built from its kernel, against
