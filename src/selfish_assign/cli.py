@@ -21,8 +21,9 @@ by `model.dumps_instance`; reports are written by `model.dumps_json`, the
 instance digest computed on the kernel ints.  `nash` and `verify` walk an
 assignment's tasks once for the weight sums their evaluators read
 (`model._summed`).  `verify` renders each distinct new load once; its
-improving moves take one deviation scan per task weight plus at most one
-per resource, and its report's record lists are written column by column.
+improving moves take one lower envelope of the move lines per call and one
+O(log m) lookup on it per distinct task weight, and its report's record
+lists are written column by column.
 """
 
 import argparse
@@ -308,12 +309,11 @@ def _cmd_nash(args) -> dict:
 
 def _cmd_ratio(args) -> dict:
     inst, _ = _load_instance_file(args.instance)
-    try:
-        budget = oracle.EnumerationBudget(
-            args.budget if args.budget is not None else _default_budget()
-        )
-    except ValueError as exc:
-        raise _CliError(EXIT_PRECONDITION, str(exc)) from exc
+    if args.budget is not None and args.budget < 1:
+        raise _CliError(EXIT_PRECONDITION, f"--budget must be positive, got {args.budget}")
+    budget = oracle.EnumerationBudget(
+        args.budget if args.budget is not None else _default_budget()
+    )
     started = time.perf_counter()
     try:
         report = oracle.enumerate_extremes(inst, budget)

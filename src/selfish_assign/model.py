@@ -24,11 +24,16 @@ decoder.  `dumps_json` writes every JSON document the package emits,
 byte-identical to `json.dumps(value, indent=2)`, and a list of records
 column by column.
 
-One deviation scan (`_moves_below`) serves `is_nash`, which stops at the
-first improving move, and `improving_moves`, which finds each task
-weight's best move once and reuses it on every resource.
+A task of weight w that moves to resource r pays d_r * (S_r + w), a line
+in w.  `improving_moves` builds the lower envelope of those m lines once
+(`_envelope`, O(m) on the sorted delays) and looks each distinct task
+weight up on it once (`_best_move`, O(log m)).  `is_nash` and the oracle
+walk keep an early-exit deviation scan (`_moves_below`), which stops at
+the first improving move: on the small, mostly non-equilibrium states the
+walk checks, that is cheaper than building the envelope.
 """
 
+import bisect
 import decimal
 import functools
 import itertools
@@ -504,10 +509,9 @@ def cost(inst: Instance, a: AnyAssignment) -> Fraction:
 
 
 def _moves_below(delays, sums, w: int, bound: int):
-    """The deviation scan: every resource where a weight-`w` task would
-    incur a load below `bound`, as (new load, 0-based target) in target
-    order, given the per-resource weight sums.  Its minimum is the best
-    move: lowest load, lowest target index on ties.  A task's own resource
+    """The early-exit deviation scan: every resource where a weight-`w`
+    task would incur a load below `bound`, as (new load, 0-based target) in
+    target order, given the per-resource weight sums.  A task's own resource
     r never qualifies with bound = d_r * S_r, since it would cost d_r * (S_r + w)."""
     for other, d in enumerate(delays):
         load = d * (sums[other] + w)
@@ -559,6 +563,55 @@ def is_nash(inst: Instance, a: AnyAssignment) -> bool:
     return _lightest_tasks_stay(kernel.delays, sums, lightest)
 
 
+def _envelope(delays, sums):
+    """The lower envelope of the move lines d_r * (S_r + w), as
+    (breaks, lines): `lines` holds (slope d_r, intercept d_r * S_r, 0-based
+    r) from the steepest to the flattest line, and `breaks[i]` is the least
+    int weight at which line i + 1 is at most line i.  Built in O(m) with
+    one stack (the monotone chain, in its dual form) from the sorted delays,
+    slowest resource first.  Of equal delays the smallest intercept stays,
+    the lowest index on a tie; a line is popped while its intercept is at
+    least the new line's, or while the new line meets the one below it no
+    later than it does, which leaves every line the flattest minimum on an
+    interval of w > 0.  Meeting points are compared as cross-multiplied ints."""
+    hull = []
+    for resource in range(len(delays) - 1, -1, -1):
+        slope = delays[resource]
+        intercept = slope * sums[resource]
+        if hull and hull[-1][0] == slope:
+            # equal delays: the smaller intercept stays, the lower index on a tie
+            if intercept <= hull[-1][1]:
+                hull.pop()
+            else:
+                continue
+        # pop the top while the new line is at most it at w = 0, or meets the
+        # line below it no later than the top does
+        while hull and (
+            hull[-1][1] >= intercept
+            or len(hull) > 1
+            and (intercept - hull[-2][1]) * (hull[-2][0] - hull[-1][0])
+            <= (hull[-1][1] - hull[-2][1]) * (hull[-2][0] - slope)
+        ):
+            hull.pop()
+        hull.append((slope, intercept, resource))
+    # w * (s_i - s_i+1) >= b_i+1 - b_i holds for an int w iff w is at least
+    # the ceiling of that quotient
+    breaks = [-((b - b_next) // (s - s_next))
+              for (s, b, _), (s_next, b_next, _) in zip(hull, hull[1:])]
+    return breaks, hull
+
+
+def _best_move(hull, w: int):
+    """The best move of a weight-`w` task over all m resources, as (load,
+    0-based target): the lowest load, the lowest index on a tie.  A bisection
+    on the envelope's breaks moves past line i while
+    w * (s_i - s_i+1) >= b_i+1 - b_i, so a tie goes to the flatter line,
+    which has the lower index: O(log m)."""
+    breaks, lines = hull
+    slope, intercept, resource = lines[bisect.bisect_right(breaks, w)]
+    return slope * w + intercept, resource
+
+
 def improving_moves(inst: Instance, a: AnyAssignment):
     """One best improving move per deviating task: (task, resource, new load).
 
@@ -566,41 +619,32 @@ def improving_moves(inst: Instance, a: AnyAssignment):
     one minimizing the task's new load, lowest resource index on ties.  It
     depends only on the task's weight: the task's own resource always costs
     it more than its own load, so whenever a move beats that load, the
-    lowest-load, lowest-index resource over all m does too.  Each weight's
-    best move is thus found by one deviation scan and reused on every other
-    resource, where it is a move iff its load is below the resource's own
-    load; as in `is_nash`, once a weight on a resource has no improving
-    move, no heavier task there has one.  So at most one scan per distinct
-    weight plus one per resource: O(n + (k + m) * m) for k distinct weights.
+    lowest-load, lowest-index resource over all m does too.  So one lower
+    envelope of the m move lines (`_envelope`) is built per call, each
+    distinct weight is looked up on it once (`_best_move`), the first time a
+    task needs it, and a task moves iff its weight's best load is below its
+    own load: O(n + m + k log m) for k distinct weights, in task order.
     Moves to equal loads share one Fraction, so a caller can render each
     load once.  A count vector is evaluated as its materialized assignment.
     """
     kernel = inst._kernel
     delays = kernel.delays
     _, sums = _weight_on_resources(inst, a)
-    tasks_by_weight = [{} for _ in range(inst.m)]
-    for task, (w, resource) in enumerate(zip(kernel.weights, _target(a)), start=1):
-        tasks_by_weight[resource - 1].setdefault(w, []).append(task)
+    hull = _envelope(delays, sums)
+    owns = list(map(operator.mul, delays, sums))
     moves = []
-    best = {}  # weight -> (load, 1-based target, the load's Fraction), once found
+    best = {}  # weight -> (load, 0-based target), once looked up
     rationals = {}  # one Fraction per distinct new load
-    for resource, groups in enumerate(tasks_by_weight):
-        own = delays[resource] * sums[resource]
-        for w in sorted(groups):
-            move = best.get(w)
-            if move is None:
-                found = min(_moves_below(delays, sums, w, own), default=None)
-                if found is None:
-                    break
-                load, other = found
-                if load not in rationals:
-                    rationals[load] = kernel.rational(load)
-                move = best[w] = load, other + 1, rationals[load]
-            elif move[0] >= own:
-                break
-            _, other, load = move
-            moves.extend((task, other, load) for task in groups[w])
-    moves.sort()
+    for task, (w, resource) in enumerate(zip(kernel.weights, _target(a)), start=1):
+        move = best.get(w)
+        if move is None:
+            move = best[w] = _best_move(hull, w)
+        load, other = move
+        if load < owns[resource - 1]:
+            rational = rationals.get(load)
+            if rational is None:
+                rational = rationals[load] = kernel.rational(load)
+            moves.append((task, other + 1, rational))
     return moves
 
 

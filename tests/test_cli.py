@@ -218,7 +218,7 @@ class TestRatio:
         code, report, err = run_cli(capsys, "ratio", path, "--budget", budget)
         assert code == 3
         assert report is None
-        assert err.startswith("error:")
+        assert err == f"error: --budget must be positive, got {budget}\n"
 
     def test_runs_in_one_process_echo_only_their_own_arguments(self, tmp_path, capsys):
         inst = Instance(weights=(F(1), F(2), F(3)), delays=(F(1), F(2)))

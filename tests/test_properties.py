@@ -205,7 +205,29 @@ def test_is_nash_agrees_with_naive_predicate_and_moves(case):
     assert (not improving_moves(inst, a)) == expected
 
 
-# Each weight's best move is found once and reused on every resource.
+@st.composite
+def move_lines(draw, max_m=7):
+    """Sorted delays from a small pool and weight sums, zeros included: the
+    move lines d_r * (S_r + w), with many equal slopes and meeting points."""
+    m = draw(st.integers(1, max_m))
+    delays = draw(st.lists(st.sampled_from((1, 2, 3, 4, 6)), min_size=m, max_size=m))
+    sums = draw(st.lists(st.sampled_from((0, 0, 1, 2, 3, 4, 6, 10, 12)), min_size=m, max_size=m))
+    return tuple(sorted(delays)), tuple(sums)
+
+
+@PROPERTY
+@given(move_lines(), st.integers(1, 30))
+@example(((1, 2), (4, 1)), 2)  # two lines tie at w: resource 0
+@example(((1, 2, 3), (10, 4, 2)), 2)  # three lines meet at one point: resource 0
+@example(((2, 2), (3, 3)), 1)  # two identical lines
+@example(((5,), (0,)), 3)  # m = 1
+def test_envelope_gives_the_lowest_load_lowest_index_move(lines, w):
+    delays, sums = lines
+    expected = min((d * (s + w), r) for r, (d, s) in enumerate(zip(delays, sums)))
+    assert model._best_move(model._envelope(delays, sums), w) == expected
+
+
+# Each weight's best move is looked up once and reused for every task of that weight.
 @PROPERTY
 @given(assigned(max_n=12, max_m=6))
 # weight 1 misses on the fast resource, then moves off the slow one
@@ -216,26 +238,42 @@ def test_is_nash_agrees_with_naive_predicate_and_moves(case):
 @example((Instance((1,) * 6, (1, 2, 2, 8)), Assignment((1, 1, 1, 1, 1, 4))))
 # the best load, 2, equals resource 3's own load: no move from there
 @example((Instance((1,) * 5, (1, 1, 2)), Assignment((1, 1, 1, 2, 3))))
+# tasks on resources 1 and 2 move to resource 3 at one load, 1.  Distinct
+# weights never share a best load: the envelope grows strictly with w.
+@example((Instance((1, 1, 1, 1, 2), (1, 1, 1, 9)), Assignment((1, 1, 2, 2, 4))))
 def test_improving_moves_equal_per_task_scan(case):
     inst, a = case
-    assert improving_moves(inst, a) == scan_improving_moves(inst.weights, inst.delays, a.target)
+    moves = improving_moves(inst, a)
+    assert moves == scan_improving_moves(inst.weights, inst.delays, a.target)
+    # moves to equal loads share one Fraction
+    assert len({id(load) for *_, load in moves}) == len({load for *_, load in moves})
 
 
-def test_improving_moves_scan_once_per_weight_and_resource(monkeypatch):
+def test_improving_moves_one_envelope_and_one_query_per_weight(monkeypatch):
     # 9 weights round-robin on 16 resources: every resource holds every weight
     inst = Instance([1 + i % 9 for i in range(200)], range(1, 17))
     a = Assignment(tuple(1 + i % 16 for i in range(200)))
-    scans, calls = model._moves_below, []
-
-    def counted(*args):
-        calls.append(args)
-        return scans(*args)
-
-    monkeypatch.setattr(model, "_moves_below", counted)
+    calls = {"_envelope": 0, "_best_move": 0}
+    for name in calls:
+        def counted(*args, name=name, function=getattr(model, name)):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(model, name, counted)
     moves = improving_moves(inst, a)
     assert moves == scan_improving_moves(inst.weights, inst.delays, a.target)
     assert len(moves) > 100
-    assert len(calls) <= 9 + 16
+    assert calls == {"_envelope": 1, "_best_move": 9}
+
+
+def test_improving_moves_on_distinct_rationals_round_robin():
+    # 400 distinct weights on 60 resources: one lookup per task
+    inst = Instance([F(k, 97 + k % 13) for k in range(1, 401)],
+                    [F(1 + k % 7, 1 + k % 5) for k in range(60)])
+    assert len(set(inst.weights)) == 400
+    a = Assignment(tuple(1 + i % 60 for i in range(400)))
+    moves = improving_moves(inst, a)
+    assert moves
+    assert moves == scan_improving_moves(inst.weights, inst.delays, a.target)
 
 
 @PROPERTY
