@@ -27,10 +27,9 @@ column by column.
 A task of weight w that moves to resource r pays d_r * (S_r + w), a line
 in w.  `improving_moves` builds the lower envelope of those m lines once
 (`_envelope`, O(m) on the sorted delays) and looks each distinct task
-weight up on it once (`_best_move`, O(log m)).  `is_nash` and the oracle
-walk keep an early-exit deviation scan (`_moves_below`), which stops at
-the first improving move: on the small, mostly non-equilibrium states the
-walk checks, that is cheaper than building the envelope.
+weight up on it once (`_best_move`, O(log m)).  `is_nash` reads the same
+envelope, once for the lightest task of each occupied resource; a count
+vector keeps its closed form, which is cheaper.
 """
 
 import bisect
@@ -508,61 +507,6 @@ def cost(inst: Instance, a: AnyAssignment) -> Fraction:
     return kernel.rational(sum(map(operator.mul, map(operator.mul, counts, kernel.delays), sums)))
 
 
-def _moves_below(delays, sums, w: int, bound: int):
-    """The early-exit deviation scan: every resource where a weight-`w`
-    task would incur a load below `bound`, as (new load, 0-based target) in
-    target order, given the per-resource weight sums.  A task's own resource
-    r never qualifies with bound = d_r * S_r, since it would cost d_r * (S_r + w)."""
-    for other, d in enumerate(delays):
-        load = d * (sums[other] + w)
-        if load < bound:
-            yield load, other
-
-
-def _counts_are_nash(counts, delays) -> bool:
-    """The equilibrium test of a count vector of identical-weight tasks:
-    c_i * d_i <= (c_j + 1) * d_j for all resource pairs i, j."""
-    loads = list(map(operator.mul, counts, delays))
-    return max(loads) <= min(map(operator.add, loads, delays))
-
-
-def _lightest_tasks_stay(delays, sums, lightest) -> bool:
-    """The lightest-task equilibrium check, given per-resource weight sums
-    and lightest weights (a false value for an empty resource): one
-    deviation scan per occupied resource, slowest first, stopping at the
-    first improving move."""
-    for resource in range(len(delays) - 1, -1, -1):
-        w = lightest[resource]
-        if w:
-            own = delays[resource] * sums[resource]
-            if next(_moves_below(delays, sums, w, own), None):
-                return False
-    return True
-
-
-def is_nash(inst: Instance, a: AnyAssignment) -> bool:
-    """True iff no task can strictly lower its own load by moving alone.
-
-    A move to a resource where the task would incur an equal load does not
-    break equilibrium.  All tasks on a resource incur its load d_r * S_r,
-    while a move to r' costs d_r' * (S_r' + w), which grows with the task's
-    weight w; so only the lightest task on each resource can be tempted, and
-    one deviation scan per occupied resource decides, stopping at the first
-    improving move: O(n + m^2).  Slow resources, the likeliest to lose a
-    task, are scanned first.  For count vectors this reduces to
-    c_i * d_i <= (c_j + 1) * d_j for all resource pairs i, j.
-    """
-    kernel = inst._kernel
-    counts, sums = _weight_on_resources(inst, a)
-    if isinstance(a, CountAssignment):
-        return _counts_are_nash(counts, kernel.delays)
-    lightest = [0] * inst.m  # 0: no task there
-    for w, resource in zip(kernel.weights, a.target):
-        if not lightest[resource - 1] or w < lightest[resource - 1]:
-            lightest[resource - 1] = w
-    return _lightest_tasks_stay(kernel.delays, sums, lightest)
-
-
 def _envelope(delays, sums):
     """The lower envelope of the move lines d_r * (S_r + w), as
     (breaks, lines): `lines` holds (slope d_r, intercept d_r * S_r, 0-based
@@ -610,6 +554,41 @@ def _best_move(hull, w: int):
     breaks, lines = hull
     slope, intercept, resource = lines[bisect.bisect_right(breaks, w)]
     return slope * w + intercept, resource
+
+
+def _counts_are_nash(counts, delays) -> bool:
+    """The equilibrium test of a count vector of identical-weight tasks:
+    c_i * d_i <= (c_j + 1) * d_j for all resource pairs i, j."""
+    loads = list(map(operator.mul, counts, delays))
+    return max(loads) <= min(map(operator.add, loads, delays))
+
+
+def is_nash(inst: Instance, a: AnyAssignment) -> bool:
+    """True iff no task can strictly lower its own load by moving alone.
+
+    A move to a resource where the task would incur an equal load does not
+    break equilibrium.  All tasks on a resource incur its load d_r * S_r,
+    while a move to r' costs d_r' * (S_r' + w), which grows with the task's
+    weight w; so only the lightest task on each resource can be tempted.
+    Its best move over all m resources (`_best_move` on one `_envelope`) is
+    below its own load iff it has an improving one, as its own resource
+    would cost it more: O(n + m log m).  A count vector keeps the cheaper
+    closed form c_i * d_i <= (c_j + 1) * d_j for all resource pairs i, j.
+    """
+    kernel = inst._kernel
+    delays = kernel.delays
+    counts, sums = _weight_on_resources(inst, a)
+    if isinstance(a, CountAssignment):
+        return _counts_are_nash(counts, delays)
+    lightest = [0] * inst.m  # 0: no task there
+    for w, resource in zip(kernel.weights, a.target):
+        if not lightest[resource - 1] or w < lightest[resource - 1]:
+            lightest[resource - 1] = w
+    hull = _envelope(delays, sums)
+    for w, d, s in zip(lightest, delays, sums):
+        if w and _best_move(hull, w)[0] < d * s:
+            return False
+    return True
 
 
 def improving_moves(inst: Instance, a: AnyAssignment):

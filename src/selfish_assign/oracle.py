@@ -47,7 +47,6 @@ from .model import (
     Assignment,
     Instance,
     RatioReport,
-    _lightest_tasks_stay,
     _materialized,
     _summed,
     cost,
@@ -142,6 +141,22 @@ def _count_vector_extremes(n: int, w: int, delays):
         value = sum(map(operator.mul, map(operator.mul, vec, vec), delays))
         extremes.append((w * value, witnesses[vec]))
     return extremes
+
+
+def _lightest_tasks_stay(delays, sums, lightest) -> bool:
+    """The walk's equilibrium check on per-resource weight sums and lightest
+    weights (0: empty): for each occupied resource r, slowest first, a scan
+    for a move of its lightest task below d_r * S_r, stopping at the first.
+    On the walk's small, mostly non-equilibrium states this is cheaper than
+    the envelope of the move lines that `is_nash` builds."""
+    for resource in range(len(delays) - 1, -1, -1):
+        w = lightest[resource]
+        if w:
+            own = delays[resource] * sums[resource]
+            for d, s in zip(delays, sums):
+                if d * (s + w) < own:
+                    return False
+    return True
 
 
 def _walk_assignments(weights, delays):

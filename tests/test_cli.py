@@ -150,6 +150,14 @@ class TestSolve:
         assert report["result"]["algorithm"] == "dp-weights"
         assert report["result"]["cost"]["exact"] == "8/1"  # 3 on resource 1, the 1s on 2 and 3
 
+    def test_auto_approximates_when_no_exact_algorithm_applies(self, tmp_path, capsys):
+        # five distinct weights and five distinct delays rule out every exact DP
+        inst = Instance(weights=tuple(range(1, 6)), delays=tuple(range(1, 6)))
+        code, report, _ = run_cli(capsys, "solve", write_instance(tmp_path, inst), "--epsilon", "1")
+        assert code == 0
+        assert report["result"]["algorithm"] == "approx"
+        assert report["result"]["approximate"] is True
+
 
 class TestNash:
     def test_any_separates_heavy_pair(self, tmp_path, capsys):

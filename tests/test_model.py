@@ -480,6 +480,8 @@ class TestInstanceFiles:
         ([1, 2, 1], "'a': assignment has 3 entries, instance has 2 tasks"),
         ([], "'a': assignment has 0 entries, instance has 2 tasks"),
         ([0, 1], "'a': resource indices are 1-based ints, got 0"),
+        ("1 2", "'a' must be an array"),
+        ({"1": 2}, "'a' must be an array"),
     ])
     def test_reference_assignments_must_fit_the_instance(self, target, fragment):
         doc = {"weights": [1, 2], "delays": [1, 2], "reference_assignments": {"a": target}}

@@ -280,6 +280,21 @@ class TestCountVectors:
 
 
 class TestVerifyBounds:
+    # on two unit tasks and two unit delays, (1, 2) costs 2 and is the
+    # equilibrium, while (1, 1) costs 4 and is not one
+    @pytest.mark.parametrize("report, message", [
+        (RatioReport(F(2), F(2), F(2), Assignment((1, 1)), Assignment((1, 2)), Assignment((1, 2))),
+         "optimum witness re-costs differently"),
+        (RatioReport(F(2), F(2), F(2), Assignment((1, 2)), Assignment((1, 1)), Assignment((1, 2))),
+         "Nash witness re-costs differently"),
+        (RatioReport(F(2), F(4), F(4), Assignment((1, 2)), Assignment((1, 1)), Assignment((1, 1))),
+         "Nash witness is not a Nash assignment"),
+    ])
+    def test_refuses_a_report_of_another_instance(self, report, message):
+        inst = Instance(weights=(1, 1), delays=(1, 1))
+        with pytest.raises(ValueError, match=f"^report does not match instance: {message}$"):
+            verify_bounds(inst, report)
+
     def test_zero_epsilon_gap_is_tight(self):
         inst = gen_uniform_gap(F(0))
         report = enumerate_extremes(inst)

@@ -198,11 +198,51 @@ def spread_weight_instances(draw, max_n=9, max_m=5):
 
 @PROPERTY
 @given(assigned())
+# m > n: two tasks alone on four resources, an equilibrium
+@example((Instance((1, 2), (1, 1, 2, 3)), Assignment((1, 2))))
+# m > n, both tasks on resource 2 while resource 1 is empty
+@example((Instance((1, 2), (1, 1, 2, 3)), Assignment((2, 2))))
+# the lightest task on resource 1 would pay its own load, 4, on resource 2:
+# still an equilibrium
+@example((Instance((1, 3, 1), (1, 2)), Assignment((1, 1, 2))))
+# a run of three equal delays, one resource of it empty: the weight-2 task
+# on resource 3 gains on resource 1 and ties on resource 4
+@example((Instance((2, 1, 2, 1), (1, 3, 3, 3)), Assignment((1, 2, 3, 1))))
+# resources 2 and 3 have equal delays and equal loads: one line of the two
+@example((Instance((2, 1, 1), (1, 2, 2)), Assignment((1, 2, 3))))
 def test_is_nash_agrees_with_naive_predicate_and_moves(case):
     inst, a = case
     expected = naive_is_nash(inst.weights, inst.delays, a.target)
     assert is_nash(inst, a) == expected
     assert (not improving_moves(inst, a)) == expected
+
+
+def _count_envelope_calls(monkeypatch) -> dict:
+    """Count the calls of `model._envelope` and `model._best_move`."""
+    calls = {"_envelope": 0, "_best_move": 0}
+    for name in calls:
+        def counted(*args, name=name, function=getattr(model, name)):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(model, name, counted)
+    return calls
+
+
+def test_is_nash_one_envelope_and_one_query_per_occupied_resource(monkeypatch):
+    # an equilibrium of 400 tasks of 9 weights on 100 resources, so that
+    # no occupied resource is skipped
+    inst = gen_random(400, 100, (F(1), F(9)), (F(1), F(4)), 1)
+    equilibrium = greedy_nash(inst)
+    occupied = len(set(equilibrium.target))
+    calls = _count_envelope_calls(monkeypatch)
+    assert is_nash(inst, equilibrium)
+    assert calls["_envelope"] == 1
+    assert 0 < calls["_best_move"] <= occupied
+    # a count vector keeps its closed form
+    calls.update(_envelope=0, _best_move=0)
+    identical = Instance((1,) * 6, (1, 2, 3))
+    assert is_nash(identical, CountAssignment((3, 2, 1)))
+    assert calls == {"_envelope": 0, "_best_move": 0}
 
 
 @st.composite
@@ -253,12 +293,7 @@ def test_improving_moves_one_envelope_and_one_query_per_weight(monkeypatch):
     # 9 weights round-robin on 16 resources: every resource holds every weight
     inst = Instance([1 + i % 9 for i in range(200)], range(1, 17))
     a = Assignment(tuple(1 + i % 16 for i in range(200)))
-    calls = {"_envelope": 0, "_best_move": 0}
-    for name in calls:
-        def counted(*args, name=name, function=getattr(model, name)):
-            calls[name] += 1
-            return function(*args)
-        monkeypatch.setattr(model, name, counted)
+    calls = _count_envelope_calls(monkeypatch)
     moves = improving_moves(inst, a)
     assert moves == scan_improving_moves(inst.weights, inst.delays, a.target)
     assert len(moves) > 100
