@@ -12,6 +12,12 @@ instance file, --epsilon or a gen range) whose numerator or denominator
 would have more than `model.MAX_NUMBER_DIGITS` digits; that error line
 states the digits required and allowed.
 
+One runner serves the instance commands (`solve`, `nash`, `ratio`,
+`verify`): it reads the instance, times the span from that read to the
+built result (`elapsed_ms`; `gen` reports 0.0), maps a ValueError to exit 3
+and builds the report.  `solve`'s algorithms are one table (`_SOLVERS`), in
+the order `--algorithm auto` tries them.
+
 Each call parses its arguments once: an argv that starts with a
 subcommand's name is read by that subcommand's parser alone, as the whole
 parser would hand it on.  Input files are read as bytes and decoded from
@@ -157,10 +163,6 @@ def _read_file(path: str, kind: str, decode):
         raise _CliError(EXIT_PARSE, f"bad {kind} file {path}: {_TOO_DEEP}") from None
 
 
-def _load_instance_file(path: str):
-    return _read_file(path, "instance", loads_instance)
-
-
 def _load_assignment_file(path: str, inst: Instance) -> Assignment:
     data = _read_file(path, "assignment", json.loads)
     if not isinstance(data, list):
@@ -208,91 +210,76 @@ def _parse_epsilon(raw, required_by: str, positive: bool = True) -> Fraction:
     return value
 
 
-def _pick_algorithm(inst: Instance, requested: str, epsilon) -> str:
-    """Resolve --algorithm auto.  Specialized exact solvers come first:
-    identical weights, identical or few distinct delays, few distinct
-    weights; only then the approximation scheme (which needs --epsilon)."""
-    if requested != "auto":
-        return requested
-    if inst.identical_weights:
-        return "find-opt"
-    kernel = inst._kernel
-    if len(set(kernel.delays)) <= algorithms.DEFAULT_DISTINCT_VALUES:
-        return "dp-delays"
-    if len(set(kernel.weights)) <= algorithms.DEFAULT_DISTINCT_VALUES:
-        return "dp-weights"
+def _find_opt(inst: Instance, epsilon):
+    counts = algorithms.find_opt(inst)
+    return counts.to_assignment(), cost(inst, counts), {"counts": list(counts.counts)}
+
+
+def _approx(inst: Instance, epsilon):
     if epsilon is None:
-        raise _CliError(
-            EXIT_PRECONDITION,
-            "no exact algorithm applies (weights and delays both take many"
-            " distinct values); pass --epsilon to solve approximately",
-        )
-    return "approx"
+        raise _CliError(EXIT_PRECONDITION, "--algorithm approx needs --epsilon")
+    # round whichever side spans the smaller ratio (fewer classes)
+    if inst.weight_spread <= inst.delay_spread:
+        solution = algorithms.approx_solve_weights(inst, epsilon)
+    else:
+        solution = algorithms.approx_solve_delays(inst, epsilon)
+    return solution.assignment, solution.cost, {
+        "epsilon": _rat(epsilon.as_integer_ratio()),
+        "approximation_factor": _rat((1 + epsilon).as_integer_ratio()),
+    }
 
 
-def _cmd_solve(args) -> dict:
-    inst, _ = _load_instance_file(args.instance)
+def _few(values) -> bool:
+    return len(set(values)) <= algorithms.DEFAULT_DISTINCT_VALUES
+
+
+def _dp(solution):
+    return solution.assignment, solution.cost, {}
+
+
+#: `solve`'s algorithms in the order `auto` tries them: each name with the
+#: condition under which `auto` picks it and the call that runs it, which
+#: returns (assignment, cost, the report's extra fields).  The calls look
+#: their functions up in `algorithms` as they run, so a wrapper installed
+#: on a module attribute sees every call.
+_SOLVERS = {
+    "find-opt": (lambda inst: inst.identical_weights, _find_opt),
+    "dp-delays": (lambda inst: _few(inst._kernel.delays),
+                  lambda inst, epsilon: _dp(algorithms.dp_few_delays(inst))),
+    "dp-weights": (lambda inst: _few(inst._kernel.weights),
+                   lambda inst, epsilon: _dp(algorithms.dp_few_weights(inst))),
+    "approx": (lambda inst: True, _approx),
+}
+
+
+def _cmd_solve(args, inst: Instance) -> dict:
     epsilon = None if args.epsilon is None else _parse_epsilon(args.epsilon, "--algorithm approx")
-    algorithm = _pick_algorithm(inst, args.algorithm, epsilon)
-
-    started = time.perf_counter()
-    approximate = False
-    counts = None
-    try:
-        if algorithm == "find-opt":
-            counts = algorithms.find_opt(inst)
-            assignment = counts.to_assignment()
-            value = cost(inst, counts)
-        elif algorithm == "dp-delays":
-            solution = algorithms.dp_few_delays(inst)
-            assignment, value = solution.assignment, solution.cost
-        elif algorithm == "dp-weights":
-            solution = algorithms.dp_few_weights(inst)
-            assignment, value = solution.assignment, solution.cost
-        elif algorithm == "approx":
-            if epsilon is None:
-                raise _CliError(EXIT_PRECONDITION, "--algorithm approx needs --epsilon")
-            approximate = True
-            # round whichever side spans the smaller ratio (fewer classes)
-            if inst.weight_spread <= inst.delay_spread:
-                solution = algorithms.approx_solve_weights(inst, epsilon)
-            else:
-                solution = algorithms.approx_solve_delays(inst, epsilon)
-            assignment, value = solution.assignment, solution.cost
-        else:
-            raise AssertionError(f"unknown algorithm {algorithm}")
-    except ValueError as exc:
-        raise _CliError(EXIT_PRECONDITION, str(exc)) from exc
-    elapsed = (time.perf_counter() - started) * 1000
-
-    result = {
+    algorithm = args.algorithm
+    if algorithm == "auto":
+        algorithm = next(name for name, (applies, _) in _SOLVERS.items() if applies(inst))
+        if algorithm == "approx" and epsilon is None:
+            raise _CliError(
+                EXIT_PRECONDITION,
+                "no exact algorithm applies (weights and delays both take many"
+                " distinct values); pass --epsilon to solve approximately",
+            )
+    assignment, value, extra = _SOLVERS[algorithm][1](inst, epsilon)
+    return {
         "algorithm": algorithm,
-        "approximate": approximate,
+        "approximate": algorithm == "approx",
         "cost": _rat(value.as_integer_ratio()),
         "assignment": list(assignment.target),
+        **extra,
     }
-    if counts is not None:
-        result["counts"] = list(counts.counts)
-    if approximate:
-        result["epsilon"] = _rat(epsilon.as_integer_ratio())
-        result["approximation_factor"] = _rat((1 + epsilon).as_integer_ratio())
-    return _report("solve", args, inst, result, elapsed)
 
 
-def _cmd_nash(args) -> dict:
-    inst, _ = _load_instance_file(args.instance)
-    started = time.perf_counter()
-    try:
-        if args.mode == "any":
-            assignment = algorithms.greedy_nash(inst)
-            counts = None
-        else:
-            counts = algorithms.find_opt_nash(inst)
-            assignment = counts.to_assignment()
-    except ValueError as exc:
-        raise _CliError(EXIT_PRECONDITION, str(exc)) from exc
-    elapsed = (time.perf_counter() - started) * 1000
-
+def _cmd_nash(args, inst: Instance) -> dict:
+    if args.mode == "any":
+        assignment = algorithms.greedy_nash(inst)
+        counts = None
+    else:
+        counts = algorithms.find_opt_nash(inst)
+        assignment = counts.to_assignment()
     # the count vector, where there is one, evaluates in O(m); an assignment
     # is walked once for the weight sums that both evaluators read
     evaluated = _summed(inst, assignment) if counts is None else counts
@@ -304,25 +291,21 @@ def _cmd_nash(args) -> dict:
     }
     if counts is not None:
         result["counts"] = list(counts.counts)
-    return _report("nash", args, inst, result, elapsed)
+    return result
 
 
-def _cmd_ratio(args) -> dict:
-    inst, _ = _load_instance_file(args.instance)
+def _cmd_ratio(args, inst: Instance) -> dict:
     if args.budget is not None and args.budget < 1:
         raise _CliError(EXIT_PRECONDITION, f"--budget must be positive, got {args.budget}")
     budget = oracle.EnumerationBudget(
         args.budget if args.budget is not None else _default_budget()
     )
-    started = time.perf_counter()
     try:
         report = oracle.enumerate_extremes(inst, budget)
     except oracle.BudgetExceededError as exc:
         raise _CliError(EXIT_BUDGET, str(exc)) from exc
     checks = oracle.verify_bounds(inst, report)
-    elapsed = (time.perf_counter() - started) * 1000
-
-    result = {
+    return {
         "min_cost": _rat(report.min_cost.as_integer_ratio()),
         "min_nash_cost": _rat(report.min_nash_cost.as_integer_ratio()),
         "max_nash_cost": _rat(report.max_nash_cost.as_integer_ratio()),
@@ -340,23 +323,17 @@ def _cmd_ratio(args) -> dict:
             for c in checks
         ],
     }
-    return _report("ratio", args, inst, result, elapsed)
 
 
-def _cmd_verify(args) -> dict:
-    inst, _ = _load_instance_file(args.instance)
-    assignment = _load_assignment_file(args.assignment, inst)
-    started = time.perf_counter()
+def _cmd_verify(args, inst: Instance) -> dict:
     # one walk over the tasks for the weight sums that the three evaluators read
-    assignment = _summed(inst, assignment)
+    assignment = _summed(inst, _load_assignment_file(args.assignment, inst))
     moves = improving_moves(inst, assignment)
-    elapsed = (time.perf_counter() - started) * 1000
-
     # moves to equal loads share one load object: render each object once
     # and let its moves share the result (`moves` keeps every id alive)
     loads = {id(load): load for _, _, load in moves}
     rendered = {key: _rat(load.as_integer_ratio()) for key, load in loads.items()}
-    result = {
+    return {
         "cost": _rat(cost(inst, assignment).as_integer_ratio()),
         "resource_loads": [
             _rat(load.as_integer_ratio()) for load in resource_loads(inst, assignment)
@@ -367,7 +344,20 @@ def _cmd_verify(args) -> dict:
             for task, resource, load in moves
         ],
     }
-    return _report("verify", args, inst, result, elapsed)
+
+
+def _run(args) -> dict:
+    """The report of an instance command (`solve`, `nash`, `ratio`,
+    `verify`): reads the instance file, computes the result with
+    `args.func(args, inst)`, and times both (`elapsed_ms`).  A ValueError
+    the command raises is a precondition violation: exit 3, one line."""
+    started = time.perf_counter()
+    inst, _ = _read_file(args.instance, "instance", loads_instance)
+    try:
+        result = args.func(args, inst)
+    except ValueError as exc:
+        raise _CliError(EXIT_PRECONDITION, str(exc)) from exc
+    return _report(args, inst, result, (time.perf_counter() - started) * 1000)
 
 
 def _cmd_gen(args) -> dict:
@@ -384,7 +374,7 @@ def _cmd_gen(args) -> dict:
             epsilon = _parse_epsilon(args.epsilon, "nash-ratio-lb")
             inst, segregated, mixed = instances.gen_nash_ratio_lb(epsilon)
             references = {"N1": segregated, "N2": mixed}
-        elif args.family == "random":
+        else:  # random, the last of the parser's choices
             if args.n is None or args.m is None:
                 raise _CliError(EXIT_PRECONDITION, "random needs --n and --m")
             inst = instances.gen_random(
@@ -394,8 +384,6 @@ def _cmd_gen(args) -> dict:
                 _parse_range(args.delays),
                 args.seed,
             )
-        else:
-            raise AssertionError(f"unknown family {args.family}")
     except ValueError as exc:
         raise _CliError(EXIT_PRECONDITION, str(exc)) from exc
 
@@ -406,13 +394,7 @@ def _cmd_gen(args) -> dict:
                 handle.write(text)
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise _CliError(EXIT_PARSE, f"cannot write {args.out}: {exc}") from exc
-        return _report(
-            "gen",
-            args,
-            inst,
-            {"family": args.family, "written_to": args.out},
-            0.0,
-        )
+        return _report(args, inst, {"family": args.family, "written_to": args.out}, 0.0)
     # without --out the instance document itself is the report
     sys.stdout.write(text)
     return None
@@ -430,14 +412,14 @@ def _parse_range(raw: str):
         raise _CliError(_refused_number(exc), f"bad range {raw!r}: {exc}") from exc
 
 
-def _report(command: str, args, inst: Instance, result: dict, elapsed_ms: float) -> dict:
+def _report(args, inst: Instance, result: dict, elapsed_ms: float) -> dict:
     echo = {
         key: value
         for key, value in sorted(vars(args).items())
         if key not in ("func", "command") and value is not None
     }
     return {
-        "command": command,
+        "command": args.command,
         "arguments": echo,
         "instance": _instance_digest(inst),
         "result": result,
@@ -459,10 +441,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"error: {_one_line(message)}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
 def _build_parsers():
     """The command's parser and each subcommand's parser by name."""
     parser = _ArgumentParser(
@@ -475,7 +453,7 @@ def _build_parsers():
     solve.add_argument("instance", help="instance JSON file")
     solve.add_argument(
         "--algorithm",
-        choices=["auto", "find-opt", "dp-delays", "dp-weights", "approx"],
+        choices=["auto", *_SOLVERS],
         default="auto",
     )
     solve.add_argument("--epsilon", help="accuracy for approx, e.g. 1/2")
@@ -500,7 +478,6 @@ def _build_parsers():
     gen.add_argument("--delays", help="delay range LO:HI for the random family")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", help="output file (default: stdout)")
-    gen.set_defaults(func=_cmd_gen)
 
     verify = sub.add_parser("verify", help="evaluate a given assignment")
     verify.add_argument("instance", help="instance JSON file")
@@ -537,7 +514,7 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        report = args.func(args)
+        report = _cmd_gen(args) if args.command == "gen" else _run(args)
     except _CliError as exc:
         print(f"error: {_one_line(str(exc))}", file=sys.stderr)
         return exc.exit_code

@@ -24,6 +24,7 @@ from selfish_assign import (
     format_rational,
     gen_uniform_gap,
     loads_instance,
+    oracle,
     parse_rational,
 )
 from selfish_assign import cli
@@ -598,7 +599,7 @@ def _outcome(capsys, argv):
 def _nested_parse(argv):
     """argv read by the command's whole parser, the subcommand's parser
     nested in it."""
-    return cli.build_parser().parse_args(argv)
+    return cli._build_parsers()[0].parse_args(argv)
 
 
 # argv read by the subcommand's parser alone or, when argv[0] names no
@@ -668,6 +669,110 @@ class TestArgumentDispatch:
         assert _outcome(capsys, ["nash", path, "--mode", "best"]) == outcome
         monkeypatch.setattr(cli, "_parse_args", _nested_parse)
         assert _outcome(capsys, None) == outcome
+
+
+# instances by the route `solve` takes on them: identical weights; one
+# delay; two weights on five delays; and for `--algorithm approx`, a
+# weight spread (2) at most the delay spread (4), then one above it
+RUNNER_INSTANCES = {
+    "identical": Instance(weights=(F(1), F(1)), delays=(F(1, 2), F(11, 10))),
+    "one-delay": Instance(weights=(F(4), F(1), F(1)), delays=(F(1), F(1))),
+    "two-weights": Instance(weights=(F(1), F(3), F(1)), delays=tuple(map(F, range(1, 6)))),
+    "weight-side": Instance(weights=(F(2), F(1), F(1)), delays=(F(1), F(4))),
+    "delay-side": Instance(weights=(F(4), F(1), F(1)), delays=(F(1), F(2))),
+}
+
+APPROX = ("--algorithm", "approx", "--epsilon", "1/2")
+
+# each instance command's argv with the functions it must reach, of those
+# perfbench/spans.py wraps: (module, attribute) by run
+RUNNER_RUNS = {
+    "solve find-opt": (["solve", "identical"], {"cli.cost", "algorithms.find_opt"}),
+    "solve dp-delays": (["solve", "one-delay"], {"algorithms.dp_few_delays"}),
+    "solve dp-weights": (["solve", "two-weights"], {"algorithms.dp_few_weights"}),
+    "solve approx weights": (
+        ["solve", "weight-side", *APPROX],
+        {"algorithms.approx_solve_weights", "algorithms.dp_few_weights"},
+    ),
+    "solve approx delays": (
+        ["solve", "delay-side", *APPROX],
+        {"algorithms.approx_solve_delays", "algorithms.dp_few_delays"},
+    ),
+    "nash any": (["nash", "delay-side"], {"cli.cost", "cli.is_nash", "algorithms.greedy_nash"}),
+    "nash best": (
+        ["nash", "identical", "--mode", "best"],
+        {"cli.cost", "cli.is_nash", "algorithms.find_opt_nash"},
+    ),
+    "ratio": (["ratio", "delay-side"], {"oracle.enumerate_extremes", "oracle.verify_bounds"}),
+    "verify": (["verify", "delay-side", "{assignment}"], {"cli.cost", "cli.improving_moves"}),
+}
+
+RECORDED = {
+    cli: ("loads_instance", "cost", "is_nash", "improving_moves"),
+    algorithms: ("find_opt", "dp_few_delays", "dp_few_weights", "approx_solve_weights",
+                 "approx_solve_delays", "greedy_nash", "find_opt_nash"),
+    oracle: ("enumerate_extremes", "verify_bounds"),
+}
+
+
+class TestInstanceRunner:
+    """One runner reads the instance file, times, maps a ValueError to exit
+    3 and builds the report of every instance command; `solve`'s algorithms
+    come from one table."""
+
+    def _argv(self, tmp_path, argv):
+        assignment = tmp_path / "assignment.json"
+        assignment.write_text("[1, 2, 2]", encoding="utf-8")
+        paths = {name: write_instance(tmp_path, inst, f"{name}.json")
+                 for name, inst in RUNNER_INSTANCES.items()}
+        return [paths.get(arg, arg.format(assignment=assignment)) for arg in argv]
+
+    @pytest.mark.parametrize("run", sorted(RUNNER_RUNS))
+    def test_each_run_reaches_its_own_functions_at_call_time(self, run, tmp_path, capsys, monkeypatch):
+        argv, reached = RUNNER_RUNS[run]
+        argv = self._argv(tmp_path, argv)
+        events = []
+
+        def recording(name, original):
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        # module attributes replaced as perfbench's traced run replaces them,
+        # after the table of solvers was built
+        for module, attrs in RECORDED.items():
+            prefix = module.__name__.rpartition(".")[2]
+            for attr in attrs:
+                monkeypatch.setattr(module, attr, recording(f"{prefix}.{attr}", getattr(module, attr)))
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=recording("perf_counter", lambda: 0.0)))
+        code, report, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert report["command"] == argv[0] and report["elapsed_ms"] == 0.0
+        # one timer around the instance read and the built result
+        assert events[:2] == ["perf_counter", "cli.loads_instance"]
+        assert events.count("perf_counter") == 2 and events[-1] == "perf_counter"
+        assert set(events) - {"perf_counter", "cli.loads_instance"} == reached
+
+    def test_algorithm_choices_are_the_table_in_autos_order(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "-h"])
+        assert "{auto,find-opt,dp-delays,dp-weights,approx}" in capsys.readouterr().out
+        assert list(cli._SOLVERS) == ["find-opt", "dp-delays", "dp-weights", "approx"]
+
+    @pytest.mark.parametrize("argv, module, attr", [
+        pytest.param(["solve", "identical"], algorithms, "find_opt", id="solve"),
+        pytest.param(["nash", "delay-side"], algorithms, "greedy_nash", id="nash"),
+        pytest.param(["ratio", "delay-side"], oracle, "verify_bounds", id="ratio"),
+        pytest.param(["verify", "delay-side", "{assignment}"], cli, "improving_moves", id="verify"),
+    ])
+    def test_value_error_is_exit_3_with_one_line(self, argv, module, attr, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise ValueError("refused\nhere")
+
+        monkeypatch.setattr(module, attr, refuse)
+        code, report, err = run_cli(capsys, *self._argv(tmp_path, argv))
+        assert (code, report, err) == (3, None, "error: refused\\nhere\n")
 
 
 # Input files whose reading must give the lines a text-mode read gives:
