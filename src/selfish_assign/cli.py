@@ -3,20 +3,21 @@
 Subcommands: solve (optimal or approximate assignment), nash (equilibrium
 construction), ratio (exhaustive extreme-cost report), gen (instance files),
 verify (cost and equilibrium check of a given assignment).  Stdout carries
-exactly one JSON report, byte-identical to `json.dumps(report, indent=2)`;
+exactly one JSON document, byte-identical to `json.dumps(document, indent=2)`;
 diagnostics go to stderr, one `error:` line per failure.  Exit codes:
-0 success, 1 stdout closed by its reader before the report was written (no
+0 success, 1 stdout closed by its reader before the document was written (no
 traceback), 2 unparsable input, bad arguments or an unwritable --out file,
 3 precondition violation, 4 enumeration budget exceeded or a number (in an
 instance file, --epsilon or a gen range) whose numerator or denominator
 would have more than `model.MAX_NUMBER_DIGITS` digits; that error line
 states the digits required and allowed.
 
-One runner serves the instance commands (`solve`, `nash`, `ratio`,
-`verify`): it reads the instance, times the span from that read to the
-built result (`elapsed_ms`; `gen` reports 0.0), maps a ValueError to exit 3
-and builds the report.  `solve`'s algorithms are one table (`_SOLVERS`), in
-the order `--algorithm auto` tries them.
+One runner serves every command: it reads the instance file (`gen` builds
+its family instead), times the span from there to the built result
+(`elapsed_ms`), maps a ValueError or OverflowError to exit 3 and returns
+the document, a report or `gen`'s instance without --out, that `main`
+alone writes.  `solve`'s algorithms are one table (`_SOLVERS`), in the
+order `--algorithm auto` tries them.
 
 Each call parses its arguments once: an argv that starts with a
 subcommand's name is read by that subcommand's parser alone, as the whole
@@ -163,24 +164,12 @@ def _read_file(path: str, kind: str, decode):
         raise _CliError(EXIT_PARSE, f"bad {kind} file {path}: {_TOO_DEEP}") from None
 
 
-def _load_assignment_file(path: str, inst: Instance) -> Assignment:
-    data = _read_file(path, "assignment", json.loads)
+def _loads_assignment(text: str) -> Assignment:
+    """The assignment in a JSON array of 1-based resource indices."""
+    data = json.loads(text)
     if not isinstance(data, list):
-        raise _CliError(EXIT_PARSE, "assignment file must be a JSON array of resource indices")
-    if len(data) != inst.n:
-        raise _CliError(
-            EXIT_PRECONDITION,
-            f"assignment lists {len(data)} tasks, instance has {inst.n}",
-        )
-    try:
-        a = Assignment(tuple(data))
-    except ValueError as exc:
-        raise _CliError(EXIT_PARSE, f"bad assignment file {path}: {exc}") from exc
-    if max(a.target) > inst.m:
-        raise _CliError(
-            EXIT_PRECONDITION, f"assignment uses resources beyond 1..{inst.m}"
-        )
-    return a
+        raise ValueError("expected a JSON array of resource indices")
+    return Assignment(tuple(data))
 
 
 def _default_budget() -> int:
@@ -252,7 +241,7 @@ _SOLVERS = {
 }
 
 
-def _cmd_solve(args, inst: Instance) -> dict:
+def _cmd_solve(args, inst: Instance, _references) -> dict:
     epsilon = None if args.epsilon is None else _parse_epsilon(args.epsilon, "--algorithm approx")
     algorithm = args.algorithm
     if algorithm == "auto":
@@ -273,7 +262,7 @@ def _cmd_solve(args, inst: Instance) -> dict:
     }
 
 
-def _cmd_nash(args, inst: Instance) -> dict:
+def _cmd_nash(args, inst: Instance, _references) -> dict:
     if args.mode == "any":
         assignment = algorithms.greedy_nash(inst)
         counts = None
@@ -294,7 +283,7 @@ def _cmd_nash(args, inst: Instance) -> dict:
     return result
 
 
-def _cmd_ratio(args, inst: Instance) -> dict:
+def _cmd_ratio(args, inst: Instance, _references) -> dict:
     if args.budget is not None and args.budget < 1:
         raise _CliError(EXIT_PRECONDITION, f"--budget must be positive, got {args.budget}")
     budget = oracle.EnumerationBudget(
@@ -325,9 +314,10 @@ def _cmd_ratio(args, inst: Instance) -> dict:
     }
 
 
-def _cmd_verify(args, inst: Instance) -> dict:
-    # one walk over the tasks for the weight sums that the three evaluators read
-    assignment = _summed(inst, _load_assignment_file(args.assignment, inst))
+def _cmd_verify(args, inst: Instance, _references) -> dict:
+    # one walk over the tasks for the weight sums that the three evaluators
+    # read; it also checks that the assignment fits the instance
+    assignment = _summed(inst, _read_file(args.assignment, "assignment", _loads_assignment))
     moves = improving_moves(inst, assignment)
     # moves to equal loads share one load object: render each object once
     # and let its moves share the result (`moves` keeps every id alive)
@@ -346,58 +336,59 @@ def _cmd_verify(args, inst: Instance) -> dict:
     }
 
 
-def _run(args) -> dict:
-    """The report of an instance command (`solve`, `nash`, `ratio`,
-    `verify`): reads the instance file, computes the result with
-    `args.func(args, inst)`, and times both (`elapsed_ms`).  A ValueError
-    the command raises is a precondition violation: exit 3, one line."""
-    started = time.perf_counter()
-    inst, _ = _read_file(args.instance, "instance", loads_instance)
-    try:
-        result = args.func(args, inst)
-    except ValueError as exc:
-        raise _CliError(EXIT_PRECONDITION, str(exc)) from exc
-    return _report(args, inst, result, (time.perf_counter() - started) * 1000)
+def _read_instance(args):
+    """The (instance, reference assignments) pair of the instance file."""
+    return _read_file(args.instance, "instance", loads_instance)
 
 
-def _cmd_gen(args) -> dict:
+def _gen_family(args):
+    """The (instance, reference assignments) pair of `gen`'s family."""
     references = None
-    try:
-        if args.family == "big-nash":
-            if args.n is None:
-                raise _CliError(EXIT_PRECONDITION, "big-nash needs --n")
-            inst = instances.gen_big_nash(args.n)
-        elif args.family == "uniform-gap":
-            epsilon = _parse_epsilon(args.epsilon, "uniform-gap", positive=False)
-            inst = instances.gen_uniform_gap(epsilon)
-        elif args.family == "nash-ratio-lb":
-            epsilon = _parse_epsilon(args.epsilon, "nash-ratio-lb")
-            inst, segregated, mixed = instances.gen_nash_ratio_lb(epsilon)
-            references = {"N1": segregated, "N2": mixed}
-        else:  # random, the last of the parser's choices
-            if args.n is None or args.m is None:
-                raise _CliError(EXIT_PRECONDITION, "random needs --n and --m")
-            inst = instances.gen_random(
-                args.n,
-                args.m,
-                _parse_range(args.weights),
-                _parse_range(args.delays),
-                args.seed,
-            )
-    except ValueError as exc:
-        raise _CliError(EXIT_PRECONDITION, str(exc)) from exc
+    if args.family == "big-nash":
+        if args.n is None:
+            raise _CliError(EXIT_PRECONDITION, "big-nash needs --n")
+        inst = instances.gen_big_nash(args.n)
+    elif args.family == "uniform-gap":
+        epsilon = _parse_epsilon(args.epsilon, "uniform-gap", positive=False)
+        inst = instances.gen_uniform_gap(epsilon)
+    elif args.family == "nash-ratio-lb":
+        epsilon = _parse_epsilon(args.epsilon, "nash-ratio-lb")
+        inst, segregated, mixed = instances.gen_nash_ratio_lb(epsilon)
+        references = {"N1": segregated, "N2": mixed}
+    else:  # random, the last of the parser's choices
+        if args.n is None or args.m is None:
+            raise _CliError(EXIT_PRECONDITION, "random needs --n and --m")
+        inst = instances.gen_random(args.n, args.m, _parse_range(args.weights),
+                                    _parse_range(args.delays), args.seed)
+    return inst, references
 
+
+def _cmd_gen(args, inst: Instance, references):
     text = dumps_instance(inst, references)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-            raise _CliError(EXIT_PARSE, f"cannot write {args.out}: {exc}") from exc
-        return _report(args, inst, {"family": args.family, "written_to": args.out}, 0.0)
-    # without --out the instance document itself is the report
-    sys.stdout.write(text)
-    return None
+    if not args.out:
+        return text  # without --out the instance document itself is the output
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise _CliError(EXIT_PARSE, f"cannot write {args.out}: {exc}") from exc
+    return {"family": args.family, "written_to": args.out}
+
+
+def _run(args) -> str:
+    """The text a command prints: `args.source(args)` yields its (instance,
+    reference assignments) pair and `args.func(args, inst, references)` its
+    result, a dict for the report or the whole text (`gen` without --out).
+    One timer spans both; a ValueError or OverflowError is exit 3."""
+    started = time.perf_counter()
+    try:
+        inst, references = args.source(args)
+        result = args.func(args, inst, references)
+    except (ValueError, OverflowError) as exc:
+        raise _CliError(EXIT_PRECONDITION, str(exc)) from exc
+    if isinstance(result, str):
+        return result
+    return dumps_json(_report(args, inst, result, (time.perf_counter() - started) * 1000)) + "\n"
 
 
 def _parse_range(raw: str):
@@ -416,7 +407,7 @@ def _report(args, inst: Instance, result: dict, elapsed_ms: float) -> dict:
     echo = {
         key: value
         for key, value in sorted(vars(args).items())
-        if key not in ("func", "command") and value is not None
+        if key not in ("func", "source", "command") and value is not None
     }
     return {
         "command": args.command,
@@ -457,17 +448,17 @@ def _build_parsers():
         default="auto",
     )
     solve.add_argument("--epsilon", help="accuracy for approx, e.g. 1/2")
-    solve.set_defaults(func=_cmd_solve)
+    solve.set_defaults(func=_cmd_solve, source=_read_instance)
 
     nash = sub.add_parser("nash", help="construct a Nash assignment")
     nash.add_argument("instance", help="instance JSON file")
     nash.add_argument("--mode", choices=["any", "best"], default="any")
-    nash.set_defaults(func=_cmd_nash)
+    nash.set_defaults(func=_cmd_nash, source=_read_instance)
 
     ratio = sub.add_parser("ratio", help="enumerate extreme costs and check bounds")
     ratio.add_argument("instance", help="instance JSON file")
     ratio.add_argument("--budget", type=int, help="max enumeration states")
-    ratio.set_defaults(func=_cmd_ratio)
+    ratio.set_defaults(func=_cmd_ratio, source=_read_instance)
 
     gen = sub.add_parser("gen", help="write a generated instance file")
     gen.add_argument("family", choices=["big-nash", "nash-ratio-lb", "uniform-gap", "random"])
@@ -478,11 +469,12 @@ def _build_parsers():
     gen.add_argument("--delays", help="delay range LO:HI for the random family")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", help="output file (default: stdout)")
+    gen.set_defaults(func=_cmd_gen, source=_gen_family)
 
     verify = sub.add_parser("verify", help="evaluate a given assignment")
     verify.add_argument("instance", help="instance JSON file")
     verify.add_argument("assignment", help="JSON array of 1-based resource indices")
-    verify.set_defaults(func=_cmd_verify)
+    verify.set_defaults(func=_cmd_verify, source=_read_instance)
 
     return parser, {"solve": solve, "nash": nash, "ratio": ratio, "gen": gen, "verify": verify}
 
@@ -514,16 +506,14 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        report = _cmd_gen(args) if args.command == "gen" else _run(args)
+        text = _run(args)
     except _CliError as exc:
         print(f"error: {_one_line(str(exc))}", file=sys.stderr)
         return exc.exit_code
-    if report is not None:
-        text = dumps_json(report) + "\n"
-        # in slices: a write after the reader closed the pipe then raises
-        # BrokenPipeError, where one large write can end without an error
-        for start in range(0, len(text), _WRITE_SLICE):
-            sys.stdout.write(text[start : start + _WRITE_SLICE])
+    # in slices: a write after the reader closed the pipe then raises
+    # BrokenPipeError, where one large write can end without an error
+    for start in range(0, len(text), _WRITE_SLICE):
+        sys.stdout.write(text[start : start + _WRITE_SLICE])
     return EXIT_OK
 
 

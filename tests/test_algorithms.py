@@ -313,6 +313,10 @@ class TestRoundWeights:
         assert rounding.rounded.weights == (F(3), F(3, 2), F(3, 2), F(1))
         assert len(set(rounding.rounded.weights)) <= rounding.k + 1
 
+    def test_root_of_a_negative_radicand_is_refused(self):
+        with pytest.raises(ValueError, match="negative radicand"):
+            algorithms._int_kth_root(-1, 2)
+
     def test_rejects_nonpositive_epsilon(self):
         inst = Instance(weights=(F(1), F(2)), delays=(F(1),))
         with pytest.raises(ValueError):

@@ -299,6 +299,21 @@ class TestGen:
         inst, refs = loads_instance(out.read_text(encoding="utf-8"))
         assert is_nash(inst, refs["N1"]) and is_nash(inst, refs["N2"])
 
+    def test_out_reports_the_time_to_build_and_write(self, tmp_path, capsys, monkeypatch):
+        ticks = iter([10.0, 10.0125])
+        calls = []
+
+        def perf_counter():
+            calls.append(None)
+            return next(ticks)
+
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=perf_counter))
+        out = tmp_path / "big.json"
+        code, report, err = run_cli(capsys, "gen", "big-nash", "--n", "3", "--out", str(out))
+        assert (code, err, len(calls)) == (0, "", 2)
+        assert report["elapsed_ms"] == 12.5
+        assert out.is_file()
+
     def test_invalid_parameters_fail_precondition(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "big-nash", "--n", "2")
         assert code == 3
@@ -350,6 +365,25 @@ class TestVerify:
         assignment.write_text("[1]", encoding="utf-8")
         code, _, _ = run_cli(capsys, "verify", path, str(assignment))
         assert code == 3
+
+    # the file's shape is checked first (exit 2), its fit to the instance by
+    # the model (exit 3); the instance has 2 tasks on 2 resources
+    @pytest.mark.parametrize("content, code, message", [
+        pytest.param('{"a": 1}', 2, "bad assignment file {path}: expected a JSON array of resource indices",
+                     id="not-an-array"),
+        pytest.param("[1, 0]", 2, "bad assignment file {path}: resource indices are 1-based ints, got 0",
+                     id="bad-entry"),
+        pytest.param("[0]", 2, "bad assignment file {path}: resource indices are 1-based ints, got 0",
+                     id="bad-entry-and-wrong-length"),
+        pytest.param("[1, 2, 1]", 3, "assignment has 3 entries, instance has 2 tasks", id="wrong-length"),
+        pytest.param("[1, 3]", 3, "task 2 uses resource 3, instance has 2", id="out-of-range"),
+    ])
+    def test_refusal_names_the_check(self, content, code, message, tmp_path, capsys):
+        path = write_instance(tmp_path, gen_uniform_gap(F(1, 10)))
+        assignment = tmp_path / "a.json"
+        assignment.write_text(content, encoding="utf-8")
+        got = run_cli(capsys, "verify", path, str(assignment))
+        assert got == (code, None, f"error: {message.format(path=assignment)}\n")
 
 
 class TestReportShape:
@@ -483,6 +517,11 @@ FAILURES = {
         ["gen", "random", "--n", "2", "--m", "2", "--weights", f"1:1e{MAX_NUMBER_DIGITS}", "--delays", "1:2"],
         None, {}, 4),
     "gen-out-missing-directory": (["gen", "big-nash", "--n", "3", "--out", "{missing}"], None, {}, 2),
+    "gen-random-no-tasks": (
+        ["gen", "random", "--n", "0", "--m", "2", "--weights", "1:2", "--delays", "1:2"], None, {}, 3),
+    # sizes beyond an index-sized int: an OverflowError before any list is built
+    "gen-big-nash-n-beyond-index": (["gen", "big-nash", "--n", str(10**20)], None, {}, 3),
+    "gen-nash-ratio-lb-epsilon-tiny": (["gen", "nash-ratio-lb", "--epsilon", "1e-30"], None, {}, 3),
 }
 
 #: Deeper than the JSON reader of any supported Python recurses: 1000
@@ -1035,18 +1074,30 @@ class TestVerifyReportBytes:
 
 
 class TestClosedStdout:
-    def test_reader_closing_the_pipe_exits_1_without_traceback(self, tmp_path):
-        # the report lists 20000 resource indices, far more than a pipe buffers
-        path = write_instance(tmp_path, Instance(weights=(F(1),) * 20000, delays=(F(1), F(2))))
+    @staticmethod
+    def _read_200_bytes_and_close(*argv):
+        """(exit code, stderr) of a run whose reader closes stdout after 200 bytes."""
         process = subprocess.Popen(
-            [sys.executable, "-m", "selfish_assign", "solve", path],
+            [sys.executable, "-m", "selfish_assign", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_package_env(),
         )
         assert process.stdout.read(200).startswith(b"{")
         process.stdout.close()
         err = process.stderr.read()
         process.stderr.close()
-        assert process.wait(timeout=60) == 1
+        return process.wait(timeout=60), err
+
+    def test_reader_closing_the_pipe_exits_1_without_traceback(self, tmp_path):
+        # the report lists 20000 resource indices, far more than a pipe buffers
+        path = write_instance(tmp_path, Instance(weights=(F(1),) * 20000, delays=(F(1), F(2))))
+        code, err = self._read_200_bytes_and_close("solve", path)
+        assert code == 1
+        assert b"Traceback" not in err
+
+    def test_gen_to_a_closed_pipe_exits_1_without_traceback(self):
+        # the instance document lists 20000 weights, far more than a pipe buffers
+        code, err = self._read_200_bytes_and_close("gen", "big-nash", "--n", "20000")
+        assert code == 1
         assert b"Traceback" not in err
 
 

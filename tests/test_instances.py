@@ -99,6 +99,11 @@ class TestGenRandom:
         assert all(F(1) <= w <= F(4) for w in inst.weights)
         assert all(F(1, 2) <= d <= F(3) for d in inst.delays)
 
+    @pytest.mark.parametrize("n, m", [(0, 2), (2, 0)])
+    def test_rejects_no_tasks_or_no_resources(self, n, m):
+        with pytest.raises(ValueError, match="need at least one task and one resource"):
+            gen_random(n, m, (F(1), F(2)), (F(1), F(2)), seed=1)
+
     def test_rejects_empty_or_nonpositive_ranges(self):
         with pytest.raises(ValueError):
             gen_random(2, 2, (F(4), F(1)), (F(1), F(2)), seed=1)

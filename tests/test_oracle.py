@@ -52,6 +52,11 @@ class TestEnumerateExtremes:
         report = enumerate_extremes(inst)
         assert report.coordination_ratio == report.nash_gap == report.opt_gap == F(1)
 
+    @pytest.mark.parametrize("max_states", [0, -1])
+    def test_budget_must_be_positive(self, max_states):
+        with pytest.raises(ValueError, match="max_states must be positive"):
+            EnumerationBudget(max_states)
+
     def test_budget_exceeded_is_loud(self):
         inst = Instance(weights=(F(1), F(2), F(3)), delays=(F(1), F(2)))
         with pytest.raises(BudgetExceededError) as err:
