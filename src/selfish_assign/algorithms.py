@@ -205,46 +205,61 @@ def _count_vectors(members, rows: int):
     return radix, strides[::-1], vectors
 
 
-def _row_minima(prev, scaled, n: int):
+def _row_minima(prev, scaled, n: int, into=None):
     """value[j] = min over i <= j of prev[i] + (j - i) * (scaled[j] - scaled[i])
-    for j = 0..n.
+    for j = 0..n; with `into`, each into[j] is lowered to value[j] in place
+    and `into` is returned.
 
     The run cost (j - i) * (scaled[j] - scaled[i]) obeys the quadrangle
     inequality for non-decreasing `scaled`, and adding prev[i] keeps it, so
     start[j], the largest minimizing i, never decreases with j.  The j are
     solved coarsest first: at step h, a power of two, each j with j + 1 an
     odd multiple of h scans only the i between the starts of j - h and
-    j + h, solved at a coarser step: O(n log n) per row.
+    j + h, solved at a coarser step: O(n log n) per row.  Each scan runs
+    down from its upper bound and keeps a candidate only if strictly
+    smaller, so the first minimum it meets is the largest minimizing i.
     """
-    value = [0] * (n + 1)
+    fresh = into is None
+    value = [0] * (n + 1) if fresh else into
     start = [0] * (n + 1)
     half = 1 << n.bit_length()
     while half:
-        for j in range(half - 1, n + 1, 2 * half):
+        j, step = half - 1, 2 * half
+        while j <= n:
             ilo = start[j - half] if j >= half else 0
-            ihi = min(start[j + half], j) if j + half <= n else j
+            i = j
+            if j + half <= n and start[j + half] < j:
+                i = start[j + half]
             top = scaled[j]
-            best, bi = prev[ilo] + (j - ilo) * (top - scaled[ilo]), ilo
-            for i in range(ilo + 1, ihi + 1):
+            best = prev[i] + (j - i) * (top - scaled[i])
+            bi = i
+            while i > ilo:
+                i -= 1
                 candidate = prev[i] + (j - i) * (top - scaled[i])
-                if candidate <= best:
+                if candidate < best:
                     best, bi = candidate, i
-            value[j], start[j] = best, bi
+            if fresh or best < value[j]:
+                value[j] = best
+            start[j] = bi
+            j += step
         half >>= 1
     return value
 
 
 def _last_run(prev, scaled, j: int):
     """The minimum over i <= j of prev[i] + (j - i) * (scaled[j] - scaled[i])
-    and the largest i attaining it, in one O(j) scan; prev None is the row of
-    no resources, where only i = 0 is possible."""
+    and the largest i attaining it, in one O(j) scan down from i = j, which
+    keeps a candidate only if strictly smaller; prev None is the row of no
+    resources, where only i = 0 is possible."""
     top = scaled[j]
     if prev is None:
         return j * top, 0
-    best, bi = prev[0] + j * top, 0
-    for i in range(1, j + 1):
+    best, bi = prev[j], j
+    i = j
+    while i:
+        i -= 1
         candidate = prev[i] + (j - i) * (top - scaled[i])
-        if candidate <= best:
+        if candidate < best:
             best, bi = candidate, i
     return best, bi
 
@@ -262,8 +277,9 @@ def _delay_class_dp(inst: Instance, delays, members) -> DPSolution:
     row of n + 1 entries, by resources used.  For class c the row is the
     minimum over i <= j of table[prev][i] + d_c * C(i, j), prev being v less
     one resource of class c and C(i, j) = (j - i)(P_j - P_i) the run
-    i+1..j, with P the weight prefix sums; the vector's row is the entrywise
-    minimum of its class rows.  For i < i' <= j < j',
+    i+1..j, with P the weight prefix sums; the vector keeps one row, and
+    each class row is lowered into it as it is computed, so the row ends as
+    the entrywise minimum of the class rows.  For i < i' <= j < j',
     C(i, j') + C(i', j) - C(i, j) - C(i', j') =
     (i' - i)(P_j' - P_j) + (j' - j)(P_i' - P_i) >= 0 (the quadrangle
     inequality), so the largest minimizing i, the shortest run, never
@@ -288,10 +304,14 @@ def _delay_class_dp(inst: Instance, delays, members) -> DPSolution:
     # row is complete before a vector one resource larger reads it
     for vec in sorted(itertools.product(*map(range, radix)), key=sum)[1:-1]:
         v = sum(map(operator.mul, vec, strides))
-        rows = [_row_minima(table[v - stride], scaled[cls], n) if v - stride
-                else [j * x for j, x in enumerate(scaled[cls])]  # one resource takes all j
-                for cls, stride in enumerate(strides) if vec[cls]]
-        table[v] = list(map(min, *rows)) if len(rows) > 1 else rows[0]
+        row = None  # each class row is lowered into the vector's one row
+        for cls, stride in enumerate(strides):
+            if vec[cls]:
+                if v == stride:  # one resource takes all j
+                    row = [j * x for j, x in enumerate(scaled[cls])]
+                else:
+                    row = _row_minima(table[v - stride], scaled[cls], n, row)
+        table[v] = row
     full = vectors - 1
     best = min(_last_run(table[full - stride], scaled[cls], n)[0]
                for cls, stride in enumerate(strides))
@@ -374,41 +394,52 @@ def dp_few_weights(inst: Instance, alpha: int = DEFAULT_DISTINCT_VALUES) -> DPSo
     every table entry has an optimum in which each resource takes a run of
     the weight order, and the minimum runs over those takes alone
     (`_run_takes`).  The table keeps values only, and the last resource is
-    filled only at the full vector, the one entry of it that is read.  The
-    choices are rebuilt on the path alone: at each of the m - 1 steps, the
-    first take in product order whose value attains the entry.
+    filled only at the full vector, the one entry of it that is read.
+    costs[k][t] = d_k * group[t], the cost of take t on resource k + 1, is
+    computed once per distinct delay.  Each vector gathers its rests v - t
+    and its takes t with one `operator.itemgetter` each, built once and
+    applied to every resource, so an entry is one `min` over the pairwise
+    sums of two gathered tuples.  The choices are rebuilt on the path
+    alone: at each of the m - 1 steps, the first take in product order
+    whose value attains the entry.
     """
     weights, members = _classes(inst._kernel.weights, "weight", alpha)
     delays, m = inst._kernel.delays, inst.m
-    radix, strides, vectors = _count_vectors(members, m + 1)
+    # rows held: m - 2 table rows (none for m = 1), one cost row per
+    # distinct delay and group, at most m plus one per distinct delay
+    radix, strides, vectors = _count_vectors(members, m + len(set(delays)))
     # group[t]: tasks in take vector t times their weight, before the delay
     group = [sum(t) * sum(map(operator.mul, t, weights))
              for t in itertools.product(*map(range, radix))]
-
-    def attained(k, rest, costs):
-        """table[k - 1][v - t] + d_k * group[t] over takes t of resource k+1,
-        given rest = v - t and costs = group[t]."""
-        return map(operator.add, map(table[k - 1].__getitem__, rest), map(delays[k].__mul__, costs))
+    cost_rows = {d: [d * g for g in group] for d in set(delays)}
+    costs = [cost_rows[d] for d in delays]
 
     # table[k][v], k < m - 1: cheapest placement of the tasks counted by v on
-    # resources 1..k+1.  Entry v reads entries u <= v of the previous resource
-    # only, so v can run outermost.
-    table = [[delays[0] * g for g in group]] + [[0] * vectors for _ in range(2, m)]
+    # resources 1..k+1; table[0] is costs[0] and is never written.  Entry v
+    # reads entries u <= v of the previous resource only, so v can run
+    # outermost.
+    table = [costs[0]] + [[0] * vectors for _ in range(2, m)]
+    steps = list(zip(table, table[1:], costs[1:]))  # (table[k - 1], table[k], costs[k])
     full = vectors - 1
     best = table[0][full]  # one resource takes every task
+    add = operator.add
     for v, takes in enumerate(_run_takes(radix, strides) if m > 1 else ()):
-        rest, costs = [v - t for t in takes], list(map(group.__getitem__, takes))
-        for k in range(1, m - 1):
-            table[k][v] = min(attained(k, rest, costs))
+        if not v:
+            continue  # v = 0 has one take, the empty one, and its entries stay 0
+        rest = operator.itemgetter(*[v - t for t in takes])
+        take = operator.itemgetter(*takes)
+        for prev, row, cost_row in steps:
+            row[v] = min(map(add, rest(prev), take(cost_row)))
         if v == full:  # the one entry of the last resource that is read
-            best = min(attained(m - 1, rest, costs))
+            best = min(map(add, rest(table[-1]), take(costs[-1])))
 
     v, value, taken = full, best, []
     for k in range(m - 1, 0, -1):
         takes = [0]  # every take vector t <= v, in product order
         for stride, base in zip(strides, radix):
             takes = [t + x * stride for t in takes for x in range(v // stride % base + 1)]
-        values = attained(k, [v - t for t in takes], map(group.__getitem__, takes))
+        values = map(add, map(table[k - 1].__getitem__, [v - t for t in takes]),
+                     map(costs[k].__getitem__, takes))
         try:
             take = takes[operator.indexOf(values, value)]
         except ValueError:
@@ -500,6 +531,42 @@ def _check_power_bits(bits: int):
         )
 
 
+def _cell_above(vk, t: int, grid: int, k: int, top: int, powers):
+    """The first cell u > t whose grid power lo**(k - u) * hi**u is at least
+    vk, and that power, given vk above cell t's power `grid` and at most
+    `top` = hi**k, cell k's.
+
+    Gallops up by s = 1, 2, 4, ... cells, each jump one exact division by
+    lo**s and one product with hi**s (exact while the cell reached is at
+    most k, as lo**(k - t) then has the factor lo**s), then bisects back
+    down the last jump by halves, so a value m cells on costs O(log m)
+    such steps.  `powers` caches (lo**s, hi**s) for s = 2**i, i >= 0.
+    """
+    lower, below, upper, above = t, grid, k, top  # vk > below, vk <= above
+    i = 0
+    while lower + (1 << i) < k:
+        if i == len(powers):
+            a, b = powers[-1]
+            powers.append((a * a, b * b))
+        a, b = powers[i]
+        probe = below // a * b
+        if vk <= probe:
+            upper, above = lower + (1 << i), probe
+            break
+        lower, below = lower + (1 << i), probe
+        i += 1
+    while upper - lower > 1:  # upper - lower <= 2**i
+        i -= 1
+        if lower + (1 << i) < upper:
+            a, b = powers[i]
+            probe = below // a * b
+            if vk <= probe:
+                upper, above = lower + (1 << i), probe
+            else:
+                lower, below = lower + (1 << i), probe
+    return upper, above
+
+
 def _round_up_geometric(ints, epsilon: Fraction):
     """Round each of the positive ints up onto the geometric grid
     lo * (hi/lo)**(t/k).
@@ -509,8 +576,8 @@ def _round_up_geometric(ints, epsilon: Fraction):
     above MAX_GRID_STEPS raises ValueError, as do powers of more than
     MAX_GRID_POWER_BITS bits (k times the bits of hi, for k > 1), before
     any is built.  One sweep of the sorted values maps each v to the first
-    cell t with v**k <= lo**(k - t) * hi**t, a power one exact division and
-    product on from cell t - 1's, so to the smallest grid point at or above
+    cell t with v**k <= lo**(k - t) * hi**t, galloping on from the previous
+    value's cell (`_cell_above`), so to the smallest grid point at or above
     v; the grid point is materialized exactly when it is an int, otherwise
     as the largest original value in the same grid cell (still an upper
     bound within 1 + epsilon).  For ints that are rationals times a common
@@ -528,13 +595,14 @@ def _round_up_geometric(ints, epsilon: Fraction):
         _check_power_bits(k * hi.bit_length())
 
     cells = {}  # grid power lo**(k - t) * hi**t of cell t -> its values, ascending
-    grid = lo**k
+    powers = [(lo, hi)]  # (lo**s, hi**s) for s = 2**i, built as the jumps need them
+    t, grid, top = 0, lo**k, hi**k
     for v in sorted(set(ints))[:-1]:
         vk = v**k
-        while vk > grid:  # exact while t < k: lo**(k - t) has a factor lo
-            grid = grid // lo * hi
+        if vk > grid:  # t < k, as vk < hi**k
+            t, grid = _cell_above(vk, t, grid, k, top, powers)
         cells.setdefault(grid, []).append(v)
-    cells.setdefault(hi**k, []).append(hi)  # cell k, without sweeping up to it
+    cells.setdefault(top, []).append(hi)  # cell k, without sweeping up to it
     rounded_value = {}
     for grid, cell_values in cells.items():
         grid_point = _int_kth_root(grid, k)

@@ -343,6 +343,30 @@ def reference_rational_kth_root(q, k):
     return Fraction(num, den)
 
 
+def reference_sweep_round_up_geometric(ints, epsilon):
+    """The geometric rounding on ints, one grid cell at a time: each sorted
+    value steps the grid power lo**(k - t) * hi**t up by one exact division
+    and product until it is at least v**k; (rounded ints, k)."""
+    lo, hi = min(ints), max(ints)
+    if lo == hi:
+        return ints, 1
+    k = _grid_steps(Fraction(hi, lo), epsilon)
+    cells = {}
+    grid = lo**k
+    for v in sorted(set(ints))[:-1]:
+        vk = v**k
+        while vk > grid:
+            grid = grid // lo * hi
+        cells.setdefault(grid, []).append(v)
+    cells.setdefault(hi**k, []).append(hi)
+    rounded_value = {}
+    for grid, cell_values in cells.items():
+        root = reference_int_kth_root(grid, k)
+        for v in cell_values:
+            rounded_value[v] = cell_values[-1] if root is None else root
+    return tuple(rounded_value[v] for v in ints), k
+
+
 def reference_round_up_geometric(values, epsilon):
     """The geometric rounding on Fractions: each value up to the smallest
     grid point lo * (hi/lo)**(t/k) at or above it, the grid point itself
@@ -369,6 +393,18 @@ def reference_round_up_geometric(values, epsilon):
         for v in cell_values:
             rounded_value[v] = rounded
     return [rounded_value[v] for v in values], k
+
+
+def brute_row_minima(prev, scaled):
+    """For each j, the minimum over i <= j of
+    prev[i] + (j - i) * (scaled[j] - scaled[i]) and the largest i attaining
+    it, trying every i."""
+    row = []
+    for j, top in enumerate(scaled):
+        candidates = [prev[i] + (j - i) * (top - scaled[i]) for i in range(j + 1)]
+        low = min(candidates)
+        row.append((low, max(i for i, c in enumerate(candidates) if c == low)))
+    return row
 
 
 # Reference dynamic programs: the straightforward Fraction implementations

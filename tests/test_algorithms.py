@@ -31,7 +31,8 @@ from selfish_assign import (
     round_weights,
 )
 
-from helpers import all_targets, brute_extremes, brute_min_cost, nash_targets
+from helpers import (all_targets, brute_extremes, brute_min_cost, nash_targets,
+                     reference_sweep_round_up_geometric)
 
 
 class TestFindOpt:
@@ -267,6 +268,16 @@ class TestDpFewWeights:
         with pytest.raises(ValueError):
             dp_few_weights(inst, alpha=2)
 
+    def test_table_guard(self, monkeypatch):
+        # 6 count vectors (weights 1, 1 and 2) times m + 2 rows: the table
+        # rows, group and one cost row for each of the 2 distinct delays
+        inst = Instance(weights=(F(2), F(1), F(1)), delays=(F(1), F(2), F(2)))
+        monkeypatch.setattr(algorithms, "MAX_TABLE_STATES", 29)
+        with pytest.raises(ValueError, match="30 states"):
+            dp_few_weights(inst)
+        monkeypatch.setattr(algorithms, "MAX_TABLE_STATES", 30)
+        assert dp_few_weights(inst).cost == brute_min_cost(inst)
+
     @pytest.mark.parametrize("counts", [(3,), (2, 3), (3, 0, 2), (2, 1, 2), (1, 2, 0, 2)])
     def test_run_takes_are_the_interval_shaped_takes(self, counts):
         # a take is run-shaped when its classes form an interval and the
@@ -370,6 +381,29 @@ class TestRoundWeights:
         assert rounded[:2] == (3, 3**38)  # the ends sit on the grid
         assert len(set(rounded)) == 3
         assert all(old <= new for old, new in zip(weights, rounded))
+
+    def test_values_next_to_hi_gallop_to_their_cell(self):
+        # k = 9020, and 2**26 - 2 sits in cell k: stepping there one cell at
+        # a time divided and multiplied about 9000 powers of up to 234 000
+        # bits (0.31-0.35 s on a 2-core x86_64 VM, Python 3.11).  The search
+        # divides one grid power by lo**s per jump, O(log k) of them.
+        divisions = []
+
+        class Power(int):
+            """An int that counts the grid powers divided by it; a product of
+            two is one too, so every power of lo counts."""
+            def __rfloordiv__(self, other):
+                divisions.append(self)
+                return int(other) // int(self)
+
+            def __mul__(self, other):
+                return Power(int(self) * int(other))
+
+        weights = (1, 2**26 - 2, 2**26 - 1)
+        rounded, k = reference_sweep_round_up_geometric(weights, F(1, 500))
+        assert k == 9020
+        assert algorithms._round_up_geometric(tuple(map(Power, weights)), F(1, 500)) == (rounded, k)
+        assert len(divisions) <= 2 * k.bit_length()
 
     @pytest.mark.parametrize("epsilon", [F(1), F(1, 2), F(1, 4)])
     def test_invariants_on_random_instances(self, epsilon):

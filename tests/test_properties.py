@@ -15,6 +15,7 @@ independent p/q fractions (wide denominators).
 import json
 import re
 from fractions import Fraction as F
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -58,6 +59,7 @@ from selfish_assign.model import _TEMPLATE_MIN_ROWS, _summed, dumps_json
 from helpers import (
     OneDrawSplitMix64,
     brute_min_cost,
+    brute_row_minima,
     count_grid_steps,
     heap_find_opt,
     heap_find_opt_nash,
@@ -77,6 +79,7 @@ from helpers import (
     reference_nash_count_vectors,
     reference_resource_load,
     reference_round_up_geometric,
+    reference_sweep_round_up_geometric,
     reference_int_kth_root,
     reference_scaled,
     reference_threshold_counts,
@@ -379,6 +382,44 @@ def test_count_vector_evaluates_like_its_assignment(inst, data):
 # The integer dynamic programs against the Fraction references: the same
 # DPSolution, so cost, assignment and every tie-break agree.
 
+@st.composite
+def kernel_rows(draw, max_n=24):
+    """(prev, scaled, into) for the delay DP's row kernels: `scaled`
+    non-decreasing from 0 with many equal steps, `prev` and the row `into`
+    of n + 1 small ints, so that many run starts tie."""
+    n = draw(st.integers(0, max_n))
+    d = draw(st.integers(1, 3))
+    scaled = [d * p for p in accumulate(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+                                        initial=0)]
+    values = st.integers(0, draw(st.sampled_from((3, 60))))
+    prev, into = (draw(st.lists(values, min_size=n + 1, max_size=n + 1)) for _ in range(2))
+    return prev, scaled, into
+
+
+# `_row_minima` and `_last_run` scan each range of run starts downward and
+# keep a candidate only if strictly smaller.  `_last_run`'s largest
+# minimizing i is the DP's tie-break.  On the first example a scan that
+# keeps ties (the smallest i) gives a different answer; on the other two, a
+# range that misses its lowest start or its highest one.  A row's values
+# alone cannot tell the smallest minimizing i from the largest: both never
+# decrease with j.
+@PROPERTY
+@given(kernel_rows())
+@example(([0, 0], [0, 0], [0, 0]))  # a tie between i = 0 and 1
+@example(([0, 1], [0, 0], [9, 9]))  # j = 1's one minimum at i = 0, its range's low end
+@example(([0, 0, 1, 1], [0, 1, 1, 1], [9, 9, 9, 9]))  # j = 1's one minimum at j + 1's start
+def test_row_kernels_equal_brute_force(case):
+    prev, scaled, into = case
+    n = len(scaled) - 1
+    brute = brute_row_minima(prev, scaled)
+    assert [algorithms._last_run(prev, scaled, j) for j in range(n + 1)] == brute
+    assert algorithms._last_run(None, scaled, n) == (n * scaled[n], 0)
+    assert algorithms._row_minima(prev, scaled, n) == [low for low, _ in brute]
+    lowered = list(into)
+    assert algorithms._row_minima(prev, scaled, n, lowered) is lowered
+    assert lowered == [min(x, low) for x, (low, _) in zip(into, brute)]
+
+
 @PROPERTY
 @given(few_valued_instances(max_delays=1))
 @example(Instance((F(3),), (F(2),)))  # n = 1, m = 1
@@ -424,6 +465,12 @@ def test_few_delay_dp_equals_reference_on_tied_runs(inst):
 @example(Instance((F(2),) * 6, (F(1), F(2), F(3), F(6))))  # one class, equal d * c
 @example(Instance((F(1), F(1), F(2), F(2), F(3), F(3), F(4), F(4)), (F(1), F(2), F(3), F(6))))
 @example(Instance((F(1), F(2), F(2), F(2), F(3)), (F(1), F(1))))  # a run across a whole class
+# m = 2: the last resource reads resource 1's entries, which are its costs
+# row; with tied delays that row is also the last resource's costs
+@example(Instance((F(2), F(1), F(2), F(1)), (F(3), F(3))))
+@example(Instance((F(2), F(1), F(1)), (F(1), F(4))))
+@example(Instance((F(3),) * 3, (F(1), F(4))))  # m = 2, one class: every vector has one class
+@example(Instance((F(5),) * 4, (F(1), F(2), F(2))))  # one class, tied delays
 def test_few_weight_dp_equals_reference(inst):
     assert dp_few_weights(inst) == reference_dp_few_weights(inst)
 
@@ -493,6 +540,31 @@ def test_rounding_equals_fraction_reference(case):
     assert rounding.k == k
     assert rounding.rounded.delays == tuple(delays)
     assert rounding.rounded == Instance(inst.weights, delays)
+
+
+@st.composite
+def rounding_ints(draw):
+    """(sorted distinct positive ints, epsilon) with up to five values next
+    below the largest and a few anywhere, on grids of up to about 1700 cells."""
+    lo = draw(st.integers(1, 40))
+    hi = lo + draw(st.integers(1, 4000))
+    near = (hi - j for j in range(1, draw(st.integers(1, 6))))
+    inner = draw(st.lists(st.integers(lo, hi), max_size=6))
+    epsilon = draw(st.sampled_from((F(1, 200), F(1, 50), F(1, 7), F(1, 2), F(1))))
+    return sorted({lo, hi, *(v for v in near if v > lo), *inner}), epsilon
+
+
+# The grid search gallops over cells where the reference sweep steps one
+# cell at a time; both must find every value's cell, so the rounded values.
+@PROPERTY
+@given(rounding_ints())
+@example(([1, 2**12 - 2, 2**12 - 1], F(1, 200)))  # two values next to hi on k = 1668
+@example(([5, 6, 7, 8], F(1)))  # k = 1: every value in cell 1
+@example(([1, 3, 2**10 - 2, 2**10 - 1, 2**10], F(1)))  # k = 10, grid points 2**t
+def test_grid_search_equals_one_cell_sweep(case):
+    values, epsilon = case
+    assert algorithms._round_up_geometric(values, epsilon) == \
+        reference_sweep_round_up_geometric(values, epsilon)
 
 
 # Exact DPs equal brute force; the approximation lies in [opt, (1+eps) opt].
