@@ -25,9 +25,9 @@ parser would hand it on.  Input files are read as bytes and decoded from
 UTF-8 once, with "\\r\\n" and a lone "\\r" read as "\\n", as a text-mode read
 gives them.  Instance files are read by `model.loads_instance` and written
 by `model.dumps_instance`; reports are written by `model.dumps_json`, the
-instance digest computed on the kernel ints.  `nash` and `verify` walk an
-assignment's tasks once for the weight sums their evaluators read
-(`model._summed`).  `verify` renders each distinct new load once; its
+instance digest read from the `Instance` properties.  `nash` and `verify`
+evaluate an assignment through `model`'s public evaluators, which walk its
+tasks once per instance.  `verify` renders each distinct new load once; its
 improving moves take one lower envelope of the move lines per call and one
 O(log m) lookup on it per distinct task weight, and its report's record
 lists are written column by column.
@@ -37,7 +37,6 @@ import argparse
 import decimal
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -49,8 +48,6 @@ from .model import (
     Instance,
     NumberTooLongError,
     _digits,
-    _reciprocal_sum,
-    _summed,
     cost,
     dumps_instance,
     dumps_json,
@@ -84,17 +81,16 @@ class _CliError(Exception):
 _WIDE_DECIMAL = decimal.Context(prec=17, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
-def _rat(terms) -> dict:
-    """The rational p/q of the pair `terms` = (p, q), in lowest terms with
-    q > 0, for the report: exact "p/q" plus a labeled approximation.  A
-    Fraction x is passed as `x.as_integer_ratio()`.
+def _rat(x: Fraction) -> dict:
+    """The Fraction x = p/q for the report: exact "p/q" plus a labeled
+    approximation.
 
     The approximation is a float.  For a value above float range, or a
     nonzero one that would become 0.0 or a subnormal float (which keeps
     fewer significant digits), it is a decimal string in scientific
     notation with 17 significant digits, correctly rounded.
     """
-    p, q = terms
+    p, q = x.as_integer_ratio()
     try:
         # the int true division float(Fraction(p, q)) makes
         approximate = p / q
@@ -106,26 +102,16 @@ def _rat(terms) -> dict:
     return {"exact": f"{_digits(p)}/{_digits(q)}", "approximate": approximate}
 
 
-def _lowest(p: int, q: int):
-    """p/q in lowest terms, for positive ints p and q."""
-    g = math.gcd(p, q)
-    return p // g, q // g
-
-
 def _instance_digest(inst: Instance) -> dict:
     """The instance's size, total weight, throughput, average load and
-    weight spread, computed on its kernel ints."""
-    kernel = inst._kernel
-    weights, scale = kernel.weights, kernel.weight_scale
-    total = sum(weights)
-    reciprocals, common = _reciprocal_sum(kernel.delays)
+    weight spread."""
     return {
         "tasks": inst.n,
         "resources": inst.m,
-        "total_weight": _rat(_lowest(total, scale)),
-        "throughput": _rat(_lowest(kernel.delay_scale * reciprocals, common)),
-        "average_load": _rat(_lowest(total, scale * inst.m)),
-        "weight_spread": _rat(_lowest(max(weights), min(weights))),
+        "total_weight": _rat(inst.total_weight),
+        "throughput": _rat(inst.throughput),
+        "average_load": _rat(inst.average_load),
+        "weight_spread": _rat(inst.weight_spread),
     }
 
 
@@ -213,8 +199,8 @@ def _approx(inst: Instance, epsilon):
     else:
         solution = algorithms.approx_solve_delays(inst, epsilon)
     return solution.assignment, solution.cost, {
-        "epsilon": _rat(epsilon.as_integer_ratio()),
-        "approximation_factor": _rat((1 + epsilon).as_integer_ratio()),
+        "epsilon": _rat(epsilon),
+        "approximation_factor": _rat(1 + epsilon),
     }
 
 
@@ -256,7 +242,7 @@ def _cmd_solve(args, inst: Instance, _references) -> dict:
     return {
         "algorithm": algorithm,
         "approximate": algorithm == "approx",
-        "cost": _rat(value.as_integer_ratio()),
+        "cost": _rat(value),
         "assignment": list(assignment.target),
         **extra,
     }
@@ -269,12 +255,11 @@ def _cmd_nash(args, inst: Instance, _references) -> dict:
     else:
         counts = algorithms.find_opt_nash(inst)
         assignment = counts.to_assignment()
-    # the count vector, where there is one, evaluates in O(m); an assignment
-    # is walked once for the weight sums that both evaluators read
-    evaluated = _summed(inst, assignment) if counts is None else counts
+    # the count vector, where there is one, evaluates in O(m)
+    evaluated = assignment if counts is None else counts
     result = {
         "mode": args.mode,
-        "cost": _rat(cost(inst, evaluated).as_integer_ratio()),
+        "cost": _rat(cost(inst, evaluated)),
         "assignment": list(assignment.target),
         "is_nash": is_nash(inst, evaluated),
     }
@@ -295,12 +280,12 @@ def _cmd_ratio(args, inst: Instance, _references) -> dict:
         raise _CliError(EXIT_BUDGET, str(exc)) from exc
     checks = oracle.verify_bounds(inst, report)
     return {
-        "min_cost": _rat(report.min_cost.as_integer_ratio()),
-        "min_nash_cost": _rat(report.min_nash_cost.as_integer_ratio()),
-        "max_nash_cost": _rat(report.max_nash_cost.as_integer_ratio()),
-        "coordination_ratio": _rat(report.coordination_ratio.as_integer_ratio()),
-        "nash_gap": _rat(report.nash_gap.as_integer_ratio()),
-        "opt_gap": _rat(report.opt_gap.as_integer_ratio()),
+        "min_cost": _rat(report.min_cost),
+        "min_nash_cost": _rat(report.min_nash_cost),
+        "max_nash_cost": _rat(report.max_nash_cost),
+        "coordination_ratio": _rat(report.coordination_ratio),
+        "nash_gap": _rat(report.nash_gap),
+        "opt_gap": _rat(report.opt_gap),
         "witnesses": {
             "min_cost": list(report.min_cost_witness.target),
             "min_nash": list(report.min_nash_witness.target),
@@ -308,26 +293,22 @@ def _cmd_ratio(args, inst: Instance, _references) -> dict:
         },
         "bounds": [
             {"bound": c.name, "satisfied": c.satisfied,
-             "slack": _rat(c.slack.as_integer_ratio())}
+             "slack": _rat(c.slack)}
             for c in checks
         ],
     }
 
 
 def _cmd_verify(args, inst: Instance, _references) -> dict:
-    # one walk over the tasks for the weight sums that the three evaluators
-    # read; it also checks that the assignment fits the instance
-    assignment = _summed(inst, _read_file(args.assignment, "assignment", _loads_assignment))
+    assignment = _read_file(args.assignment, "assignment", _loads_assignment)
     moves = improving_moves(inst, assignment)
     # moves to equal loads share one load object: render each object once
     # and let its moves share the result (`moves` keeps every id alive)
     loads = {id(load): load for _, _, load in moves}
-    rendered = {key: _rat(load.as_integer_ratio()) for key, load in loads.items()}
+    rendered = {key: _rat(load) for key, load in loads.items()}
     return {
-        "cost": _rat(cost(inst, assignment).as_integer_ratio()),
-        "resource_loads": [
-            _rat(load.as_integer_ratio()) for load in resource_loads(inst, assignment)
-        ],
+        "cost": _rat(cost(inst, assignment)),
+        "resource_loads": [_rat(load) for load in resource_loads(inst, assignment)],
         "is_nash": not moves,
         "improving_moves": [
             {"task": task, "to_resource": resource, "new_load": rendered[id(load)]}

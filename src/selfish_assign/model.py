@@ -29,7 +29,9 @@ in w.  `improving_moves` builds the lower envelope of those m lines once
 (`_envelope`, O(m) on the sorted delays) and looks each distinct task
 weight up on it once (`_best_move`, O(log m)).  `is_nash` reads the same
 envelope, once for the lightest task of each occupied resource; a count
-vector keeps its closed form, which is cheaper.
+vector keeps its closed form, which is cheaper.  Every evaluator reads an
+assignment's per-resource counts and weight sums (`_weight_on_resources`),
+walked once per instance and kept on the assignment.
 """
 
 import bisect
@@ -252,7 +254,8 @@ class Instance:
     is canonical, so equality and hashing compare kernels.  The constructor
     reads each number as an instance file does (`parse_rational`'s reader),
     straight into the kernel; the `weights` and `delays` Fraction tuples
-    are built on first use (threads that race build equal values).
+    and `total_weight` are built on first use (threads that race build
+    equal values).
     """
 
     _kernel: _Kernel
@@ -300,7 +303,7 @@ class Instance:
     def m(self) -> int:
         return len(self._kernel.delays)
 
-    @property
+    @functools.cached_property
     def total_weight(self) -> Fraction:
         kernel = self._kernel
         return Fraction(sum(kernel.weights), kernel.weight_scale)
@@ -317,7 +320,8 @@ class Instance:
     def average_load(self) -> Fraction:
         """Total weight divided by the number of resources (the per-resource
         load every assignment averages to when delays are all 1)."""
-        return self.total_weight / self.m
+        total = self.total_weight
+        return Fraction(total.numerator, total.denominator * self.m)
 
     @property
     def weight_spread(self) -> Fraction:
@@ -355,20 +359,38 @@ class Instance:
         return _rationals(sorted(set(self._kernel.delays)), self._kernel.delay_scale)
 
 
+def _checked_indices(values, least: int, message: str) -> tuple:
+    """`values` as a tuple, each entry an int (not a bool) of at least
+    `least`; else a ValueError of `message` and the first bad entry."""
+    values = tuple(values)
+    # the loop runs only to find the bad entry or accept int subclasses
+    if not (set(map(type, values)) <= {int} and min(values, default=least) >= least):
+        for entry in values:
+            if not isinstance(entry, int) or isinstance(entry, bool) or entry < least:
+                raise ValueError(f"{message}, got {entry!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class Assignment:
-    """A pure-strategy profile: entry i is the 1-based resource task i uses."""
+    """A pure-strategy profile: entry i is the 1-based resource task i uses.
+
+    Immutable, with one cache: the evaluators walk its tasks once per
+    instance, and it keeps the per-resource counts and weight sums of the
+    last instance it was evaluated on (`_walked`, see
+    `_weight_on_resources`).  The target cannot change, so threads that
+    race build equal values, as `Instance` says of its Fraction tuples.
+    """
 
     target: tuple
 
+    #: (kernel, counts, sums) of the last walk of the tasks; None before one
+    _walked = None
+
     def __post_init__(self):
-        target = tuple(self.target)
-        # the loop runs only to find the bad entry or accept int subclasses
-        if not (set(map(type, target)) <= {int} and min(target, default=1) >= 1):
-            for entry in target:
-                if not isinstance(entry, int) or isinstance(entry, bool) or entry < 1:
-                    raise ValueError(f"resource indices are 1-based ints, got {entry!r}")
-        object.__setattr__(self, "target", target)
+        object.__setattr__(
+            self, "target", _checked_indices(self.target, 1, "resource indices are 1-based ints")
+        )
 
     def __len__(self) -> int:
         return len(self.target)
@@ -385,11 +407,9 @@ class CountAssignment:
         counts = tuple(self.counts)
         if not counts:
             raise ValueError("a count vector needs at least one resource")
-        if not (set(map(type, counts)) <= {int} and min(counts) >= 0):  # as in Assignment
-            for c in counts:
-                if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                    raise ValueError(f"task counts are non-negative ints, got {c!r}")
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(
+            self, "counts", _checked_indices(counts, 0, "task counts are non-negative ints")
+        )
 
     @property
     def total(self) -> int:
@@ -397,15 +417,9 @@ class CountAssignment:
 
     def to_assignment(self) -> Assignment:
         """Materialize: tasks in index order fill resources in index order."""
-        return _materialized(self.counts)
-
-
-def _materialized(counts) -> Assignment:
-    """The assignment of a valid count vector: tasks in index order fill
-    resources in index order."""
-    return Assignment(tuple(itertools.chain.from_iterable(
-        map(itertools.repeat, range(1, len(counts) + 1), counts)
-    )))
+        return Assignment(tuple(itertools.chain.from_iterable(
+            map(itertools.repeat, range(1, len(self.counts) + 1), self.counts)
+        )))
 
 
 AnyAssignment = Union[Assignment, CountAssignment]
@@ -424,11 +438,13 @@ def _check_fits(inst: Instance, target: tuple):
 def _weight_on_resources(inst: Instance, a: AnyAssignment):
     """Per-resource task counts and weight sums on the instance's ints,
     validating the assignment.  The one reader of count vectors: a count
-    vector c of identical weight w puts c_r * w on resource r.  A `_Summed`
-    assignment of this instance gives the sums it carries."""
-    if type(a) is _Summed and a.kernel is inst._kernel:
-        return a.counts, a.sums
-    m, weights = inst.m, inst._kernel.weights
+    vector c of identical weight w puts c_r * w on resource r, in O(m) and
+    with no cache.  An assignment's tasks are walked once per instance: the
+    walk keeps (kernel, counts, sums) on the assignment, and a later call
+    with the same kernel object returns those; a call with another kernel
+    walks again and keeps its own.  Callers only read the lists."""
+    kernel = inst._kernel
+    m, weights = inst.m, kernel.weights
     if isinstance(a, CountAssignment):
         counts = a.counts
         if len(counts) != m:
@@ -438,6 +454,9 @@ def _weight_on_resources(inst: Instance, a: AnyAssignment):
         if not inst.identical_weights:
             raise ValueError("count vectors only describe assignments of identical-weight tasks")
         return counts, list(map(weights[0].__mul__, counts))
+    walked = a._walked
+    if walked is not None and walked[0] is kernel:
+        return walked[1], walked[2]
     target = a.target
     _check_fits(inst, target)
     counts = [0] * m
@@ -445,23 +464,8 @@ def _weight_on_resources(inst: Instance, a: AnyAssignment):
     for w, resource in zip(weights, target):
         counts[resource - 1] += 1
         sums[resource - 1] += w
+    object.__setattr__(a, "_walked", (kernel, counts, sums))
     return counts, sums
-
-
-@dataclass(frozen=True)
-class _Summed(Assignment):
-    """An assignment with its per-resource task counts and weight sums on
-    the ints of one instance's kernel, so that several evaluators of it
-    (`cost`, `resource_loads`, `improving_moves`) walk its tasks once."""
-
-    kernel: _Kernel = field(default=None, compare=False, repr=False)
-    counts: list = field(default=None, compare=False, repr=False)
-    sums: list = field(default=None, compare=False, repr=False)
-
-
-def _summed(inst: Instance, a: Assignment) -> _Summed:
-    """`a` with its counts and weight sums on `inst`, validated once."""
-    return _Summed(a.target, inst._kernel, *_weight_on_resources(inst, a))
 
 
 def _loads_on_resources(inst: Instance, a: AnyAssignment) -> list:

@@ -43,15 +43,7 @@ from math import comb
 from typing import NamedTuple
 
 from .algorithms import _fewest_tasks, _lowest_index, _marginal_counts
-from .model import (
-    Assignment,
-    Instance,
-    RatioReport,
-    _materialized,
-    _summed,
-    cost,
-    is_nash,
-)
+from .model import Assignment, CountAssignment, Instance, RatioReport, cost, is_nash
 
 DEFAULT_MAX_STATES = 10**7
 
@@ -137,7 +129,7 @@ def _count_vector_extremes(n: int, w: int, delays):
     extremes = []
     for vec in map(tuple, (best, cheapest, dearest)):
         if vec not in witnesses:
-            witnesses[vec] = _materialized(vec)
+            witnesses[vec] = CountAssignment(vec).to_assignment()
         value = sum(map(operator.mul, map(operator.mul, vec, vec), delays))
         extremes.append((w * value, witnesses[vec]))
     return extremes
@@ -338,7 +330,6 @@ def verify_bounds(inst: Instance, report: RatioReport):
         (report.min_nash_witness, report.min_nash_cost),
         (report.max_nash_witness, report.max_nash_cost),
     ):
-        witness = _summed(inst, witness)  # one walk for both evaluators
         if cost(inst, witness) != claimed:
             raise ValueError("report does not match instance: Nash witness re-costs differently")
         if not is_nash(inst, witness):

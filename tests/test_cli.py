@@ -27,7 +27,7 @@ from selfish_assign import (
     oracle,
     parse_rational,
 )
-from selfish_assign import cli
+from selfish_assign import cli, model
 from selfish_assign.cli import main
 from selfish_assign.model import MAX_NUMBER_DIGITS
 
@@ -757,7 +757,8 @@ RECORDED = {
 class TestInstanceRunner:
     """One runner reads the instance file, times, maps a ValueError to exit
     3 and builds the report of every instance command; `solve`'s algorithms
-    come from one table."""
+    come from one table, and each assignment a command evaluates is walked
+    once."""
 
     def _argv(self, tmp_path, argv):
         assignment = tmp_path / "assignment.json"
@@ -812,6 +813,34 @@ class TestInstanceRunner:
         monkeypatch.setattr(module, attr, refuse)
         code, report, err = run_cli(capsys, *self._argv(tmp_path, argv))
         assert (code, report, err) == (3, None, "error: refused\\nhere\n")
+
+    @pytest.mark.parametrize("argv, walks", [
+        # cost, resource_loads and improving_moves of the assignment file
+        pytest.param(["verify", "delay-side", "{assignment}"], 1, id="verify"),
+        # cost and is_nash of greedy_nash's mixed-weight assignment
+        pytest.param(["nash", "delay-side"], 1, id="nash"),
+        # verify_bounds: cost of the optimum's witness, cost and is_nash of
+        # each of the two Nash witnesses, (1, 1, 2) and (1, 1, 1)
+        pytest.param(["ratio", "weight-side"], 3, id="ratio"),
+    ])
+    def test_each_assignment_is_walked_once(self, argv, walks, tmp_path, capsys, monkeypatch):
+        """However many evaluators read an assignment, its tasks are walked
+        once per instance; each walk checks the assignment first
+        (`model._check_fits`)."""
+        checked = []  # the targets walked, kept alive so that their ids differ
+        original = model._check_fits
+
+        def counting(inst, target):
+            checked.append(target)
+            return original(inst, target)
+
+        monkeypatch.setattr(model, "_check_fits", counting)
+        code, report, err = run_cli(capsys, *self._argv(tmp_path, argv))
+        assert (code, err) == (0, "")
+        if argv[0] == "ratio":
+            witnesses = report["result"]["witnesses"]
+            assert witnesses["min_nash"] != witnesses["max_nash"]
+        assert len(set(map(id, checked))) == len(checked) == walks
 
 
 # Input files whose reading must give the lines a text-mode read gives:

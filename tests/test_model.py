@@ -4,6 +4,8 @@ import dataclasses
 import enum
 import json
 import pickle
+import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction as F
 from itertools import product
@@ -280,6 +282,41 @@ class TestCost:
             cost(UNIT_PAIR, Assignment((1,)))
         with pytest.raises(ValueError):
             cost(UNIT_PAIR, Assignment((1, 3)))
+
+    def test_kept_sums_do_not_skip_the_fit_check(self):
+        a = Assignment((1, 3))
+        assert cost(Instance(weights=(1, 1), delays=(1, 1, 1)), a) == F(2)
+        with pytest.raises(ValueError, match="task 2 uses resource 3, instance has 2"):
+            cost(UNIT_PAIR, a)
+
+    def test_threads_sharing_an_assignment_get_their_own_instances_cost(self):
+        """Threads evaluating one assignment on two instances in turn: the
+        kept (kernel, counts, sums) is one tuple, written and read whole, so
+        no call returns the sums of the other instance (kept as three
+        attributes, this fails)."""
+        first = Instance(weights=tuple(range(1, 41)), delays=(1, 2, 3))
+        second = Instance(weights=tuple(range(2, 42)), delays=(1, 2, 3))
+        a = Assignment(tuple(1 + i % 3 for i in range(40)))
+        expected = {inst: cost(inst, Assignment(a.target)) for inst in (first, second)}
+        wrong = []
+
+        def evaluate(inst):
+            for _ in range(20000):
+                if cost(inst, a) != expected[inst]:
+                    wrong.append(inst)
+
+        threads = [threading.Thread(target=evaluate, args=(inst,)) for inst in (first, second) * 2]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestIsNash:

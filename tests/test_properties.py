@@ -53,8 +53,8 @@ from selfish_assign import (
     round_weights,
     task_load,
 )
-from selfish_assign import cli, model
-from selfish_assign.model import _TEMPLATE_MIN_ROWS, _summed, dumps_json
+from selfish_assign import model
+from selfish_assign.model import _TEMPLATE_MIN_ROWS, dumps_json
 
 from helpers import (
     OneDrawSplitMix64,
@@ -316,18 +316,22 @@ def test_improving_moves_on_distinct_rationals_round_robin():
 
 @PROPERTY
 @given(assigned())
-def test_summed_assignment_evaluates_like_its_assignment(case):
+def test_kept_sums_evaluate_like_a_fresh_assignment(case):
+    """An assignment keeps the weight sums of the last instance it was
+    evaluated on.  Evaluated on the instance, another of the same shape,
+    the first again and an equal one built separately (an equal kernel in
+    another object), it evaluates each time as a fresh assignment does."""
     inst, a = case
-    summed = _summed(inst, a)
 
     def evaluations(instance, assignment):
         return (cost(instance, assignment), resource_loads(instance, assignment),
                 improving_moves(instance, assignment), is_nash(instance, assignment))
 
-    assert evaluations(inst, summed) == evaluations(inst, a)
-    # the sums belong to one instance: another of the same shape reads its own
     other = Instance(tuple(2 * w + 1 for w in inst.weights), inst.delays)
-    assert evaluations(other, summed) == evaluations(other, a)
+    equal = Instance(inst.weights, inst.delays)
+    assert equal == inst and equal._kernel is not inst._kernel
+    for instance in (inst, other, inst, equal):
+        assert evaluations(instance, a) == evaluations(instance, Assignment(a.target))
 
 
 @PROPERTY
@@ -733,8 +737,16 @@ def _assert_fraction_equal(value, expected):
 @example((Instance((F(1), F(1), F(2)), (F(1), F(1))), Assignment((1, 1, 2))))  # tied loads
 @example((Instance((F(10**30, 7), F(1, 10**20), F(10**30, 7)), (F(10**25, 11), F(3, 10**20))),
           Assignment((1, 2, 2))))
+@example((Instance((F(10**400), F(1, 10**400), F(3)), (F(3, 7), F(1, 10**400))),  # beyond float range
+          Assignment((1, 2, 2))))
 def test_evaluators_equal_fraction_references(case):
     inst, a = case
+    # the instance's properties that the report's digest renders
+    total = sum(inst.weights, F(0))
+    _assert_fraction_equal(inst.total_weight, total)
+    _assert_fraction_equal(inst.average_load, total / inst.m)
+    _assert_fraction_equal(inst.weight_spread, max(inst.weights) / min(inst.weights))
+    _assert_fraction_equal(inst.throughput, sum(1 / d for d in inst.delays))
     evaluated = [a]
     if inst.identical_weights:
         counts = [0] * inst.m
@@ -1032,25 +1044,6 @@ def test_int_arrays_scale_as_the_general_path(ints, extra, at):
     text = json.dumps({"weights": [1, *values], "delays": [1]})
     if all(v > 0 for v in values):
         assert loads_instance(text)[0]._kernel.weights == (1, *expected[0])
-
-
-@PROPERTY
-@given(instances(8, 5))
-@example(Instance((F(10**400), F(1, 10**400), F(3)), (F(3, 7), F(1, 10**400))))  # beyond float range
-@example(Instance((F(2, 3),) * 3, (F(5),) * 2))
-def test_instance_digest_equals_fraction_properties(inst):
-    """The report's instance digest, computed on the kernel ints, renders
-    the instance's Fraction properties."""
-    def rendered(x):
-        return cli._rat(x.as_integer_ratio())
-    assert cli._instance_digest(inst) == {
-        "tasks": inst.n,
-        "resources": inst.m,
-        "total_weight": rendered(inst.total_weight),
-        "throughput": rendered(inst.throughput),
-        "average_load": rendered(inst.average_load),
-        "weight_spread": rendered(inst.weight_spread),
-    }
 
 
 @PROPERTY
