@@ -26,17 +26,23 @@ import heapq
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (Assignment, CountAssignment, Instance, _canonical, _reciprocal_sum, cost,
                     parse_rational)
 
-#: Default bound on the number of distinct weight/delay values the DPs accept.
+#: `solve --algorithm auto` routes to a DP when the delays (or the weights)
+#: take at most this many distinct values; the DPs themselves accept any
+#: number and are bounded by MAX_DP_STEPS.
 DEFAULT_DISTINCT_VALUES = 4
 
-#: Hard cap on DP table entries; guards against accidental blow-ups.
-MAX_TABLE_STATES = 10**8
+#: Hard cap on the steps an exact DP is predicted to take, checked before
+#: any table exists; each prediction is an upper bound, and at least the
+#: number of entries its tables hold.  On a 2-core x86_64 VM (Python 3.11)
+#: the DPs ran at 70-120 ns per predicted step, so the cap is 7-12 s.
+MAX_DP_STEPS = 10**8
 
 #: Hard cap on the steps k of a geometric rounding grid: each rounded value
 #: is found by comparing k-th powers, whose size grows with k.
@@ -176,33 +182,94 @@ def greedy_nash(inst: Instance) -> Assignment:
     return Assignment(tuple(target))
 
 
-def _classes(values, kind: str, alpha: int):
-    """Distinct values, increasing, and the indices holding each one;
-    refuses more than `alpha` distinct values.  Given the instance's scaled
-    ints, the distinct values are the scaled ints of the classes."""
+def _classes(values):
+    """Distinct values, increasing, and the indices holding each one.  Given
+    the instance's scaled ints, the distinct values are the scaled ints of
+    the classes."""
     members = {}
     for i, v in enumerate(values):
         members.setdefault(v, []).append(i)
-    if len(members) > alpha:
-        raise ValueError(
-            f"instance has {len(members)} distinct {kind} values, above the bound {alpha}"
-        )
     values = sorted(members)
     return values, [members[v] for v in values]
 
 
-def _count_vectors(members, rows: int):
+def _vector_count(sizes) -> int:
+    """V = prod(n_c + 1), the count vectors over classes of n_c members;
+    `sizes` maps a class size n_c to the number of classes of that size, so
+    the predictors below cost a few operations per distinct size, on ints
+    of about as many bits as there are classes."""
+    return math.prod(pow(s + 1, c) for s, c in sizes.items())
+
+
+def _delay_dp_steps(n: int, sizes) -> int:
+    """An upper bound on the candidates `_delay_class_dp` scans for n tasks
+    on K delay classes of n_c resources (`sizes`, see `_vector_count`).
+
+    Of the V count vectors, V * n_c / (n_c + 1) have v_c > 0, so the
+    (vector, class) rows number the sum of that over the classes.
+    `_row_minima` solves each j at one of n.bit_length() + 1 levels; at one
+    level the scan ranges [start[j - h], start[j + h]] of consecutive j
+    telescope to at most n, plus one candidate per j.  So a row reads at
+    most n * (n.bit_length() + 1) + n + 1 <= (n + 1)(n.bit_length() + 2)
+    candidates, and the rows of one resource and of the full vector (one
+    `_last_run` each) at most n + 1.  The path takes
+    at most m = sum n_c steps, each at most K `_last_run` scans of at most
+    n + 1 candidates.  The bound is at least the (n + 1) * V entries of the
+    table, as n_c / (n_c + 1) >= 1/2 and the row bound is at least 2(n + 1).
+    """
+    vectors = _vector_count(sizes)
+    rows = sum(c * s * (vectors // (s + 1)) for s, c in sizes.items())
+    resources, classes = sum(s * c for s, c in sizes.items()), sum(sizes.values())
+    return (n + 1) * (rows * (n.bit_length() + 2) + resources * classes)
+
+
+def _run_take_count(sizes) -> int:
+    """The takes `_run_takes` yields over all count vectors v of classes of
+    n_a tasks (`sizes`, see `_vector_count`): the sum over v of
+    R(v) = 1 + sum_a v_a + sum_{a<b} v_a v_b.
+
+    Over the V vectors, v_a sums to V * n_a / 2 and v_a v_b (a != b) to
+    V * n_a * n_b / 4, so with S = sum n_a and Q = sum n_a^2 the total is
+    V + V * S / 2 + V * (S^2 - Q) / 8.  Each part is an int, being a sum of
+    V / ((n_a + 1)(n_b + 1)) times products of the ints n_a (n_a + 1) / 2.
+    """
+    vectors = _vector_count(sizes)
+    total = sum(s * c for s, c in sizes.items())
+    squares = sum(s * s * c for s, c in sizes.items())
+    return vectors + vectors * total // 2 + vectors * (total * total - squares) // 8
+
+
+def _weight_dp_steps(m: int, cost_rows: int, sizes) -> int:
+    """An upper bound on the steps of `dp_few_weights` on m resources with
+    `cost_rows` distinct delays and weight classes of n_a tasks (`sizes`,
+    see `_vector_count`): (m - 1) * sum_v R(v) + (cost_rows + m) * V.
+
+    The forward pass sums each take that `_run_takes` yields once on each
+    of the resources 2..m-1, and on resource m only the full vector's
+    R(full) <= sum_v R(v) takes: at most (m - 1) * sum_v R(v) sums
+    (`_run_take_count`, exact for the takes yielded).  The cost rows hold
+    cost_rows * V entries, `group` V more, and the path rescans at most
+    (m - 1) * V takes.  The bound is at least the (m + cost_rows) * V
+    entries that the table, the cost rows and `group` hold.
+    """
+    return (m - 1) * _run_take_count(sizes) + (cost_rows + m) * _vector_count(sizes)
+
+
+def _count_vectors(members, steps: int):
     """Count vectors over the classes `members` as mixed-radix ints, first
     class most significant so that index order is itertools.product order:
-    (radix, strides, number of vectors).  Refuses a table of `rows` entries
-    per vector above MAX_TABLE_STATES."""
+    (radix, strides, number of vectors).  Refuses a program predicted to
+    take more than MAX_DP_STEPS `steps`, before any table exists; a count
+    of more than 10**4 bits, near the 4300 digits an int prints by default,
+    is shown by a power of ten below it (0.301029 < log10(2))."""
+    if steps > MAX_DP_STEPS:
+        bits = steps.bit_length()
+        shown = steps if bits <= 10**4 else f"more than 10**{(bits - 1) * 301029 // 10**6}"
+        raise ValueError(f"dynamic programming would need {shown} steps,"
+                         f" above the bound {MAX_DP_STEPS}")
     radix = [len(idx) + 1 for idx in members]
-    vectors = math.prod(radix)
-    if rows * vectors > MAX_TABLE_STATES:
-        raise ValueError(f"dynamic programming table would need {rows * vectors} states,"
-                         f" above the bound {MAX_TABLE_STATES}")
     strides = list(itertools.accumulate(reversed(radix[1:]), operator.mul, initial=1))
-    return radix, strides[::-1], vectors
+    return radix, strides[::-1], math.prod(radix)
 
 
 def _row_minima(prev, scaled, n: int, into=None):
@@ -293,7 +360,8 @@ def _delay_class_dp(inst: Instance, delays, members) -> DPSolution:
     resources left stay empty, first class first.
     """
     n = inst.n
-    radix, strides, vectors = _count_vectors(members, n + 1)
+    radix, strides, vectors = _count_vectors(
+        members, _delay_dp_steps(n, Counter(map(len, members))))
     weights = inst._kernel.weights
     order = sorted(range(n), key=lambda i: (-weights[i], i))
     prefix = list(itertools.accumulate(map(weights.__getitem__, order), initial=0))
@@ -345,19 +413,19 @@ def dp_identical_delays(inst: Instance) -> DPSolution:
     """
     if not inst.identical_delays:
         raise ValueError("this dynamic program needs all resource delays to be identical")
-    return _delay_class_dp(inst, *_classes(inst._kernel.delays, "delay", 1))
+    return _delay_class_dp(inst, *_classes(inst._kernel.delays))
 
 
-def dp_few_delays(inst: Instance, alpha: int = DEFAULT_DISTINCT_VALUES) -> DPSolution:
-    """Optimal assignment when the delays take at most `alpha` distinct values.
+def dp_few_delays(inst: Instance) -> DPSolution:
+    """Optimal assignment when the delays take few distinct values.
 
     Extends the identical-delay program: the state counts how many resources
     of each delay class have been used, and each step peels the lightest
     remaining run of tasks onto a resource of some class.  Each (count
     vector, class) row takes O(n log n), by the quadrangle inequality of
-    run costs.
+    run costs; a program predicted above MAX_DP_STEPS steps is refused.
     """
-    return _delay_class_dp(inst, *_classes(inst._kernel.delays, "delay", alpha))
+    return _delay_class_dp(inst, *_classes(inst._kernel.delays))
 
 
 def _run_takes(radix, strides):
@@ -382,8 +450,8 @@ def _run_takes(radix, strides):
     return extend(0, [0], [0])
 
 
-def dp_few_weights(inst: Instance, alpha: int = DEFAULT_DISTINCT_VALUES) -> DPSolution:
-    """Optimal assignment when the weights take at most `alpha` distinct values.
+def dp_few_weights(inst: Instance) -> DPSolution:
+    """Optimal assignment when the weights take few distinct values.
 
     The state is the number of tasks of each weight class already placed on
     the first k resources; each step chooses how many tasks of each class the
@@ -401,13 +469,13 @@ def dp_few_weights(inst: Instance, alpha: int = DEFAULT_DISTINCT_VALUES) -> DPSo
     applied to every resource, so an entry is one `min` over the pairwise
     sums of two gathered tuples.  The choices are rebuilt on the path
     alone: at each of the m - 1 steps, the first take in product order
-    whose value attains the entry.
+    whose value attains the entry.  A program predicted above MAX_DP_STEPS
+    steps is refused (`_weight_dp_steps`).
     """
-    weights, members = _classes(inst._kernel.weights, "weight", alpha)
+    weights, members = _classes(inst._kernel.weights)
     delays, m = inst._kernel.delays, inst.m
-    # rows held: m - 2 table rows (none for m = 1), one cost row per
-    # distinct delay and group, at most m plus one per distinct delay
-    radix, strides, vectors = _count_vectors(members, m + len(set(delays)))
+    radix, strides, vectors = _count_vectors(
+        members, _weight_dp_steps(m, len(set(delays)), Counter(map(len, members))))
     # group[t]: tasks in take vector t times their weight, before the delay
     group = [sum(t) * sum(map(operator.mul, t, weights))
              for t in itertools.product(*map(range, radix))]
@@ -646,7 +714,7 @@ def approx_solve_weights(inst: Instance, epsilon) -> DPSolution:
     re-costs the resulting assignment under the original weights.
     """
     rounding = round_weights(inst, epsilon)
-    solution = dp_few_weights(rounding.rounded, alpha=rounding.k + 1)
+    solution = dp_few_weights(rounding.rounded)
     return DPSolution(cost(inst, solution.assignment), solution.assignment)
 
 
@@ -654,7 +722,7 @@ def approx_solve_delays(inst: Instance, epsilon) -> DPSolution:
     """Assignment with cost at most (1 + epsilon) times the optimum, obtained
     by rounding delays instead of weights."""
     rounding = round_delays(inst, epsilon)
-    solution = dp_few_delays(rounding.rounded, alpha=rounding.k + 1)
+    solution = dp_few_delays(rounding.rounded)
     return DPSolution(cost(inst, solution.assignment), solution.assignment)
 
 

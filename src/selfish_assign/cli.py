@@ -7,10 +7,12 @@ exactly one JSON document, byte-identical to `json.dumps(document, indent=2)`;
 diagnostics go to stderr, one `error:` line per failure.  Exit codes:
 0 success, 1 stdout closed by its reader before the document was written (no
 traceback), 2 unparsable input, bad arguments or an unwritable --out file,
-3 precondition violation, 4 enumeration budget exceeded or a number (in an
-instance file, --epsilon or a gen range) whose numerator or denominator
-would have more than `model.MAX_NUMBER_DIGITS` digits; that error line
-states the digits required and allowed.
+3 precondition violation, among them an exact DP predicted to take more
+than `algorithms.MAX_DP_STEPS` steps and a rounding grid above its bounds
+(those lines state the work required and allowed), 4 enumeration budget
+exceeded or a number (in an instance file, --epsilon or a gen range) whose
+numerator or denominator would have more than `model.MAX_NUMBER_DIGITS`
+digits; that error line states the digits required and allowed.
 
 One runner serves every command: it reads the instance file (`gen` builds
 its family instead), times the span from there to the built result

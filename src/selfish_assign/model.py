@@ -392,9 +392,6 @@ class Assignment:
             self, "target", _checked_indices(self.target, 1, "resource indices are 1-based ints")
         )
 
-    def __len__(self) -> int:
-        return len(self.target)
-
 
 @dataclass(frozen=True)
 class CountAssignment:

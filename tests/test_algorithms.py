@@ -2,6 +2,7 @@
 
 import itertools
 import operator
+import re
 import time
 from fractions import Fraction as F
 from math import prod
@@ -184,12 +185,15 @@ class TestDpIdenticalDelays:
             dp_identical_delays(inst)
 
     def test_table_guard(self, monkeypatch):
-        # (n + 1) * (m + 1) = 12 table states
+        # n = 3 tasks on one class of 2 resources: V = 3 count vectors, 2 of
+        # them with a resource, so 2 rows of at most (n + 1)(2 + 2) = 16
+        # candidates, and a path of at most m * K = 2 scans of n + 1: 40 steps
         inst = Instance(weights=(F(3), F(2), F(1)), delays=(F(1),) * 2)
-        monkeypatch.setattr(algorithms, "MAX_TABLE_STATES", 11)
-        with pytest.raises(ValueError, match="12 states"):
+        monkeypatch.setattr(algorithms, "MAX_DP_STEPS", 39)
+        with pytest.raises(ValueError,
+                           match="^dynamic programming would need 40 steps, above the bound 39$"):
             dp_identical_delays(inst)
-        monkeypatch.setattr(algorithms, "MAX_TABLE_STATES", 12)
+        monkeypatch.setattr(algorithms, "MAX_DP_STEPS", 40)
         assert dp_identical_delays(inst).cost == F(9)
 
     def test_three_thousand_tasks_within_two_seconds(self):
@@ -237,10 +241,24 @@ class TestDpFewDelays:
             assert cost(inst, solution.assignment) == solution.cost
             assert solution.cost == brute_min_cost(inst)
 
-    def test_rejects_too_many_values(self):
-        inst = Instance(weights=(F(1),), delays=(F(1), F(2), F(3)))
-        with pytest.raises(ValueError):
-            dp_few_delays(inst, alpha=2)
+    def test_five_delay_classes_equal_brute_force(self):
+        # more classes than auto routes to a DP: the DP takes any number
+        inst = Instance(weights=(F(1), F(2)), delays=tuple(map(F, range(1, 6))))
+        assert dp_few_delays(inst).cost == brute_min_cost(inst)
+        inst = Instance(weights=(F(3), F(2), F(1), F(1)),
+                        delays=(F(1), F(2), F(2), F(3), F(4), F(5)))
+        assert dp_few_delays(inst).cost == brute_min_cost(inst)
+
+    def test_guard_shows_a_huge_step_count_by_a_power_of_ten(self):
+        # 10**4 delay classes: the prediction has over 10**4 bits, more than
+        # an int may print (4300 digits by default on Python 3.11)
+        inst = Instance(weights=(F(1),), delays=tuple(map(F, range(1, 10**4 + 1))))
+        with pytest.raises(ValueError) as refused:
+            dp_few_delays(inst)
+        power = re.fullmatch(r"dynamic programming would need more than 10\*\*(\d+) steps,"
+                             r" above the bound 100000000", str(refused.value))
+        steps = algorithms._delay_dp_steps(1, {1: 10**4})
+        assert 10 ** int(power[1]) < steps < 10 ** (int(power[1]) + 2)
 
 
 class TestDpFewWeights:
@@ -263,19 +281,23 @@ class TestDpFewWeights:
             assert cost(inst, solution.assignment) == solution.cost
             assert solution.cost == brute_min_cost(inst)
 
-    def test_rejects_too_many_values(self):
-        inst = Instance(weights=(F(1), F(2), F(3)), delays=(F(1),))
-        with pytest.raises(ValueError):
-            dp_few_weights(inst, alpha=2)
+    def test_five_weight_classes_equal_brute_force(self):
+        # more classes than auto routes to a DP: the DP takes any number
+        inst = Instance(weights=tuple(map(F, range(1, 6))), delays=(F(1), F(2)))
+        assert dp_few_weights(inst).cost == brute_min_cost(inst)
+        inst = Instance(weights=(F(1), F(2), F(2), F(3), F(4), F(5)), delays=(F(1), F(1), F(3)))
+        assert dp_few_weights(inst).cost == brute_min_cost(inst)
 
     def test_table_guard(self, monkeypatch):
-        # 6 count vectors (weights 1, 1 and 2) times m + 2 rows: the table
-        # rows, group and one cost row for each of the 2 distinct delays
+        # classes of 2 and 1 tasks (weights 1, 1 and 2): V = 6 count vectors,
+        # whose run takes R(v) = 1 + v_1 + v_2 + v_1 v_2 sum to 18; on m = 3
+        # resources with 2 distinct delays, (m - 1) * 18 + (2 + m) * 6 = 66
         inst = Instance(weights=(F(2), F(1), F(1)), delays=(F(1), F(2), F(2)))
-        monkeypatch.setattr(algorithms, "MAX_TABLE_STATES", 29)
-        with pytest.raises(ValueError, match="30 states"):
+        monkeypatch.setattr(algorithms, "MAX_DP_STEPS", 65)
+        with pytest.raises(ValueError,
+                           match="^dynamic programming would need 66 steps, above the bound 65$"):
             dp_few_weights(inst)
-        monkeypatch.setattr(algorithms, "MAX_TABLE_STATES", 30)
+        monkeypatch.setattr(algorithms, "MAX_DP_STEPS", 66)
         assert dp_few_weights(inst).cost == brute_min_cost(inst)
 
     @pytest.mark.parametrize("counts", [(3,), (2, 3), (3, 0, 2), (2, 1, 2), (1, 2, 0, 2)])

@@ -31,7 +31,7 @@ from selfish_assign import cli, model
 from selfish_assign.cli import main
 from selfish_assign.model import MAX_NUMBER_DIGITS
 
-from helpers import reference_read_text
+from helpers import brute_min_cost, reference_read_text
 
 
 def write_instance(tmp_path, inst, name="instance.json"):
@@ -87,12 +87,48 @@ class TestSolve:
         assert report["result"]["epsilon"]["exact"] == "1/2"
 
     def test_dp_table_guard_fails_precondition(self, tmp_path, capsys, monkeypatch):
+        # n = 3 on one class of 2 resources: 2 rows of at most 16 candidates
+        # and a path of at most 2 scans of n + 1, 40 steps
         inst = Instance(weights=(F(4), F(1), F(1)), delays=(F(1), F(1)))
-        monkeypatch.setattr(algorithms, "MAX_TABLE_STATES", 5)
+        monkeypatch.setattr(algorithms, "MAX_DP_STEPS", 5)
         code, report, err = run_cli(capsys, "solve", write_instance(tmp_path, inst))
         assert code == 3
         assert report is None
-        assert err == "error: dynamic programming table would need 12 states, above the bound 5\n"
+        assert err == "error: dynamic programming would need 40 steps, above the bound 5\n"
+
+    @pytest.mark.parametrize("weights, delays, options, steps", [
+        # auto routes 4 weight classes of 10 tasks on 100 distinct delays to
+        # dp-weights: 99 * 171 * 11**4 + 200 * 11**4 steps
+        ([w for w in range(1, 5) for _ in range(10)], range(1, 101), [], 250785689),
+        # n = 2000 on 4 delay classes of 10 resources, routed to dp-delays:
+        # 4 * 10 * 11**3 rows of 2001 * 13 candidates, and the path
+        (range(1, 2001), [d for d in range(1, 5) for _ in range(10)], [], 1385252280),
+        # weights 1..24 rounded at epsilon 1/20 (k = 66) fall in 23 classes,
+        # one of them two tasks, and the few-weights DP runs on m = 2
+        (range(1, 25), [1, 1000], ["--algorithm", "approx", "--epsilon", "1/20"], 1078984704),
+    ], ids=["auto-dp-weights", "auto-dp-delays", "approx-weights"])
+    def test_dp_step_guard_refuses_long_runs_at_once(self, tmp_path, capsys, weights, delays,
+                                                      options, steps):
+        # each would run for minutes; the guard refuses before any table exists
+        inst = Instance(weights=tuple(map(F, weights)), delays=tuple(map(F, delays)))
+        path = write_instance(tmp_path, inst)
+        started = time.perf_counter()
+        code, report, err = run_cli(capsys, "solve", path, *options)
+        assert time.perf_counter() - started < 2
+        assert code == 3
+        assert report is None
+        assert err == (f"error: dynamic programming would need {steps} steps,"
+                       f" above the bound {algorithms.MAX_DP_STEPS}\n")
+
+    def test_dp_delays_answers_on_five_delay_classes(self, tmp_path, capsys):
+        # more delay classes than auto routes to a DP, and 1035 predicted steps
+        inst = Instance(weights=(F(1), F(2)), delays=tuple(map(F, range(1, 6))))
+        path = write_instance(tmp_path, inst)
+        code, report, _ = run_cli(capsys, "solve", path, "--algorithm", "dp-delays")
+        assert code == 0
+        assert report["result"]["algorithm"] == "dp-delays"
+        optimum = brute_min_cost(inst)
+        assert report["result"]["cost"]["exact"] == f"{optimum.numerator}/{optimum.denominator}"
 
     def test_approx_grid_bound_fails_precondition_at_once(self, tmp_path, capsys):
         # k = 2.2e30 grid steps; counting them one multiply at a time never returned

@@ -14,9 +14,10 @@ independent p/q fractions (wide denominators).
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction as F
 from itertools import accumulate
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -477,6 +478,88 @@ def test_few_delay_dp_equals_reference_on_tied_runs(inst):
 @example(Instance((F(5),) * 4, (F(1), F(2), F(2))))  # one class, tied delays
 def test_few_weight_dp_equals_reference(inst):
     assert dp_few_weights(inst) == reference_dp_few_weights(inst)
+
+
+# The DP guards refuse by predicted steps, before any table exists.  Each
+# prediction must bound the steps the run takes, counted on the run itself,
+# and be at least the entries the tables hold, so that memory stays bounded.
+
+def _counting_row_reads(patch) -> list:
+    """Wrap `_row_minima` and `_last_run` so that the `prev` row each scans
+    counts its reads in the returned one-item list: every candidate reads
+    `prev` once, so the count is the candidates scanned."""
+    reads = [0]
+
+    class CountedRow(list):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return list.__getitem__(self, i)
+
+    def counted(kernel):
+        return lambda prev, *args: kernel(None if prev is None else CountedRow(prev), *args)
+
+    for name in ("_row_minima", "_last_run"):
+        patch.setattr(algorithms, name, counted(getattr(algorithms, name)))
+    return reads
+
+
+def _class_sizes(values) -> Counter:
+    """A class size -> the classes of that size, as the predictors take it."""
+    return Counter(Counter(values).values())
+
+
+@PROPERTY
+@given(kernel_rows())
+@example(([0], [0], [0]))  # n = 0
+@example(([0] * 8, [0] * 8, [0] * 8))  # every start ties
+def test_row_scan_reads_at_most_the_predicted_candidates(case):
+    prev, scaled, _ = case
+    n = len(scaled) - 1
+    with pytest.MonkeyPatch.context() as patch:
+        reads = _counting_row_reads(patch)
+        algorithms._row_minima(prev, scaled, n)
+    assert reads[0] <= (n + 1) * (n.bit_length() + 2)
+
+
+@PROPERTY
+@given(st.one_of(few_valued_instances(max_delays=5), tied_run_instances()))
+@example(Instance((F(1),), (F(1),)))  # n = 1, m = 1: no rows, one path scan
+@example(Instance((F(1),) * 7, (F(1), F(2), F(3), F(4), F(5))))  # five classes of one
+def test_delay_dp_steps_bound_the_candidates_scanned(inst):
+    sizes = _class_sizes(inst.delays)
+    with pytest.MonkeyPatch.context() as patch:
+        reads = _counting_row_reads(patch)
+        solution = dp_few_delays(inst)
+    steps = algorithms._delay_dp_steps(inst.n, sizes)
+    assert reads[0] <= steps
+    assert steps >= (inst.n + 1) * prod(s + 1 for s in Counter(inst.delays).values())
+    assert solution == reference_dp_few_delays(inst)
+
+
+@PROPERTY
+@given(st.one_of(few_valued_instances(max_n=7, max_m=5, max_delays=5), weight_class_instances()))
+@example(Instance((F(4),), (F(1),)))  # m = 1: no takes are yielded
+@example(Instance((F(1), F(2), F(3), F(4), F(5)), (F(1), F(2))))  # five classes of one
+def test_weight_dp_steps_bound_the_takes_tried(inst):
+    sizes = _class_sizes(inst.weights)
+    takes = [0]
+    run_takes = algorithms._run_takes
+
+    def counted(radix, strides):
+        for vector_takes in run_takes(radix, strides):
+            takes[0] += len(vector_takes)
+            yield vector_takes
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algorithms, "_run_takes", counted)
+        solution = dp_few_weights(inst)
+    vectors = prod(s + 1 for s in Counter(inst.weights).values())
+    cost_rows = len(set(inst.delays))
+    steps = algorithms._weight_dp_steps(inst.m, cost_rows, sizes)
+    assert takes[0] == (algorithms._run_take_count(sizes) if inst.m > 1 else 0)
+    assert takes[0] <= steps
+    assert steps >= (inst.m + cost_rows) * vectors
+    assert solution == reference_dp_few_weights(inst)
 
 
 def _reference_approx(inst, rounding, dp):
