@@ -255,17 +255,21 @@ def _weight_dp_steps(m: int, cost_rows: int, sizes) -> int:
     return (m - 1) * _run_take_count(sizes) + (cost_rows + m) * _vector_count(sizes)
 
 
+def _shown_count(count: int):
+    """`count` as a message states it: a count of more than 10**4 bits, near
+    the 4300 digits an int prints by default, is shown by a power of ten
+    below it (0.301029 < log10(2))."""
+    bits = count.bit_length()
+    return count if bits <= 10**4 else f"more than 10**{(bits - 1) * 301029 // 10**6}"
+
+
 def _count_vectors(members, steps: int):
     """Count vectors over the classes `members` as mixed-radix ints, first
     class most significant so that index order is itertools.product order:
     (radix, strides, number of vectors).  Refuses a program predicted to
-    take more than MAX_DP_STEPS `steps`, before any table exists; a count
-    of more than 10**4 bits, near the 4300 digits an int prints by default,
-    is shown by a power of ten below it (0.301029 < log10(2))."""
+    take more than MAX_DP_STEPS `steps`, before any table exists."""
     if steps > MAX_DP_STEPS:
-        bits = steps.bit_length()
-        shown = steps if bits <= 10**4 else f"more than 10**{(bits - 1) * 301029 // 10**6}"
-        raise ValueError(f"dynamic programming would need {shown} steps,"
+        raise ValueError(f"dynamic programming would need {_shown_count(steps)} steps,"
                          f" above the bound {MAX_DP_STEPS}")
     radix = [len(idx) + 1 for idx in members]
     strides = list(itertools.accumulate(reversed(radix[1:]), operator.mul, initial=1))
@@ -341,7 +345,7 @@ def _delay_class_dp(inst: Instance, delays, members) -> DPSolution:
     by vector v: the last run goes on one more resource of some class.
 
     The table keeps values only and is filled one vector at a time, a whole
-    row of n + 1 entries, by resources used.  For class c the row is the
+    row of n + 1 entries, in index order.  For class c the row is the
     minimum over i <= j of table[prev][i] + d_c * C(i, j), prev being v less
     one resource of class c and C(i, j) = (j - i)(P_j - P_i) the run
     i+1..j, with P the weight prefix sums; the vector keeps one row, and
@@ -368,10 +372,9 @@ def _delay_class_dp(inst: Instance, delays, members) -> DPSolution:
     # scaled[cls][i] = d * P_i, so a run i+1..j on class cls costs (j - i)(scaled[j] - scaled[i])
     scaled = [[d * p for p in prefix] for d in delays]
     table = [None] * vectors  # table[0], no resources, stays None
-    # count vectors by resources used, then in product order: every table[prev]
-    # row is complete before a vector one resource larger reads it
-    for vec in sorted(itertools.product(*map(range, radix)), key=sum)[1:-1]:
-        v = sum(map(operator.mul, vec, strides))
+    # count vectors in index order: v reads only rows v - stride < v, all complete
+    vecs = itertools.islice(itertools.product(*map(range, radix)), 1, vectors - 1)
+    for v, vec in enumerate(vecs, 1):
         row = None  # each class row is lowered into the vector's one row
         for cls, stride in enumerate(strides):
             if vec[cls]:

@@ -67,8 +67,6 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 
-BUDGET_ENV_VAR = "SELFISH_ASSIGN_BUDGET"
-
 _WRITE_SLICE = 1 << 16  # characters of the report per write to stdout
 
 
@@ -158,19 +156,6 @@ def _loads_assignment(text: str) -> Assignment:
     if not isinstance(data, list):
         raise ValueError("expected a JSON array of resource indices")
     return Assignment(tuple(data))
-
-
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return oracle.DEFAULT_MAX_STATES
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise _CliError(EXIT_PARSE, f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise _CliError(EXIT_PARSE, f"{BUDGET_ENV_VAR} must be positive, got {value}")
-    return value
 
 
 def _parse_epsilon(raw, required_by: str, positive: bool = True) -> Fraction:
@@ -273,9 +258,7 @@ def _cmd_nash(args, inst: Instance, _references) -> dict:
 def _cmd_ratio(args, inst: Instance, _references) -> dict:
     if args.budget is not None and args.budget < 1:
         raise _CliError(EXIT_PRECONDITION, f"--budget must be positive, got {args.budget}")
-    budget = oracle.EnumerationBudget(
-        args.budget if args.budget is not None else _default_budget()
-    )
+    budget = oracle.DEFAULT_MAX_STATES if args.budget is None else args.budget
     try:
         report = oracle.enumerate_extremes(inst, budget)
     except oracle.BudgetExceededError as exc:
@@ -440,7 +423,8 @@ def _build_parsers():
 
     ratio = sub.add_parser("ratio", help="enumerate extreme costs and check bounds")
     ratio.add_argument("instance", help="instance JSON file")
-    ratio.add_argument("--budget", type=int, help="max enumeration states")
+    ratio.add_argument("--budget", type=int,
+                       help="max assignments (m^n) a mixed-weight walk may visit; default 10**7")
     ratio.set_defaults(func=_cmd_ratio, source=_read_instance)
 
     gen = sub.add_parser("gen", help="write a generated instance file")

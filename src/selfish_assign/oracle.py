@@ -10,8 +10,7 @@ optimum is `find_opt`'s count vector and the cheapest Nash vector
 the n-th smallest of the loads c * d_j, so the Nash vectors are one lower
 vector plus one task on h of the resources whose delay divides L, and the
 dearest raises the h smallest delays: O(m log m) int operations, and O(n)
-to write out the witnesses, where the budget still counts the
-C(n+m-1, m-1) count vectors.
+to write out the witnesses, with no budget: nothing is enumerated.
 
 Other instances are enumerated by one incremental walk on ints: weights
 and delays are scaled by the LCM of their denominators, and states come in
@@ -33,46 +32,28 @@ each extreme cost, the minimum of its own orbit, so witnesses are those of
 a full enumeration: the lexicographically smallest assignment of each
 extreme cost.  Costs become Fractions only for
 the three extremes; `cost` and `is_nash` stay the public evaluators, which
-`verify_bounds` re-checks the witnesses with.
+`verify_bounds` re-checks the witnesses with.  The one budget, an int of
+states, bounds the walk: its m^n assignments are counted before any work.
 """
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import NamedTuple
 
-from .algorithms import _fewest_tasks, _lowest_index, _marginal_counts
+from .algorithms import _fewest_tasks, _lowest_index, _marginal_counts, _shown_count
 from .model import Assignment, CountAssignment, Instance, RatioReport, cost, is_nash
 
 DEFAULT_MAX_STATES = 10**7
-
-
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Upper bound on the number of states an enumeration may visit."""
-
-    max_states: int = DEFAULT_MAX_STATES
-
-    def __post_init__(self):
-        if self.max_states < 1:
-            raise ValueError("max_states must be positive")
 
 
 class BudgetExceededError(RuntimeError):
     """Raised instead of silently truncating an enumeration."""
 
     def __init__(self, required: int, allowed: int):
-        super().__init__(
-            f"enumeration needs {required} states, budget allows {allowed}"
-        )
+        super().__init__(f"enumeration needs {_shown_count(required)} states,"
+                         f" budget allows {_shown_count(allowed)}")
         self.required = required
         self.allowed = allowed
-
-
-def _check_budget(required: int, budget: EnumerationBudget):
-    if required > budget.max_states:
-        raise BudgetExceededError(required, budget.max_states)
 
 
 def _nash_level(cheapest, delays):
@@ -265,7 +246,7 @@ def _walk_assignments(weights, delays):
             ]
 
 
-def enumerate_extremes(inst: Instance, budget: EnumerationBudget = None) -> RatioReport:
+def enumerate_extremes(inst: Instance, max_states: int = DEFAULT_MAX_STATES) -> RatioReport:
     """Exact extreme costs over all assignments and over the Nash subset.
 
     Identical-weight instances take the closed form of
@@ -281,17 +262,19 @@ def enumerate_extremes(inst: Instance, budget: EnumerationBudget = None) -> Rati
     costs to the lexicographically smallest assignment, its orbit's
     minimum; a state gets the equilibrium check only when its cost would
     replace the cheapest or the dearest Nash cost found so far.  Either way the
-    witnesses are those of a full enumeration.  The budget still counts
-    every state, m^n assignments or C(n+m-1, m-1) count vectors, and is
-    checked before any work.
+    witnesses are those of a full enumeration.  `max_states` bounds the
+    walk alone: more than that many assignments, m^n, raise
+    BudgetExceededError before any work; the closed form takes no budget.
     """
-    budget = budget or EnumerationBudget()
+    if max_states < 1:
+        raise ValueError("max_states must be positive")
     kernel = inst._kernel
     if inst.identical_weights:
-        _check_budget(comb(inst.n + inst.m - 1, inst.m - 1), budget)
         extremes = _count_vector_extremes(inst.n, kernel.weights[0], kernel.delays)
     else:
-        _check_budget(inst.m**inst.n, budget)
+        states = inst.m**inst.n
+        if states > max_states:
+            raise BudgetExceededError(states, max_states)
         extremes = _walk_assignments(kernel.weights, kernel.delays)
     if extremes[1] is None:
         raise AssertionError("a pure Nash assignment always exists; enumeration is broken")

@@ -12,7 +12,6 @@ def test_public_names():
         "CountAssignment",
         "DEFAULT_DISTINCT_VALUES",
         "DPSolution",
-        "EnumerationBudget",
         "FractionalOptimum",
         "Instance",
         "NumberTooLongError",

@@ -10,7 +10,6 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -277,15 +276,23 @@ class TestRatio:
         assert code == 0
         assert report["arguments"] == {"algorithm": "auto", "instance": path}
 
-    def test_budget_env_override(self, tmp_path, capsys, monkeypatch):
-        inst = Instance(weights=(F(1), F(2), F(3)), delays=(F(1), F(2)))
+    def test_identical_weights_answer_under_the_default_budget(self, tmp_path, capsys):
+        # C(1009, 9) count vectors, which the closed form never visits
+        inst = Instance(weights=(F(1),) * 1000, delays=tuple(F(k) for k in range(1, 11)))
         path = write_instance(tmp_path, inst)
-        monkeypatch.setenv("SELFISH_ASSIGN_BUDGET", "7")
-        code, _, _ = run_cli(capsys, "ratio", path)
-        assert code == 4
-        monkeypatch.setenv("SELFISH_ASSIGN_BUDGET", "8")
-        code, _, _ = run_cli(capsys, "ratio", path)
+        code, report, err = run_cli(capsys, "ratio", path)
+        assert code == 0 and err == ""
+        assert report["arguments"] == {"instance": path}
+        code, wide, _ = run_cli(capsys, "ratio", path, "--budget", str(10**40))
         assert code == 0
+        assert report["result"] == wide["result"]
+
+    def test_huge_state_count_is_one_line(self, tmp_path, capsys):
+        # 2^15000 assignments: more digits than an int prints by default
+        inst = Instance(weights=(F(1), F(2), F(3)) * 5000, delays=(F(1), F(2)))
+        code, report, err = run_cli(capsys, "ratio", write_instance(tmp_path, inst))
+        assert code == 4 and report is None
+        assert err == "error: enumeration needs more than 10**4515 states, budget allows 10000000\n"
 
 
 class TestGen:
@@ -509,55 +516,53 @@ class TestReportShape:
 
 # Failure paths: (argv with {instance}, {wide} and {assignment} filled in,
 # assignment file content (text, or bytes written as they are) or None for
-# no file, environment, exit code).
+# no file, exit code).
 # {instance} has 2 tasks on 2 resources; {wide} has five distinct weights
 # and five distinct delays, so no exact algorithm applies.
 FAILURES = {
-    "assignment-missing": (["verify", "{instance}", "{assignment}"], None, {}, 2),
-    "assignment-invalid-json": (["verify", "{instance}", "{assignment}"], "[1,", {}, 2),
-    "assignment-not-array": (["verify", "{instance}", "{assignment}"], '{"a": 1}', {}, 2),
-    "assignment-entry-zero": (["verify", "{instance}", "{assignment}"], "[0, 1]", {}, 2),
-    "assignment-entry-true": (["verify", "{instance}", "{assignment}"], "[true, 1]", {}, 2),
-    "assignment-beyond-m": (["verify", "{instance}", "{assignment}"], "[1, 3]", {}, 3),
+    "assignment-missing": (["verify", "{instance}", "{assignment}"], None, 2),
+    "assignment-invalid-json": (["verify", "{instance}", "{assignment}"], "[1,", 2),
+    "assignment-not-array": (["verify", "{instance}", "{assignment}"], '{"a": 1}', 2),
+    "assignment-entry-zero": (["verify", "{instance}", "{assignment}"], "[0, 1]", 2),
+    "assignment-entry-true": (["verify", "{instance}", "{assignment}"], "[true, 1]", 2),
+    "assignment-beyond-m": (["verify", "{instance}", "{assignment}"], "[1, 3]", 3),
     # json refuses an int of more than 4300 digits with a plain ValueError
     "assignment-integer-too-long": (
-        ["verify", "{instance}", "{assignment}"], f"[{'1' * 4301}, 1]", {}, 2),
-    "assignment-not-utf-8": (["verify", "{instance}", "{assignment}"], b"[1, \xff]", {}, 2),
-    "instance-not-utf-8": (["solve", "{assignment}"], b'{"weights": [\xff]}', {}, 2),
-    "budget-env-not-int": (["ratio", "{instance}"], None, {"SELFISH_ASSIGN_BUDGET": "abc"}, 2),
-    "budget-env-zero": (["ratio", "{instance}"], None, {"SELFISH_ASSIGN_BUDGET": "0"}, 2),
-    "solve-epsilon-not-rational": (["solve", "{instance}", "--epsilon", "abc"], None, {}, 2),
-    "solve-epsilon-zero": (["solve", "{instance}", "--epsilon", "0"], None, {}, 3),
-    "gen-epsilon-negative": (["gen", "uniform-gap", "--epsilon", "-1"], None, {}, 3),
-    "gen-big-nash-without-n": (["gen", "big-nash"], None, {}, 3),
-    "gen-random-without-ranges": (["gen", "random", "--n", "2", "--m", "2"], None, {}, 3),
+        ["verify", "{instance}", "{assignment}"], f"[{'1' * 4301}, 1]", 2),
+    "assignment-not-utf-8": (["verify", "{instance}", "{assignment}"], b"[1, \xff]", 2),
+    "instance-not-utf-8": (["solve", "{assignment}"], b'{"weights": [\xff]}', 2),
+    "solve-epsilon-not-rational": (["solve", "{instance}", "--epsilon", "abc"], None, 2),
+    "solve-epsilon-zero": (["solve", "{instance}", "--epsilon", "0"], None, 3),
+    "gen-epsilon-negative": (["gen", "uniform-gap", "--epsilon", "-1"], None, 3),
+    "gen-big-nash-without-n": (["gen", "big-nash"], None, 3),
+    "gen-random-without-ranges": (["gen", "random", "--n", "2", "--m", "2"], None, 3),
     "gen-random-range-dash": (
-        ["gen", "random", "--n", "2", "--m", "2", "--weights", "1-2", "--delays", "1:2"], None, {}, 2),
+        ["gen", "random", "--n", "2", "--m", "2", "--weights", "1-2", "--delays", "1:2"], None, 2),
     "gen-random-range-not-rational": (
-        ["gen", "random", "--n", "2", "--m", "2", "--weights", "a:b", "--delays", "1:2"], None, {}, 2),
+        ["gen", "random", "--n", "2", "--m", "2", "--weights", "a:b", "--delays", "1:2"], None, 2),
     "reference-assignment-beyond-m": (
         ["solve", "{assignment}"],
-        '{"weights": [1, 2], "delays": [1, 2], "reference_assignments": {"a": [9, 1]}}', {}, 2),
+        '{"weights": [1, 2], "delays": [1, 2], "reference_assignments": {"a": [9, 1]}}', 2),
     "reference-assignment-too-short": (
         ["solve", "{assignment}"],
-        '{"weights": [1, 2], "delays": [1, 2], "reference_assignments": {"a": [1]}}', {}, 2),
+        '{"weights": [1, 2], "delays": [1, 2], "reference_assignments": {"a": [1]}}', 2),
     "reference-assignment-too-long": (
         ["ratio", "{assignment}"],
-        '{"weights": [1, 2], "delays": [1, 2], "reference_assignments": {"a": [1, 2, 2]}}', {}, 2),
-    "solve-no-exact-algorithm": (["solve", "{wide}"], None, {}, 3),
+        '{"weights": [1, 2], "delays": [1, 2], "reference_assignments": {"a": [1, 2, 2]}}', 2),
+    "solve-no-exact-algorithm": (["solve", "{wide}"], None, 3),
     "instance-number-too-long": (
-        ["solve", "{assignment}"], f'{{"weights": ["1e{MAX_NUMBER_DIGITS}", 1], "delays": [1]}}', {}, 4),
-    "solve-epsilon-too-long": (["solve", "{instance}", "--epsilon", f"1e-{MAX_NUMBER_DIGITS}"], None, {}, 4),
-    "gen-epsilon-too-long": (["gen", "uniform-gap", "--epsilon", f"1e{MAX_NUMBER_DIGITS}"], None, {}, 4),
+        ["solve", "{assignment}"], f'{{"weights": ["1e{MAX_NUMBER_DIGITS}", 1], "delays": [1]}}', 4),
+    "solve-epsilon-too-long": (["solve", "{instance}", "--epsilon", f"1e-{MAX_NUMBER_DIGITS}"], None, 4),
+    "gen-epsilon-too-long": (["gen", "uniform-gap", "--epsilon", f"1e{MAX_NUMBER_DIGITS}"], None, 4),
     "gen-random-range-too-long": (
         ["gen", "random", "--n", "2", "--m", "2", "--weights", f"1:1e{MAX_NUMBER_DIGITS}", "--delays", "1:2"],
-        None, {}, 4),
-    "gen-out-missing-directory": (["gen", "big-nash", "--n", "3", "--out", "{missing}"], None, {}, 2),
+        None, 4),
+    "gen-out-missing-directory": (["gen", "big-nash", "--n", "3", "--out", "{missing}"], None, 2),
     "gen-random-no-tasks": (
-        ["gen", "random", "--n", "0", "--m", "2", "--weights", "1:2", "--delays", "1:2"], None, {}, 3),
+        ["gen", "random", "--n", "0", "--m", "2", "--weights", "1:2", "--delays", "1:2"], None, 3),
     # sizes beyond an index-sized int: an OverflowError before any list is built
-    "gen-big-nash-n-beyond-index": (["gen", "big-nash", "--n", str(10**20)], None, {}, 3),
-    "gen-nash-ratio-lb-epsilon-tiny": (["gen", "nash-ratio-lb", "--epsilon", "1e-30"], None, {}, 3),
+    "gen-big-nash-n-beyond-index": (["gen", "big-nash", "--n", str(10**20)], None, 3),
+    "gen-nash-ratio-lb-epsilon-tiny": (["gen", "nash-ratio-lb", "--epsilon", "1e-30"], None, 3),
 }
 
 #: Deeper than the JSON reader of any supported Python recurses: 1000
@@ -568,8 +573,8 @@ TOO_DEEP = "[" * 100_000
 
 class TestFailurePaths:
     @pytest.mark.parametrize("case", sorted(FAILURES))
-    def test_exit_code_and_one_error_line(self, case, tmp_path, capsys, monkeypatch):
-        argv, content, env, expected = FAILURES[case]
+    def test_exit_code_and_one_error_line(self, case, tmp_path, capsys):
+        argv, content, expected = FAILURES[case]
         assignment = tmp_path / "assignment.json"
         if isinstance(content, bytes):
             assignment.write_bytes(content)
@@ -582,8 +587,6 @@ class TestFailurePaths:
             "assignment": str(assignment),
             "missing": str(tmp_path / "missing" / "out.json"),
         }
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
         code, report, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
         assert code == expected
         assert report is None
@@ -1166,8 +1169,8 @@ class TestClosedStdout:
         assert b"Traceback" not in err
 
 
-# The CLI contract on generated runs: argv, the contents of the instance and
-# assignment files and the budget variable are drawn at small sizes, and
+# The CLI contract on generated runs: argv and the contents of the instance
+# and assignment files are drawn at small sizes, and
 # `main` runs in-process.  Every run ends with exit 0, 2, 3 or 4, or with
 # argparse's SystemExit 0 (help) or 2; a failure writes nothing to stdout
 # and one `error: ` line to stderr; no other exception escapes.  `gen` sizes
@@ -1266,16 +1269,16 @@ def cli_argv(draw):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(cli_argv(), cli_files(), st.sampled_from([None, None, None, "", "x", "0", "3", "1000"]))
+@given(cli_argv(), cli_files())
 @example(["verify", INSTANCE, ASSIGNMENT],  # json's digit limit: once a traceback
-         ('{"weights": [1, 1], "delays": [1, 2]}', f"[{'1' * 4301}, 1]"), None)
-@example(["solve", INSTANCE], (b"\xff", ""), None)  # not UTF-8: once a traceback
-@example(["solve", "a\nb"], ("", ""), None)  # a line break in a missing path
-@example(["gen", "big-nash", "--n", "3", "--out", "a\x00b"], ("", ""), None)
+         ('{"weights": [1, 1], "delays": [1, 2]}', f"[{'1' * 4301}, 1]"))
+@example(["solve", INSTANCE], (b"\xff", ""))  # not UTF-8: once a traceback
+@example(["solve", "a\nb"], ("", ""))  # a line break in a missing path
+@example(["gen", "big-nash", "--n", "3", "--out", "a\x00b"], ("", ""))
 @example(["gen", "random", "--n", "3", "--m", "2", "--weights", "1:2", "--delays", "1/2:3",
-          "--out", OUT], ("", ""), None)
-@example(["gen", "nash-ratio-lb", "--epsilon", "1/2"], ("", ""), None)
-def test_cli_contract(tmp_path_factory, argv, files, budget):
+          "--out", OUT], ("", ""))
+@example(["gen", "nash-ratio-lb", "--epsilon", "1/2"], ("", ""))
+def test_cli_contract(tmp_path_factory, argv, files):
     root = tmp_path_factory.getbasetemp() / "contract"
     root.mkdir(exist_ok=True)
     paths = {INSTANCE: root / "instance.json", ASSIGNMENT: root / "assignment.json",
@@ -1290,10 +1293,7 @@ def test_cli_contract(tmp_path_factory, argv, files, budget):
     cwd = os.getcwd()
     os.chdir(root)  # a generated relative path, such as `--ou=x`, stays in the run's directory
     try:
-        with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
-            os.environ.pop(cli.BUDGET_ENV_VAR, None)
-            if budget is not None:
-                os.environ[cli.BUDGET_ENV_VAR] = budget
+        with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
     except SystemExit as exc:  # from argparse
         assert exc.code in (0, 2)

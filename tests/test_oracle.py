@@ -2,7 +2,6 @@
 
 import time
 from fractions import Fraction as F
-from math import comb
 
 import pytest
 
@@ -10,12 +9,13 @@ from selfish_assign import (
     Assignment,
     BudgetExceededError,
     CountAssignment,
-    EnumerationBudget,
     Instance,
     RatioReport,
     SplitMix64,
     cost,
     enumerate_extremes,
+    find_opt,
+    find_opt_nash,
     gen_big_nash,
     gen_random,
     gen_uniform_gap,
@@ -28,6 +28,7 @@ from helpers import (
     all_targets,
     brute_extremes,
     reference_count_vectors,
+    reference_enumerate_extremes,
     reference_nash_count_vectors,
 )
 
@@ -54,33 +55,37 @@ class TestEnumerateExtremes:
 
     @pytest.mark.parametrize("max_states", [0, -1])
     def test_budget_must_be_positive(self, max_states):
+        inst = Instance(weights=(F(1),), delays=(F(1),))
         with pytest.raises(ValueError, match="max_states must be positive"):
-            EnumerationBudget(max_states)
+            enumerate_extremes(inst, max_states)
 
     def test_budget_exceeded_is_loud(self):
         inst = Instance(weights=(F(1), F(2), F(3)), delays=(F(1), F(2)))
         with pytest.raises(BudgetExceededError) as err:
-            enumerate_extremes(inst, EnumerationBudget(max_states=7))
+            enumerate_extremes(inst, 7)
         assert err.value.required == 8
         assert "8" in str(err.value)
 
-    def test_count_vector_budget_is_the_composition_count(self):
-        inst = Instance(weights=(F(1),) * 4, delays=(F(1), F(1), F(1)))
-        with pytest.raises(BudgetExceededError) as err:
-            enumerate_extremes(inst, EnumerationBudget(max_states=14))
-        assert err.value.required == 15  # C(6, 2)
-        enumerate_extremes(inst, EnumerationBudget(max_states=15))
+    def test_identical_weights_answer_under_any_budget(self):
+        # the closed form enumerates nothing, so no budget refuses it: a
+        # budget of one state, and C(109, 9) count vectors under the default
+        small = Instance(weights=(F(1),) * 4, delays=(F(1), F(1), F(1)))
+        report = enumerate_extremes(small, 1)
+        assert report == reference_enumerate_extremes(small)
+        assert report.min_cost == report.max_nash_cost == F(6)
+        assert report.max_nash_witness == Assignment((1, 1, 2, 3))
+        inst = Instance(weights=(F(2),) * 100, delays=tuple(F(k) for k in range(1, 11)))
+        report = enumerate_extremes(inst)
+        assert report.min_cost == cost(inst, find_opt(inst))
+        assert report.min_nash_cost == cost(inst, find_opt_nash(inst))
+        assert all(check.satisfied for check in verify_bounds(inst, report))
 
     def test_budget_is_checked_before_any_work(self):
-        # 3^40 assignments and C(109, 9) count vectors: refused at once
+        # 3^40 assignments: refused at once
         mixed = Instance(weights=tuple(F(1 + i % 2) for i in range(40)), delays=(F(1),) * 3)
         with pytest.raises(BudgetExceededError) as err:
             enumerate_extremes(mixed)
         assert err.value.required == 3**40
-        identical = Instance(weights=(F(2),) * 100, delays=tuple(F(k) for k in range(1, 11)))
-        with pytest.raises(BudgetExceededError) as err:
-            enumerate_extremes(identical)
-        assert err.value.required == comb(109, 9)
 
     def test_one_resource_many_tasks(self):
         # a single state; the walk keeps its own stack, so depth is no limit
@@ -121,7 +126,7 @@ class TestEnumerateExtremes:
         # relabelling gives this report in about 28 s
         inst = Instance(weights=tuple(F(k) for k in range(1, 9)), delays=(F(3, 2),) * 8)
         started = time.perf_counter()
-        report = enumerate_extremes(inst, EnumerationBudget(8**8))
+        report = enumerate_extremes(inst, 8**8)
         assert time.perf_counter() - started < 2
         alone = Assignment(tuple(range(1, 9)))  # every task on a resource of its own
         assert report.min_cost == report.min_nash_cost == F(3, 2) * 36
