@@ -44,15 +44,12 @@ DEFAULT_DISTINCT_VALUES = 4
 #: the DPs ran at 70-120 ns per predicted step, so the cap is 7-12 s.
 MAX_DP_STEPS = 10**8
 
-#: Hard cap on the steps k of a geometric rounding grid: each rounded value
-#: is found by comparing k-th powers, whose size grows with k.
-MAX_GRID_STEPS = 10**4
-
 #: Hard cap on the bits of a power that geometric rounding builds: (1 +
 #: epsilon)**j while it looks for k, then k-th powers of the values.  Their
-#: bits are predicted before any is built.  On a 2-core x86_64 VM (Python
-#: 3.11), rounding two values at the cap took about 0.05 s; 50 distinct
-#: values there took about 0.8 s.
+#: bits are predicted before any is built.  It is the rounding's one guard,
+#: and it bounds k too, as each of these powers has more than k bits.  On a
+#: 2-core x86_64 VM (Python 3.11), rounding two values at the cap took about
+#: 0.05 s; 50 distinct values there took about 0.8 s.
 MAX_GRID_POWER_BITS = 2**18
 
 @dataclass(frozen=True)
@@ -555,43 +552,17 @@ def _int_kth_root(x: int, k: int):
 
 def _grid_steps(ratio: Fraction, epsilon: Fraction) -> int:
     """The smallest k >= 1 with (1 + epsilon)**k >= ratio, by doubling and
-    then bisection; refuses k above MAX_GRID_STEPS, and a power of more
-    than MAX_GRID_POWER_BITS bits before it is built.  The bound on k is
-    checked first through (1 + epsilon)**K <= 1 / (1 - K * epsilon), which
-    holds for K * epsilon < 1 and costs no power."""
-    base, most = 1 + epsilon, MAX_GRID_STEPS * epsilon
-    if most < 1 and ratio * (1 - most) > 1:
-        raise ValueError(_grid_steps_refusal(ratio, epsilon))
+    then bisection; a power of more than MAX_GRID_POWER_BITS bits is
+    refused before it is built.  The numerator of 1 + epsilon has at least
+    2 bits, so that check ends the doubling before high = 2**18, and a k
+    returned is at most 2**17."""
+    base = 1 + epsilon
     low, high = 0, 1  # base**low < ratio
     while base**high < ratio:
-        if high == MAX_GRID_STEPS:
-            raise ValueError(_grid_steps_refusal(ratio, epsilon))
-        low, high = high, min(2 * high, MAX_GRID_STEPS)
+        low, high = high, 2 * high
         _check_power_bits(high * base.numerator.bit_length())  # base's larger term
     return low + 1 + bisect.bisect_left(
         range(low + 1, high + 1), True, key=lambda k: base**k >= ratio)
-
-
-def _log_log1p(x: Fraction) -> float:
-    """ln(ln(1 + x)) for a rational x > 0 of any size, approximately."""
-    try:
-        f = float(x)
-    except OverflowError:
-        f = math.inf
-    if f == math.inf:  # ln(1 + x) ~ ln x
-        return math.log(math.log(x.numerator) - math.log(x.denominator))
-    if f < 1e-300:  # ln(1 + x) ~ x
-        return math.log(x.numerator) - math.log(x.denominator)
-    return math.log(math.log1p(f))
-
-
-def _grid_steps_refusal(ratio: Fraction, epsilon: Fraction) -> str:
-    log10_k = (_log_log1p(ratio - 1) - _log_log1p(epsilon)) / math.log(10)
-    exponent = math.floor(log10_k)
-    return (
-        f"geometric rounding needs about {10 ** (log10_k - exponent):.1f}e{exponent}"
-        f" grid steps, above the bound {MAX_GRID_STEPS}; use a larger epsilon"
-    )
 
 
 def _check_power_bits(bits: int):
@@ -643,13 +614,13 @@ def _round_up_geometric(ints, epsilon: Fraction):
     lo * (hi/lo)**(t/k).
 
     k is the smallest positive integer with (1 + epsilon)**k >= hi/lo, so
-    consecutive grid points differ by at most a factor 1 + epsilon; a k
-    above MAX_GRID_STEPS raises ValueError, as do powers of more than
-    MAX_GRID_POWER_BITS bits (k times the bits of hi, for k > 1), before
-    any is built.  One sweep of the sorted values maps each v to the first
-    cell t with v**k <= lo**(k - t) * hi**t, galloping on from the previous
-    value's cell (`_cell_above`), so to the smallest grid point at or above
-    v; the grid point is materialized exactly when it is an int, otherwise
+    consecutive grid points differ by at most a factor 1 + epsilon; powers
+    of more than MAX_GRID_POWER_BITS bits (k times the bits of hi, for
+    k > 1) raise ValueError before any is built, the one bound on k.  One
+    sweep of the sorted values maps each v to the first cell t with
+    v**k <= lo**(k - t) * hi**t, galloping on from the previous value's
+    cell (`_cell_above`), so to the smallest grid point at or above v; the
+    grid point is materialized exactly when it is an int, otherwise
     as the largest original value in the same grid cell (still an upper
     bound within 1 + epsilon).  For ints that are rationals times a common
     scale, the grid is the rationals' grid times that scale, and one of its

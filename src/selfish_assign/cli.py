@@ -8,8 +8,9 @@ diagnostics go to stderr, one `error:` line per failure.  Exit codes:
 0 success, 1 stdout closed by its reader before the document was written (no
 traceback), 2 unparsable input, bad arguments or an unwritable --out file,
 3 precondition violation, among them an exact DP predicted to take more
-than `algorithms.MAX_DP_STEPS` steps and a rounding grid above its bounds
-(those lines state the work required and allowed), 4 enumeration budget
+than `algorithms.MAX_DP_STEPS` steps and a rounding that would build powers
+of more than `algorithms.MAX_GRID_POWER_BITS` bits (those lines state the
+work required and allowed), 4 enumeration budget
 exceeded or a number (in an instance file, --epsilon or a gen range) whose
 numerator or denominator would have more than `model.MAX_NUMBER_DIGITS`
 digits; that error line states the digits required and allowed.

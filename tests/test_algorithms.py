@@ -356,18 +356,26 @@ class TestRoundWeights:
             round_weights(inst, F(0))
 
     def test_grid_step_bound(self):
+        # k is bounded by the bits of the powers alone: 1 + 1/4551 needs
+        # k = 10001 steps to reach 9, and powers of 10001 * 4 bits
         inst = Instance(weights=(F(9), F(1)), delays=(F(1),))
-        # (1 + 1/4550)**9999 >= 9, while 1 + 1/4551 needs 10001 > 10**4 steps
-        rounding = round_weights(inst, F(1, 4550))
-        assert rounding.k == 9999 == algorithms.MAX_GRID_STEPS - 1
+        rounding = round_weights(inst, F(1, 4551))
+        assert rounding.k == 10001
         assert rounding.rounded.weights == (F(9), F(1))
-        with pytest.raises(ValueError, match="about 1.0e4 grid steps, above the bound 10000"):
-            round_weights(inst, F(1, 4551))
-        with pytest.raises(ValueError, match="about 2.2e3000 grid steps"):
-            round_delays(Instance(weights=(F(1),), delays=(F(1), F(9))), F(1, 10**3000))
-        # a spread beyond float range: ln ln(1 + x) is taken as ln ln x
-        with pytest.raises(ValueError, match="about 9.2e8 grid steps, above the bound 10000"):
-            round_weights(Instance(weights=(1, "1e400"), delays=(1,)), F(1, 10**6))
+        # (1 + 10**-3000)**32 and (1 + 10**-6)**16384 are refused unbuilt
+        bound = algorithms.MAX_GRID_POWER_BITS
+        for refused, bits in [
+            (lambda: round_delays(Instance(weights=(F(1),), delays=(F(1), F(9))), F(1, 10**3000)),
+             318912),
+            (lambda: round_weights(Instance(weights=(1, "1e400"), delays=(1,)), F(1, 10**6)),
+             327680),
+        ]:
+            started = time.perf_counter()
+            with pytest.raises(ValueError) as raised:
+                refused()
+            assert time.perf_counter() - started < 0.5
+            assert str(raised.value) == (
+                f"geometric rounding needs powers of {bits} bits, above the bound {bound}")
 
     def test_power_bits_bound(self):
         # epsilon = 1 on 1 and 2**(B - 1) takes k = B - 1 steps, powers of k * B bits

@@ -130,7 +130,8 @@ class TestSolve:
         assert report["result"]["cost"]["exact"] == f"{optimum.numerator}/{optimum.denominator}"
 
     def test_approx_grid_bound_fails_precondition_at_once(self, tmp_path, capsys):
-        # k = 2.2e30 grid steps; counting them one multiply at a time never returned
+        # k = 2.2e30 grid steps; counting them one multiply at a time never
+        # returned, and the doubling refuses (1 + 10**-30)**4096 unbuilt
         inst = Instance(weights=(F(1), F(3), F(5), F(7), F(9)), delays=(F(1), F(2), F(3), F(5), F(7), F(11)))
         path = write_instance(tmp_path, inst)
         started = time.perf_counter()
@@ -138,10 +139,7 @@ class TestSolve:
         assert time.perf_counter() - started < 0.5
         assert code == 3
         assert report is None
-        assert err == (
-            "error: geometric rounding needs about 2.2e30 grid steps,"
-            f" above the bound {algorithms.MAX_GRID_STEPS}; use a larger epsilon\n"
-        )
+        assert err == "error: geometric rounding needs powers of 409600 bits, above the bound 262144\n"
 
     def test_approx_without_epsilon_fails_precondition(self, tmp_path, capsys):
         inst = Instance(weights=(F(3), F(2), F(1)), delays=(F(1), F(2)))

@@ -880,8 +880,9 @@ def test_fractional_opt_equals_fraction_reference(n, delays):
 @PROPERTY
 @given(st.builds(F, st.integers(2, 10**6), st.integers(1, 1000)).filter(lambda r: r > 1),
        st.builds(F, st.integers(1, 50), st.integers(1, 200)))
-@example(F(9), F(1, 4550))  # the largest k under the bound
-@example(F(10001, 10000), F(1, 10**5))  # epsilon below 1 / MAX_GRID_STEPS, k = 10
+@example(F(9), F(1, 4550))  # k = 9999
+@example(F(9), F(1, 4551))  # k = 10001, bounded by the bits of its powers alone
+@example(F(10001, 10000), F(1, 10**5))  # epsilon below 10**-4 with a small k = 10
 def test_grid_steps_equal_counting_loop(ratio, epsilon):
     assert algorithms._grid_steps(ratio, epsilon) == count_grid_steps(ratio, epsilon)
 
@@ -1130,7 +1131,7 @@ def test_int_arrays_scale_as_the_general_path(ints, extra, at):
 
 @PROPERTY
 @given(st.integers(0, 2**80), st.integers(1, 70), st.integers(-1, 1))
-@example(10, 9999, 0)  # k near MAX_GRID_STEPS
+@example(10, 9999, 0)  # a k of ten thousand, as a rounding grid may take
 @example(10, 9999, -1)
 @example(2**80 + 3, 7, 0)  # a root wider than a float's mantissa
 @example(2**80 - 1, 2, 1)
