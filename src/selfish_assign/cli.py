@@ -28,12 +28,13 @@ parser would hand it on.  Input files are read as bytes and decoded from
 UTF-8 once, with "\\r\\n" and a lone "\\r" read as "\\n", as a text-mode read
 gives them.  Instance files are read by `model.loads_instance` and written
 by `model.dumps_instance`; reports are written by `model.dumps_json`, the
-instance digest read from the `Instance` properties.  `nash` and `verify`
-evaluate an assignment through `model`'s public evaluators, which walk its
-tasks once per instance.  `verify` renders each distinct new load once; its
-improving moves take one lower envelope of the move lines per call and one
-O(log m) lookup on it per distinct task weight, and its report's record
-lists are written column by column.
+instance digest rendered from the int pairs in lowest terms that the
+`Instance` properties are built from, with no Fraction built.  `nash` and
+`verify` evaluate an assignment through `model`'s public evaluators, which
+walk its tasks once per instance.  `verify` renders each distinct new load
+once; its improving moves take one lower envelope of the move lines per
+call and one O(log m) lookup on it per distinct task weight, and its
+report's record lists are written column by column.
 """
 
 import argparse
@@ -82,16 +83,15 @@ class _CliError(Exception):
 _WIDE_DECIMAL = decimal.Context(prec=17, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
-def _rat(x: Fraction) -> dict:
-    """The Fraction x = p/q for the report: exact "p/q" plus a labeled
-    approximation.
+def _rat(p: int, q: int) -> dict:
+    """The rational p/q, in lowest terms with q > 0, for the report: exact
+    "p/q" plus a labeled approximation.
 
     The approximation is a float.  For a value above float range, or a
     nonzero one that would become 0.0 or a subnormal float (which keeps
     fewer significant digits), it is a decimal string in scientific
     notation with 17 significant digits, correctly rounded.
     """
-    p, q = x.as_integer_ratio()
     try:
         # the int true division float(Fraction(p, q)) makes
         approximate = p / q
@@ -105,14 +105,15 @@ def _rat(x: Fraction) -> dict:
 
 def _instance_digest(inst: Instance) -> dict:
     """The instance's size, total weight, throughput, average load and
-    weight spread."""
+    weight spread, rendered from the int pairs the `Instance` properties
+    are built from."""
     return {
         "tasks": inst.n,
         "resources": inst.m,
-        "total_weight": _rat(inst.total_weight),
-        "throughput": _rat(inst.throughput),
-        "average_load": _rat(inst.average_load),
-        "weight_spread": _rat(inst.weight_spread),
+        "total_weight": _rat(*inst._total_weight_pair),
+        "throughput": _rat(*inst._throughput_pair),
+        "average_load": _rat(*inst._average_load_pair),
+        "weight_spread": _rat(*inst._weight_spread_pair),
     }
 
 
@@ -187,8 +188,8 @@ def _approx(inst: Instance, epsilon):
     else:
         solution = algorithms.approx_solve_delays(inst, epsilon)
     return solution.assignment, solution.cost, {
-        "epsilon": _rat(epsilon),
-        "approximation_factor": _rat(1 + epsilon),
+        "epsilon": _rat(*epsilon.as_integer_ratio()),
+        "approximation_factor": _rat(*(1 + epsilon).as_integer_ratio()),
     }
 
 
@@ -230,7 +231,7 @@ def _cmd_solve(args, inst: Instance, _references) -> dict:
     return {
         "algorithm": algorithm,
         "approximate": algorithm == "approx",
-        "cost": _rat(value),
+        "cost": _rat(*value.as_integer_ratio()),
         "assignment": list(assignment.target),
         **extra,
     }
@@ -247,7 +248,7 @@ def _cmd_nash(args, inst: Instance, _references) -> dict:
     evaluated = assignment if counts is None else counts
     result = {
         "mode": args.mode,
-        "cost": _rat(cost(inst, evaluated)),
+        "cost": _rat(*cost(inst, evaluated).as_integer_ratio()),
         "assignment": list(assignment.target),
         "is_nash": is_nash(inst, evaluated),
     }
@@ -266,12 +267,12 @@ def _cmd_ratio(args, inst: Instance, _references) -> dict:
         raise _CliError(EXIT_BUDGET, str(exc)) from exc
     checks = oracle.verify_bounds(inst, report)
     return {
-        "min_cost": _rat(report.min_cost),
-        "min_nash_cost": _rat(report.min_nash_cost),
-        "max_nash_cost": _rat(report.max_nash_cost),
-        "coordination_ratio": _rat(report.coordination_ratio),
-        "nash_gap": _rat(report.nash_gap),
-        "opt_gap": _rat(report.opt_gap),
+        "min_cost": _rat(*report.min_cost.as_integer_ratio()),
+        "min_nash_cost": _rat(*report.min_nash_cost.as_integer_ratio()),
+        "max_nash_cost": _rat(*report.max_nash_cost.as_integer_ratio()),
+        "coordination_ratio": _rat(*report.coordination_ratio.as_integer_ratio()),
+        "nash_gap": _rat(*report.nash_gap.as_integer_ratio()),
+        "opt_gap": _rat(*report.opt_gap.as_integer_ratio()),
         "witnesses": {
             "min_cost": list(report.min_cost_witness.target),
             "min_nash": list(report.min_nash_witness.target),
@@ -279,7 +280,7 @@ def _cmd_ratio(args, inst: Instance, _references) -> dict:
         },
         "bounds": [
             {"bound": c.name, "satisfied": c.satisfied,
-             "slack": _rat(c.slack)}
+             "slack": _rat(*c.slack.as_integer_ratio())}
             for c in checks
         ],
     }
@@ -291,10 +292,12 @@ def _cmd_verify(args, inst: Instance, _references) -> dict:
     # moves to equal loads share one load object: render each object once
     # and let its moves share the result (`moves` keeps every id alive)
     loads = {id(load): load for _, _, load in moves}
-    rendered = {key: _rat(load) for key, load in loads.items()}
+    rendered = {key: _rat(*load.as_integer_ratio()) for key, load in loads.items()}
     return {
-        "cost": _rat(cost(inst, assignment)),
-        "resource_loads": [_rat(load) for load in resource_loads(inst, assignment)],
+        "cost": _rat(*cost(inst, assignment).as_integer_ratio()),
+        "resource_loads": [
+            _rat(*load.as_integer_ratio()) for load in resource_loads(inst, assignment)
+        ],
         "is_nash": not moves,
         "improving_moves": [
             {"task": task, "to_resource": resource, "new_load": rendered[id(load)]}

@@ -18,11 +18,14 @@ Inside, an instance is its ints (`Instance._kernel`): weights and delays
 each multiplied by the LCM of their reduced denominators, which keeps every
 comparison and tie.  The constructor and instance files read numbers
 straight into those ints; an array of ints alone is its own kernel, with
-scale 1.  The Fraction tuples `weights` and `delays` are built only when
-something reads them.  Instance texts are read by one module-level JSON
-decoder.  `dumps_json` writes every JSON document the package emits,
-byte-identical to `json.dumps(value, indent=2)`, and a list of records
-column by column.
+scale 1.  Construction also scans the kernel weights once for their least,
+greatest and total (one `count` when they are all equal), which every
+weight check and quantity then reads in O(1); `total_weight` is a plain
+property, with no first-access lock.  The Fraction tuples `weights` and
+`delays` are built only when something reads them.  Instance texts are
+read by one module-level JSON decoder.  `dumps_json` writes every JSON
+document the package emits, byte-identical to `json.dumps(value,
+indent=2)`, and a list of records column by column.
 
 A task of weight w that moves to resource r pays d_r * (S_r + w), a line
 in w.  `improving_moves` builds the lower envelope of those m lines once
@@ -219,6 +222,12 @@ def _canonical(ints, scale: int):
     return tuple(map(reduced.__getitem__, ints)), scale // common
 
 
+def _lowest_terms(p: int, q: int) -> tuple:
+    """The positive ratio p/q in lowest terms, reduced by one gcd."""
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
 def _reciprocal_sum(delays):
     """The sum of 1 / d over the positive ints `delays` as (P, L), P / L:
     L is the LCM of the distinct delays and P the sum of L // d."""
@@ -241,6 +250,34 @@ class _Kernel(NamedTuple):
         return Fraction(value, self.weight_scale * self.delay_scale)
 
 
+def _array(values, name: str) -> tuple:
+    """`values` as a tuple.  A str, bytes or mapping (anything with `keys`,
+    as `dict` tells one), which would be read as its characters, byte values
+    or keys, is refused by name, as an instance file refuses a "weights" or
+    "delays" that is not an array."""
+    if isinstance(values, (str, bytes, bytearray)) or hasattr(values, "keys"):
+        raise ValueError(f"{name} must be an array of numbers, got {type(values).__name__}")
+    return tuple(values)
+
+
+class _WeightSummary(NamedTuple):
+    """The least, greatest and total kernel weight of an instance."""
+
+    least: int
+    greatest: int
+    total: int
+
+
+def _summarize_weights(weights: tuple) -> _WeightSummary:
+    """The summary of the non-empty int `weights`: one `count` scan when
+    they are all equal, else `min`, `max` and `sum`.  A last weight unlike
+    the first skips the `count` scan."""
+    first = weights[0]
+    if weights[-1] == first and weights.count(first) == len(weights):
+        return _WeightSummary(first, first, first * len(weights))
+    return _WeightSummary(min(weights), max(weights), sum(weights))
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class Instance:
     """A problem instance: task weights plus resource delays.
@@ -253,15 +290,22 @@ class Instance:
     scaled to ints by the LCM of their reduced denominators.  That scaling
     is canonical, so equality and hashing compare kernels.  The constructor
     reads each number as an instance file does (`parse_rational`'s reader),
-    straight into the kernel; the `weights` and `delays` Fraction tuples
-    and `total_weight` are built on first use (threads that race build
-    equal values).
+    straight into the kernel, and refuses a str, bytes or mapping passed as
+    an array.  Construction also scans the kernel weights once for their
+    least, greatest and total (`_weight_summary`), so the positivity check,
+    `identical_weights`, `unit_weights`, `total_weight`, `weight_spread`
+    and `average_load` take O(1); `total_weight` is a plain property, with
+    no first-access lock.  Those quantities and `throughput` are each built
+    from one int pair in lowest terms (`_total_weight_pair` and its
+    siblings), which the report's digest renders too.  The `weights` and `delays` Fraction tuples
+    are built on first use (threads that race build equal values).
     """
 
     _kernel: _Kernel
 
     def __init__(self, weights, delays):
-        self._set_kernel(_Kernel(*_scaled(tuple(weights)), *_scaled(tuple(delays))))
+        self._set_kernel(_Kernel(*_scaled(_array(weights, "weights")),
+                                 *_scaled(_array(delays, "delays"))))
 
     @classmethod
     def _from_kernel(cls, kernel: _Kernel) -> "Instance":
@@ -271,18 +315,20 @@ class Instance:
         return inst
 
     def _set_kernel(self, kernel: _Kernel):
-        """Sort the delays and set the kernel once it passes the one check
-        of every instance."""
+        """Sort the delays, summarize the weights and set both once they pass
+        the one check of every instance."""
         kernel = kernel._replace(delays=tuple(sorted(kernel.delays)))
         if not kernel.weights:
             raise ValueError("an instance needs at least one task")
         if not kernel.delays:
             raise ValueError("an instance needs at least one resource")
-        if min(kernel.weights) <= 0:
+        summary = _summarize_weights(kernel.weights)
+        if summary.least <= 0:
             raise ValueError("task weights must be positive")
         if kernel.delays[0] <= 0:
             raise ValueError("resource delays must be positive")
         object.__setattr__(self, "_kernel", kernel)
+        object.__setattr__(self, "_weight_summary", summary)
 
     @functools.cached_property
     def weights(self) -> tuple:
@@ -303,31 +349,47 @@ class Instance:
     def m(self) -> int:
         return len(self._kernel.delays)
 
-    @functools.cached_property
-    def total_weight(self) -> Fraction:
+    # Each pair (p, q) below is p/q in lowest terms: the one source of the
+    # property of the same name and of the report's digest.
+
+    @property
+    def _total_weight_pair(self) -> tuple:
+        return _lowest_terms(self._weight_summary.total, self._kernel.weight_scale)
+
+    @property
+    def _throughput_pair(self) -> tuple:
         kernel = self._kernel
-        return Fraction(sum(kernel.weights), kernel.weight_scale)
+        reciprocals, common = _reciprocal_sum(kernel.delays)
+        return _lowest_terms(kernel.delay_scale * reciprocals, common)
+
+    @property
+    def _average_load_pair(self) -> tuple:
+        return _lowest_terms(self._weight_summary.total, self._kernel.weight_scale * self.m)
+
+    @property
+    def _weight_spread_pair(self) -> tuple:
+        return _lowest_terms(self._weight_summary.greatest, self._weight_summary.least)
+
+    @property
+    def total_weight(self) -> Fraction:
+        return Fraction(*self._total_weight_pair)
 
     @property
     def throughput(self) -> Fraction:
         """Sum of reciprocal delays; the fractional optimum loads every
         resource to n/throughput."""
-        kernel = self._kernel
-        reciprocals, common = _reciprocal_sum(kernel.delays)
-        return Fraction(kernel.delay_scale * reciprocals, common)
+        return Fraction(*self._throughput_pair)
 
     @property
     def average_load(self) -> Fraction:
         """Total weight divided by the number of resources (the per-resource
         load every assignment averages to when delays are all 1)."""
-        total = self.total_weight
-        return Fraction(total.numerator, total.denominator * self.m)
+        return Fraction(*self._average_load_pair)
 
     @property
     def weight_spread(self) -> Fraction:
         """Ratio of the largest task weight to the smallest."""
-        weights = self._kernel.weights
-        return Fraction(max(weights), min(weights))
+        return Fraction(*self._weight_spread_pair)
 
     @property
     def delay_spread(self) -> Fraction:
@@ -337,13 +399,13 @@ class Instance:
 
     @property
     def identical_weights(self) -> bool:
-        weights = self._kernel.weights
-        return weights.count(weights[0]) == len(weights)
+        return self._weight_summary.least == self._weight_summary.greatest
 
     @property
     def unit_weights(self) -> bool:
         # identical weights w = p/q scale to p with weight_scale q
-        return self.identical_weights and self._kernel.weights[0] == self._kernel.weight_scale
+        least, greatest, _ = self._weight_summary
+        return least == greatest == self._kernel.weight_scale
 
     @property
     def identical_delays(self) -> bool:

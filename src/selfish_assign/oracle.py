@@ -318,10 +318,10 @@ def verify_bounds(inst: Instance, report: RatioReport):
         if not is_nash(inst, witness):
             raise ValueError("report does not match instance: Nash witness is not a Nash assignment")
 
-    kernel = inst._kernel
     table = (  # (name, hypothesis, value, bound)
         ("coordination-ratio-weight-range",
-         min(kernel.weights) >= kernel.weight_scale,  # every weight at least 1
+         # every weight at least 1
+         inst._weight_summary.least >= inst._kernel.weight_scale,
          report.coordination_ratio, 4 * inst.weight_spread),
         ("nash-gap-identical-delays", inst.identical_delays, report.nash_gap, Fraction(3)),
         ("nash-gap-identical-weights", inst.identical_weights, report.nash_gap, Fraction(4, 3)),

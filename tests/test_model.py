@@ -6,6 +6,8 @@ import json
 import pickle
 import sys
 import threading
+import time
+import types
 from decimal import Decimal
 from fractions import Fraction as F
 from itertools import product
@@ -30,6 +32,7 @@ from selfish_assign import (
     task_load,
 )
 from selfish_assign import model
+from selfish_assign.cli import _instance_digest
 from selfish_assign.model import MAX_NUMBER_DIGITS, NumberTooLongError, instance_from_jsonable
 
 from helpers import all_targets, naive_is_nash
@@ -152,6 +155,47 @@ class TestInstance:
     def test_rejects_bad_instances(self, weights, delays):
         with pytest.raises(ValueError):
             Instance(weights=weights, delays=delays)
+
+    @pytest.mark.parametrize("weights, delays, message", [
+        ([], [0], "an instance needs at least one task"),
+        ([0, 1], [], "an instance needs at least one resource"),
+        ([0, 1], [0], "task weights must be positive"),
+        # identical weights are summarized by one count scan, which still refuses them
+        ([0, 0], [0], "task weights must be positive"),
+        ([-2, -2], [1], "task weights must be positive"),
+        ([1], [0], "resource delays must be positive"),
+    ])
+    def test_refusal_order_and_messages(self, weights, delays, message):
+        text = json.dumps({"weights": weights, "delays": delays})
+        for build in (lambda: Instance(weights, delays), lambda: loads_instance(text)):
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert str(raised.value) == message
+
+    @pytest.mark.parametrize("weights, delays, message", [
+        ("12", "3", "weights must be an array of numbers, got str"),
+        (b"12", [1], "weights must be an array of numbers, got bytes"),
+        ({1: 2}, [1], "weights must be an array of numbers, got dict"),
+        ([1], bytearray(b"3"), "delays must be an array of numbers, got bytearray"),
+        ([1], types.MappingProxyType({3: 1}), "delays must be an array of numbers, got mappingproxy"),
+    ])
+    def test_refuses_a_str_bytes_or_mapping_as_an_array(self, weights, delays, message):
+        with pytest.raises(ValueError) as raised:
+            Instance(weights, delays)
+        assert str(raised.value) == message
+
+    def test_summary_reads_take_constant_time(self):
+        # one scan per read would take about a minute here
+        inst = Instance([7] * 10**6, [1, 2])
+        reads = (lambda: inst.identical_weights, lambda: inst.total_weight,
+                 lambda: inst.weight_spread, lambda: _instance_digest(inst))
+        started = time.perf_counter()
+        for read in reads:
+            for _ in range(10**4):
+                read()
+        assert time.perf_counter() - started < 0.5
+        assert inst.identical_weights and not inst.unit_weights
+        assert inst.total_weight == 7 * 10**6 and inst.weight_spread == 1
 
     @pytest.mark.parametrize(
         "value,message",

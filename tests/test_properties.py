@@ -53,7 +53,7 @@ from selfish_assign import (
     round_weights,
     task_load,
 )
-from selfish_assign import model
+from selfish_assign import cli, model
 from selfish_assign.model import _TEMPLATE_MIN_ROWS, dumps_json
 
 from helpers import (
@@ -851,6 +851,59 @@ def test_evaluators_equal_fraction_references(case):
         _assert_fraction_equal(
             task_load(inst, a, task), reference_resource_load(inst, a, a.target[task - 1]))
 
+
+
+def _spellings(value: F) -> list:
+    """`value` written the ways an instance reads alike: 1 is written 1,
+    "1", "2/2", "1.0", 1.0 and Fraction(1)."""
+    p, q = value.numerator, value.denominator
+    spelled = [value, f"{p}/{q}", f"{2 * p}/{2 * q}"]
+    if q == 1:
+        spelled += [p, str(p), f"{p}.0"] + ([float(p)] if p <= 2**53 else [])
+    return spelled
+
+
+@st.composite
+def summary_weights(draw):
+    """Weights of one value spelled several ways, or distinct, huge or
+    wide-rational weights."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("one value", "distinct", "huge", "wide")))
+    if kind == "one value":
+        spellings = _spellings(draw(draw(st.sampled_from((TIED, WIDE, HUGE)))))
+        return draw(st.lists(st.sampled_from(spellings), min_size=n, max_size=n))
+    if kind == "distinct":
+        return draw(st.lists(st.one_of(st.integers(1, 10**6), WIDE, HUGE),
+                             min_size=2, max_size=12, unique=True))
+    if kind == "huge":
+        return draw(st.lists(st.sampled_from((F(10**400), F(1, 10**400), F(3), F(10**30, 7))),
+                             min_size=n, max_size=n))
+    return draw(st.lists(WIDE, min_size=n, max_size=n))
+
+
+@PROPERTY
+@given(summary_weights(), st.lists(DP_VALUES.flatmap(lambda values: values), min_size=1, max_size=6))
+@example([1, "1", "2/2", "1.0", F(1)], [F(1)])
+@example(["3/2", F(3, 2), "6/4"], [F(2), F(3)])
+@example([F(10**400), F(1, 10**400)], [F(1, 10**400)])  # beyond float range
+def test_weight_summary_and_digest_equal_their_definitions(weights, delays):
+    """The quantities construction summarizes equal their definitions on
+    the Fraction tuples, and the report's digest renders each property."""
+    inst = Instance(weights, delays)
+    values = inst.weights
+    total = sum(values, F(0))
+    assert inst.identical_weights == (len(set(values)) == 1)
+    assert inst.unit_weights == (set(values) == {1})
+    _assert_fraction_equal(inst.total_weight, total)
+    _assert_fraction_equal(inst.weight_spread, max(values) / min(values))
+    _assert_fraction_equal(inst.average_load, total / inst.m)
+    _assert_fraction_equal(inst.throughput, sum((1 / d for d in inst.delays), F(0)))
+    quantities = ("total_weight", "throughput", "average_load", "weight_spread")
+    assert cli._instance_digest(inst) == {
+        "tasks": inst.n,
+        "resources": inst.m,
+        **{name: cli._rat(*getattr(inst, name).as_integer_ratio()) for name in quantities},
+    }
 
 @PROPERTY
 @given(instances(max_n=30, max_m=8))
