@@ -176,7 +176,7 @@ def greedy_nash(inst: Instance) -> Assignment:
         sums[r] += w
         heapq.heapreplace(heap, (delays[r] * (sums[r] + w), r))
         target[i] = r + 1
-    return Assignment(tuple(target))
+    return Assignment._built(tuple(target))
 
 
 def _classes(values):
@@ -400,7 +400,7 @@ def _delay_class_dp(inst: Instance, delays, members) -> DPSolution:
             target[order[pos]] = resource
         j, v = i, v - stride
         value = table[v][j] if v else 0
-    return DPSolution(inst._kernel.rational(best), Assignment(tuple(target)))
+    return DPSolution(inst._kernel.rational(best), Assignment._built(tuple(target)))
 
 
 def dp_identical_delays(inst: Instance) -> DPSolution:
@@ -523,7 +523,7 @@ def dp_few_weights(inst: Instance) -> DPSolution:
         for queue, stride, base in zip(queues, strides, radix):
             for _ in range(t // stride % base):
                 target[next(queue)] = k
-    return DPSolution(inst._kernel.rational(best), Assignment(tuple(target)))
+    return DPSolution(inst._kernel.rational(best), Assignment._built(tuple(target)))
 
 
 def _int_kth_root(x: int, k: int):

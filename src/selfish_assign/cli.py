@@ -176,7 +176,7 @@ def _parse_epsilon(raw, required_by: str, positive: bool = True) -> Fraction:
 
 def _find_opt(inst: Instance, epsilon):
     counts = algorithms.find_opt(inst)
-    return counts.to_assignment(), cost(inst, counts), {"counts": list(counts.counts)}
+    return counts.to_assignment(), cost(inst, counts), {"counts": counts.counts}
 
 
 def _approx(inst: Instance, epsilon):
@@ -232,7 +232,7 @@ def _cmd_solve(args, inst: Instance, _references) -> dict:
         "algorithm": algorithm,
         "approximate": algorithm == "approx",
         "cost": _rat(*value.as_integer_ratio()),
-        "assignment": list(assignment.target),
+        "assignment": assignment.target,
         **extra,
     }
 
@@ -249,11 +249,11 @@ def _cmd_nash(args, inst: Instance, _references) -> dict:
     result = {
         "mode": args.mode,
         "cost": _rat(*cost(inst, evaluated).as_integer_ratio()),
-        "assignment": list(assignment.target),
+        "assignment": assignment.target,
         "is_nash": is_nash(inst, evaluated),
     }
     if counts is not None:
-        result["counts"] = list(counts.counts)
+        result["counts"] = counts.counts
     return result
 
 
@@ -274,9 +274,9 @@ def _cmd_ratio(args, inst: Instance, _references) -> dict:
         "nash_gap": _rat(*report.nash_gap.as_integer_ratio()),
         "opt_gap": _rat(*report.opt_gap.as_integer_ratio()),
         "witnesses": {
-            "min_cost": list(report.min_cost_witness.target),
-            "min_nash": list(report.min_nash_witness.target),
-            "max_nash": list(report.max_nash_witness.target),
+            "min_cost": report.min_cost_witness.target,
+            "min_nash": report.min_nash_witness.target,
+            "max_nash": report.max_nash_witness.target,
         },
         "bounds": [
             {"bound": c.name, "satisfied": c.satisfied,

@@ -437,6 +437,10 @@ def _checked_indices(values, least: int, message: str) -> tuple:
 class Assignment:
     """A pure-strategy profile: entry i is the 1-based resource task i uses.
 
+    The constructor checks every entry (`_checked_indices`); the package's
+    own builders, whose entries are ints they made, use `_built` instead.
+    An evaluator checks that the entries fit its instance (`_check_fits`).
+
     Immutable, with one cache: the evaluators walk its tasks once per
     instance, and it keeps the per-resource counts and weight sums of the
     last instance it was evaluated on (`_walked`, see
@@ -453,6 +457,17 @@ class Assignment:
         object.__setattr__(
             self, "target", _checked_indices(self.target, 1, "resource indices are 1-based ints")
         )
+
+    @classmethod
+    def _built(cls, target: tuple) -> "Assignment":
+        """The assignment of `target` without the constructor's check, for
+        the package's own builders alone (`to_assignment`, `greedy_nash`, the
+        exact DPs, the oracle's witnesses).  It trusts that `target` is a
+        tuple of exact ints of at least 1, which the constructor would keep
+        unchanged; input from outside the package takes the constructor."""
+        a = cls.__new__(cls)
+        object.__setattr__(a, "target", target)
+        return a
 
 
 @dataclass(frozen=True)
@@ -476,7 +491,7 @@ class CountAssignment:
 
     def to_assignment(self) -> Assignment:
         """Materialize: tasks in index order fill resources in index order."""
-        return Assignment(tuple(itertools.chain.from_iterable(
+        return Assignment._built(tuple(itertools.chain.from_iterable(
             map(itertools.repeat, range(1, len(self.counts) + 1), self.counts)
         )))
 
@@ -767,7 +782,9 @@ def dumps_json(value) -> str:
     """`json.dumps(value, indent=2)`, byte for byte, for a document of
     str-keyed dicts, lists and scalars, without json's pure-Python indenting
     encoder.  Scalars of the exact types str, int, float, bool and None have
-    one encoder (`_SCALAR_TEXT`), built on the functions json itself calls.
+    one encoder (`_SCALAR_TEXT`), built on the functions json itself calls;
+    a list of ints, at most half of them distinct, takes one text per value
+    (`_scalar_texts`, which says why bools and floats do not).
     A non-empty list is written in one piece when its items are all such
     scalars, or at least `_TEMPLATE_MIN_ROWS` records of one shape:
     non-empty plain dicts with the same keys in the same order, each value
@@ -804,9 +821,18 @@ _TEMPLATE_MIN_ROWS = 5
 
 
 def _scalar_texts(items, kinds):
-    """The JSON text of each of `items`, scalars of the exact types `kinds`."""
+    """The JSON text of each of `items`, scalars of the exact types `kinds`.
+    Ints whose values repeat, at most half of them distinct (an assignment
+    on m resources), take one `repr` per distinct value and one dict lookup
+    per item.  Equal values of other types can have other texts (1 == True
+    == 1.0, 0.0 == -0.0), so bool, float and mixed lists are not merged."""
     if len(kinds) == 1:
-        return map(_SCALAR_TEXT[next(iter(kinds))], items)
+        kind = next(iter(kinds))
+        if kind is int:
+            distinct = set(items)
+            if 2 * len(distinct) <= len(items):
+                return map(dict(zip(distinct, map(repr, distinct))).__getitem__, items)
+        return map(_SCALAR_TEXT[kind], items)
     return [_SCALAR_TEXT[type(item)](item) for item in items]
 
 

@@ -241,7 +241,7 @@ def _walk_assignments(weights, delays):
                 break
         else:
             return [
-                (value, Assignment(tuple(r + 1 for r in state))) if state else None
+                (value, Assignment._built(tuple(r + 1 for r in state))) if state else None
                 for value, state in ((best, best_at), (low, low_at), (high, high_at))
             ]
 

@@ -879,6 +879,34 @@ class TestInstanceRunner:
             assert witnesses["min_nash"] != witnesses["max_nash"]
         assert len(set(map(id, checked))) == len(checked) == walks
 
+    @pytest.mark.parametrize("argv, checks", [
+        # the count vector alone: the assignment it expands to is built
+        # from it, not checked again
+        pytest.param(["solve", "identical"], 1, id="solve find-opt"),
+        pytest.param(["nash", "identical", "--mode", "best"], 1, id="nash best"),
+        # assignments the package builds itself are not checked
+        pytest.param(["nash", "delay-side"], 0, id="nash any"),
+        pytest.param(["solve", "one-delay"], 0, id="solve dp-delays"),
+        pytest.param(["solve", "two-weights"], 0, id="solve dp-weights"),
+        # the assignment file is input from outside
+        pytest.param(["verify", "delay-side", "{assignment}"], 1, id="verify"),
+    ])
+    def test_each_outside_array_is_checked_once(self, argv, checks, tmp_path, capsys, monkeypatch):
+        """The index arrays a command reads are checked entry by entry
+        (`model._checked_indices`); an assignment the package built from
+        ints it made is not."""
+        calls = []
+        original = model._checked_indices
+
+        def counting(values, least, message):
+            calls.append(message)
+            return original(values, least, message)
+
+        monkeypatch.setattr(model, "_checked_indices", counting)
+        code, _, err = run_cli(capsys, *self._argv(tmp_path, argv))
+        assert (code, err) == (0, "")
+        assert len(calls) == checks
+
 
 # Input files whose reading must give the lines a text-mode read gives:
 # line breaks, a byte order mark, bytes that are not UTF-8

@@ -383,6 +383,44 @@ def test_count_vector_evaluates_like_its_assignment(inst, data):
     assert (not moves) == is_nash(inst, vector)
 
 
+@st.composite
+def built_assignment_instances(draw, max_n=6, max_m=4):
+    """Weights and delays from pools of one to three values, so that every
+    builder applies to some draws: identical weights take the count-vector
+    greedies and the closed form of `enumerate_extremes`, mixed ones its
+    walk (at most 4**6 states), identical delays `dp_identical_delays`."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    weights = draw(st.lists(draw(DP_VALUES), min_size=1, max_size=3))
+    delays = draw(st.lists(draw(DP_VALUES), min_size=1, max_size=3))
+    return Instance(tuple(draw(st.lists(st.sampled_from(weights), min_size=n, max_size=n))),
+                    tuple(draw(st.lists(st.sampled_from(delays), min_size=m, max_size=m))))
+
+
+@PROPERTY
+@given(built_assignment_instances())
+@example(Instance((F(3),), (F(2),)))  # n = 1, m = 1
+@example(Instance((F(1), F(1)), (F(1), F(2), F(2), F(5))))  # m > n, identical weights
+@example(Instance((F(2), F(1)), (F(1), F(3), F(3))))  # m > n, mixed weights
+@example(Instance((F(1),) * 4, (F(7, 3),) * 2))  # identical weights and delays
+def test_built_assignments_pass_the_constructors_check(inst):
+    """The package's own builders skip the constructor's check
+    (`Assignment._built`); what they build would pass it unchanged."""
+    built = [greedy_nash(inst), dp_few_delays(inst).assignment, dp_few_weights(inst).assignment,
+             approx_solve_weights(inst, F(1, 2)).assignment,
+             approx_solve_delays(inst, F(1, 2)).assignment]
+    if inst.identical_weights:
+        built += [find_opt(inst).to_assignment(), find_opt_nash(inst).to_assignment()]
+    if inst.identical_delays:
+        built.append(dp_identical_delays(inst).assignment)
+    report = enumerate_extremes(inst)
+    built += [report.min_cost_witness, report.min_nash_witness, report.max_nash_witness]
+    for a in built:
+        assert type(a.target) is tuple and len(a.target) == inst.n
+        assert all(type(r) is int and 1 <= r <= inst.m for r in a.target)
+        assert a == Assignment(a.target)
+
+
 # The integer dynamic programs against the Fraction references: the same
 # DPSolution, so cost, assignment and every tie-break agree.
 
@@ -978,6 +1016,29 @@ JSON_VALUES = st.recursive(
 @example(["\u00e9t\u00e9", 123456789012345678901234567890, "3/2", -7, "\U0001f600", ""])
 def test_writer_equals_json_dumps_indent_2(value):
     assert dumps_json(value) == json.dumps(value, indent=2)
+
+
+# Long int arrays whose values repeat, as an assignment, a count vector or
+# the to_resource column of improving moves do, which the writer writes from
+# one text per distinct value; bare, as a tuple and as a record column.  The
+# examples repeat equal values of different texts, which must not share one.
+REPEATING_INTS = st.lists(
+    st.one_of(st.sampled_from((0, -1, -(10**30), 10**30)), st.integers(-1000, 1000)),
+    min_size=1, max_size=4,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=10, max_size=300))
+
+
+@PROPERTY
+@given(REPEATING_INTS)
+@example([1, True] * 4)
+@example([True, 1] * 4)
+@example([1, 1.0] * 4)
+@example([0.0, -0.0] * 4)
+@example([1, "1"] * 4)
+def test_repeating_arrays_equal_json_dumps_indent_2(values):
+    rows = [{"task": i, "to_resource": value} for i, value in enumerate(values, 1)]
+    for value in (values, tuple(values), rows):
+        assert dumps_json(value) == json.dumps(value, indent=2)
 
 
 # Lists of records, which the writer fills from one template: one record
