@@ -8,12 +8,14 @@ diagnostics go to stderr, one `error:` line per failure.  Exit codes:
 0 success, 1 stdout closed by its reader before the document was written (no
 traceback), 2 unparsable input, bad arguments or an unwritable --out file,
 3 precondition violation, among them an exact DP predicted to take more
-than `algorithms.MAX_DP_STEPS` steps and a rounding that would build powers
-of more than `algorithms.MAX_GRID_POWER_BITS` bits (those lines state the
-work required and allowed), 4 enumeration budget
-exceeded or a number (in an instance file, --epsilon or a gen range) whose
-numerator or denominator would have more than `model.MAX_NUMBER_DIGITS`
-digits; that error line states the digits required and allowed.
+than `algorithms.MAX_DP_STEPS` steps, a rounding that would build powers
+of more than `algorithms.MAX_GRID_POWER_BITS` bits and a `gen` family of
+more than `instances.MAX_GEN_SIZE` tasks plus resources, refused before it
+is built (those lines state the work or size required and allowed), 4
+enumeration budget exceeded or a number (in an instance file, --epsilon or
+a gen range) whose numerator or denominator would have more than
+`model.MAX_NUMBER_DIGITS` digits; that error line states the digits
+required and allowed.
 
 One runner serves every command: it reads the instance file (`gen` builds
 its family instead), times the span from there to the built result
@@ -29,12 +31,16 @@ UTF-8 once, with "\\r\\n" and a lone "\\r" read as "\\n", as a text-mode read
 gives them.  Instance files are read by `model.loads_instance` and written
 by `model.dumps_instance`; reports are written by `model.dumps_json`, the
 instance digest rendered from the int pairs in lowest terms that the
-`Instance` properties are built from, with no Fraction built.  `nash` and
-`verify` evaluate an assignment through `model`'s public evaluators, which
-walk its tasks once per instance.  `verify` renders each distinct new load
-once; its improving moves take one lower envelope of the move lines per
-call and one O(log m) lookup on it per distinct task weight, and its
-report's record lists are written column by column.
+`Instance` properties are built from, with no Fraction built.  An
+assignment that expands a count vector (`solve`'s find-opt route, `nash
+--mode best` and `ratio`'s identical-weight witnesses) goes to the writer
+as a run array (`_written`), which it writes from the counts, one repeated
+text per resource.  `nash` and `verify` evaluate an assignment through
+`model`'s public evaluators, which walk its tasks once per instance.
+`verify` renders each distinct new load once; its improving moves take one
+lower envelope of the move lines per call and one O(log m) lookup on it
+per distinct task weight, and its report's record lists are written column
+by column.
 """
 
 import argparse
@@ -51,6 +57,7 @@ from .model import (
     Assignment,
     Instance,
     NumberTooLongError,
+    _RunArray,
     _digits,
     cost,
     dumps_instance,
@@ -174,6 +181,14 @@ def _parse_epsilon(raw, required_by: str, positive: bool = True) -> Fraction:
     return value
 
 
+def _written(assignment: Assignment) -> tuple:
+    """The report's array of `assignment`: its target, as a run array
+    (`model._RunArray`, written from the counts) when it expands a count
+    vector."""
+    counts = assignment._counts
+    return assignment.target if counts is None else _RunArray(assignment.target, counts)
+
+
 def _find_opt(inst: Instance, epsilon):
     counts = algorithms.find_opt(inst)
     return counts.to_assignment(), cost(inst, counts), {"counts": counts.counts}
@@ -232,7 +247,7 @@ def _cmd_solve(args, inst: Instance, _references) -> dict:
         "algorithm": algorithm,
         "approximate": algorithm == "approx",
         "cost": _rat(*value.as_integer_ratio()),
-        "assignment": assignment.target,
+        "assignment": _written(assignment),
         **extra,
     }
 
@@ -249,7 +264,7 @@ def _cmd_nash(args, inst: Instance, _references) -> dict:
     result = {
         "mode": args.mode,
         "cost": _rat(*cost(inst, evaluated).as_integer_ratio()),
-        "assignment": assignment.target,
+        "assignment": _written(assignment),
         "is_nash": is_nash(inst, evaluated),
     }
     if counts is not None:
@@ -274,9 +289,9 @@ def _cmd_ratio(args, inst: Instance, _references) -> dict:
         "nash_gap": _rat(*report.nash_gap.as_integer_ratio()),
         "opt_gap": _rat(*report.opt_gap.as_integer_ratio()),
         "witnesses": {
-            "min_cost": report.min_cost_witness.target,
-            "min_nash": report.min_nash_witness.target,
-            "max_nash": report.max_nash_witness.target,
+            "min_cost": _written(report.min_cost_witness),
+            "min_nash": _written(report.min_nash_witness),
+            "max_nash": _written(report.max_nash_witness),
         },
         "bounds": [
             {"bound": c.name, "satisfied": c.satisfied,

@@ -4,13 +4,30 @@ Three deterministic families that witness how far equilibria can sit from
 the optimum (big_nash, nash_ratio_lb, uniform_gap), plus a seeded random
 generator for sweep tests.  Generators are pure functions of their
 parameters; the random family uses a fixed, portable PRNG so identical
-seeds give identical instances everywhere.
+seeds give identical instances everywhere.  Each generator checks the size
+of what it would build, tasks plus resources, against MAX_GEN_SIZE before
+it builds anything.
 """
 
 import math
 from fractions import Fraction
 
+from .algorithms import _shown_count
 from .model import Assignment, Instance, _canonical, _Kernel, format_rational, parse_rational
+
+#: Most tasks plus resources a generator builds.  At 10**6, `gen` took
+#: 1.0-1.5 s and a peak of 100-130 MB on each sized family (Python 3.11.7,
+#: 2-core VM); the work and the memory grow linearly with the size.
+MAX_GEN_SIZE = 10**6
+
+
+def _check_size(tasks: int, resources: int):
+    """Refuse an instance of more than MAX_GEN_SIZE tasks plus resources,
+    before any of it is built, stating the size required and allowed."""
+    size = tasks + resources
+    if size > MAX_GEN_SIZE:
+        raise ValueError(f"the instance would have {_shown_count(size)} tasks and resources,"
+                         f" above the bound {MAX_GEN_SIZE}")
 
 
 def gen_big_nash(n: int) -> Instance:
@@ -22,6 +39,7 @@ def gen_big_nash(n: int) -> Instance:
     """
     if n <= 2:
         raise ValueError("this family needs more than two tasks")
+    _check_size(n, 2)
     heavy = Fraction(n * n)
     weights = (heavy, heavy) + (Fraction(1),) * (n - 2)
     return Instance(weights=weights, delays=(Fraction(1), Fraction(1)))
@@ -60,6 +78,7 @@ def gen_nash_ratio_lb(epsilon):
         raise ValueError("epsilon must be positive")
     big = math.ceil(Fraction(2) / epsilon)
     n = 6 * big + 13
+    _check_size(n, 6)
     # tasks 1..6 weigh 3M, tasks 7..12 weigh 6M, tasks 13..n weigh 1
     weights = (
         (Fraction(3 * big),) * 6 + (Fraction(6 * big),) * 6 + (Fraction(1),) * (6 * big + 1)
@@ -161,6 +180,7 @@ def gen_random(n: int, m: int, weight_range, delay_range, seed: int) -> Instance
     """
     if n < 1 or m < 1:
         raise ValueError("need at least one task and one resource")
+    _check_size(n, m)
     weight_grid = _scaled_grid(weight_range)
     delay_grid = _scaled_grid(delay_range)
     rng = SplitMix64(seed)

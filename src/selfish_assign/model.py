@@ -25,7 +25,8 @@ property, with no first-access lock.  The Fraction tuples `weights` and
 `delays` are built only when something reads them.  Instance texts are
 read by one module-level JSON decoder.  `dumps_json` writes every JSON
 document the package emits, byte-identical to `json.dumps(value,
-indent=2)`, and a list of records column by column.
+indent=2)`, a list of records column by column and a count vector's
+expanded assignment (`_RunArray`) from its counts.
 
 A task of weight w that moves to resource r pays d_r * (S_r + w), a line
 in w.  `improving_moves` builds the lower envelope of those m lines once
@@ -452,6 +453,8 @@ class Assignment:
 
     #: (kernel, counts, sums) of the last walk of the tasks; None before one
     _walked = None
+    #: the count vector the target expands (`CountAssignment.to_assignment`)
+    _counts = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -490,10 +493,26 @@ class CountAssignment:
         return sum(self.counts)
 
     def to_assignment(self) -> Assignment:
-        """Materialize: tasks in index order fill resources in index order."""
-        return Assignment._built(tuple(itertools.chain.from_iterable(
+        """Materialize: tasks in index order fill resources in index order.
+        The assignment keeps the vector (`_counts`), from which a report
+        writes its target (`_RunArray`)."""
+        a = Assignment._built(tuple(itertools.chain.from_iterable(
             map(itertools.repeat, range(1, len(self.counts) + 1), self.counts)
         )))
+        object.__setattr__(a, "_counts", self.counts)
+        return a
+
+
+class _RunArray(tuple):
+    """The entries of the assignment a count vector expands to, keeping the
+    vector in `counts`: `dumps_json` writes it from the counts, one repeated
+    text per resource, and json.dumps reads it as the tuple it is.  Only
+    reports hold one; `Assignment.target` stays a plain tuple."""
+
+    def __new__(cls, target: tuple, counts: tuple):
+        runs = super().__new__(cls, target)
+        runs.counts = counts
+        return runs
 
 
 AnyAssignment = Union[Assignment, CountAssignment]
@@ -784,7 +803,9 @@ def dumps_json(value) -> str:
     encoder.  Scalars of the exact types str, int, float, bool and None have
     one encoder (`_SCALAR_TEXT`), built on the functions json itself calls;
     a list of ints, at most half of them distinct, takes one text per value
-    (`_scalar_texts`, which says why bools and floats do not).
+    (`_scalar_texts`, which says why bools and floats do not).  A run array
+    (`_RunArray`, a count vector's expanded assignment) is written from its
+    counts, one repeated text per resource, and never entry by entry.
     A non-empty list is written in one piece when its items are all such
     scalars, or at least `_TEMPLATE_MIN_ROWS` records of one shape:
     non-empty plain dicts with the same keys in the same order, each value
@@ -867,10 +888,14 @@ def _record_texts(rows, newline: str):
 
 
 def _one_piece(items, newline: str):
-    """The text of the non-empty list `items` in one piece: all scalars, or
-    at least `_TEMPLATE_MIN_ROWS` records of one shape; None for any other
-    list."""
+    """The text of the non-empty list `items` in one piece: a run array
+    (`_RunArray`, from its counts), all scalars, or at least
+    `_TEMPLATE_MIN_ROWS` records of one shape; None for any other list."""
     inner = newline + "  "
+    if type(items) is _RunArray:
+        separator = "," + inner
+        runs = "".join((repr(r) + separator) * c for r, c in enumerate(items.counts, 1))
+        return "[" + inner + runs[: -len(separator)] + newline + "]"
     kinds = set(map(type, items))
     if kinds <= _SCALAR_TEXT.keys():
         pieces = _scalar_texts(items, kinds)

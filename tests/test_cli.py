@@ -28,6 +28,7 @@ from selfish_assign import (
 )
 from selfish_assign import cli, model
 from selfish_assign.cli import main
+from selfish_assign.instances import MAX_GEN_SIZE
 from selfish_assign.model import MAX_NUMBER_DIGITS
 
 from helpers import brute_min_cost, reference_read_text
@@ -558,9 +559,15 @@ FAILURES = {
     "gen-out-missing-directory": (["gen", "big-nash", "--n", "3", "--out", "{missing}"], None, 2),
     "gen-random-no-tasks": (
         ["gen", "random", "--n", "0", "--m", "2", "--weights", "1:2", "--delays", "1:2"], None, 3),
-    # sizes beyond an index-sized int: an OverflowError before any list is built
+    # sizes above instances.MAX_GEN_SIZE, refused before any list is built
     "gen-big-nash-n-beyond-index": (["gen", "big-nash", "--n", str(10**20)], None, 3),
     "gen-nash-ratio-lb-epsilon-tiny": (["gen", "nash-ratio-lb", "--epsilon", "1e-30"], None, 3),
+    "gen-big-nash-above-size-bound": (["gen", "big-nash", "--n", str(10**9)], None, 3),
+    "gen-random-tasks-above-size-bound": (
+        ["gen", "random", "--n", str(10**9), "--m", "2", "--weights", "1:2", "--delays", "1:2"], None, 3),
+    "gen-random-resources-above-size-bound": (
+        ["gen", "random", "--n", "2", "--m", str(10**9), "--weights", "1:2", "--delays", "1:2"], None, 3),
+    "gen-nash-ratio-lb-above-size-bound": (["gen", "nash-ratio-lb", "--epsilon", "1/1000000000"], None, 3),
 }
 
 #: Deeper than the JSON reader of any supported Python recurses: 1000
@@ -617,6 +624,19 @@ class TestFailurePaths:
         assert code == 2 and report is None
         assert err == (f"error: bad instance file {doc}:"
                        f" JSON constant {constant} is not a rational number\n")
+
+    @pytest.mark.parametrize("argv, size", [
+        (["big-nash", "--n", str(MAX_GEN_SIZE - 1)], MAX_GEN_SIZE + 1),
+        (["random", "--n", str(MAX_GEN_SIZE), "--m", "1", "--weights", "1:2", "--delays", "1:2"],
+         MAX_GEN_SIZE + 1),
+        (["nash-ratio-lb", "--epsilon", "1/1000000000"], 6 * 2 * 10**9 + 13 + 6),
+        (["nash-ratio-lb", "--epsilon", "1e-4000"], "more than 10**4000"),
+    ])
+    def test_gen_above_the_size_bound_states_the_size(self, argv, size, capsys):
+        code, report, err = run_cli(capsys, "gen", *argv)
+        assert code == 3 and report is None
+        assert err == (f"error: the instance would have {size} tasks and resources,"
+                       f" above the bound {MAX_GEN_SIZE}\n")
 
     def test_empty_gen_range_prints_rationals(self, capsys):
         code, report, err = run_cli(capsys, "gen", "random", "--n", "2", "--m", "2",
@@ -992,6 +1012,43 @@ class TestReportBytes:
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
+    @pytest.mark.parametrize("argv", [["solve"], ["nash", "--mode", "best"], ["ratio"]],
+                             ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+    @pytest.mark.parametrize("weights, delays", [
+        pytest.param([1] * 3, [1, 2, 2, 3, 5, 8, 13], id="m-above-n"),
+        pytest.param([5], [1, 2], id="one-task"),
+        pytest.param([2] * 4, [3], id="one-resource"),
+        pytest.param(["1/3"] * 200, [1, 1, 2, 3, 5, 8, 13, 21, 34], id="long-runs"),
+    ])
+    def test_count_vector_reports_equal_plain_tuples(self, argv, weights, delays, tmp_path, capsys,
+                                                     monkeypatch):
+        """`solve` (find-opt), `nash --mode best` and identical-weight
+        `ratio` hand the writer each assignment a count vector expands as a
+        run array; their reports equal the same document with plain tuples."""
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"weights": weights, "delays": delays}), encoding="utf-8")
+        documents = []
+        monkeypatch.setattr(cli, "dumps_json", lambda doc: documents.append(doc) or model.dumps_json(doc))
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        out = capsys.readouterr().out
+        (document,) = documents
+
+        found = []
+
+        def plain(value):
+            if isinstance(value, dict):
+                return {key: plain(item) for key, item in value.items()}
+            if isinstance(value, list):
+                return list(map(plain, value))
+            if type(value) is model._RunArray:
+                found.append(value)
+                return tuple(value)
+            return value
+
+        plain_document = plain(document)
+        assert len(found) == (3 if argv[0] == "ratio" else 1)
+        assert out == model.dumps_json(plain_document) + "\n" == json.dumps(document, indent=2) + "\n"
+
 
 # One number grammar on every Python version: each form is read, or refused,
 # alike by parse_rational, by the instance-file reader and by `solve`.
@@ -1200,8 +1257,8 @@ class TestClosedStdout:
 # `main` runs in-process.  Every run ends with exit 0, 2, 3 or 4, or with
 # argparse's SystemExit 0 (help) or 2; a failure writes nothing to stdout
 # and one `error: ` line to stderr; no other exception escapes.  `gen` sizes
-# stay small: a large --n, or a tiny nash-ratio-lb --epsilon, builds lists
-# of that many entries.
+# are small or above `instances.MAX_GEN_SIZE`, which the family refuses
+# before it builds anything.
 
 # argv tokens that stand for paths in the run's directory
 INSTANCE, ASSIGNMENT, MISSING, DIRECTORY, OUT = (
@@ -1258,6 +1315,10 @@ def cli_files(draw):
 PATHS = _weighted((st.just(INSTANCE), 6), (st.sampled_from([MISSING, DIRECTORY]), 1), (TEXT, 1))
 EPSILONS = st.sampled_from(["1/2", "1", "2", "1/3", "0", "-1", "abc", "3/0",
                             f"1e{MAX_NUMBER_DIGITS + 1}", f"1e-{MAX_NUMBER_DIGITS + 1}"])
+# a gen size is small, or above the bound, where building it would take
+# minutes or exhaust memory; so is a nash-ratio-lb epsilon's 6 * ceil(2/eps) + 19
+GEN_SIZES = _weighted((st.integers(-1, 6), 6), (st.integers(MAX_GEN_SIZE + 1, 10**30), 1)).map(str)
+GEN_EPSILONS = st.sampled_from(["1/1000000", "1/1000000000", "1e-30", "1e-4000"])
 RANGES = st.sampled_from(["1:2", "1/2:3", "1:1", "2:1", "0:1", "1-2", "a:b",
                           f"1:1e{MAX_NUMBER_DIGITS + 1}"])
 
@@ -1274,8 +1335,8 @@ def cli_argv(draw):
         "nash": [("--mode", st.sampled_from(["any", "best", "worst"]))],
         "ratio": [("--budget", _weighted((st.integers(-2, 300).map(str), 4), (st.just("x"), 1)))],
         "verify": [],
-        "gen": [("--n", st.integers(-1, 6).map(str)), ("--m", st.integers(-1, 6).map(str)),
-                ("--epsilon", EPSILONS), ("--weights", RANGES), ("--delays", RANGES),
+        "gen": [("--n", GEN_SIZES), ("--m", GEN_SIZES),
+                ("--epsilon", EPSILONS | GEN_EPSILONS), ("--weights", RANGES), ("--delays", RANGES),
                 ("--seed", st.integers(-(2**70), 2**70).map(str)),
                 ("--out", st.sampled_from([OUT, MISSING, DIRECTORY, "a\x00b"]))],
     }[command]
@@ -1304,6 +1365,8 @@ def cli_argv(draw):
 @example(["gen", "random", "--n", "3", "--m", "2", "--weights", "1:2", "--delays", "1/2:3",
           "--out", OUT], ("", ""))
 @example(["gen", "nash-ratio-lb", "--epsilon", "1/2"], ("", ""))
+@example(["gen", "random", "--n", str(10**9), "--m", "2", "--weights", "1:2", "--delays", "1:2"], ("", ""))
+@example(["gen", "nash-ratio-lb", "--epsilon", "1/1000000000"], ("", ""))
 def test_cli_contract(tmp_path_factory, argv, files):
     root = tmp_path_factory.getbasetemp() / "contract"
     root.mkdir(exist_ok=True)

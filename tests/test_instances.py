@@ -7,6 +7,7 @@ import pytest
 
 from selfish_assign import (
     SplitMix64,
+    instances,
     cost,
     enumerate_extremes,
     gen_big_nash,
@@ -115,6 +116,43 @@ class TestGenRandom:
             inst = gen_random(1 + seed % 6, 1 + seed % 3, (F(1), F(4)), (F(1), F(4)), seed)
             report = enumerate_extremes(inst)
             assert all(c.satisfied for c in verify_bounds(inst, report))
+
+
+class TestSizeBound:
+    """Each family checks its tasks plus resources against MAX_GEN_SIZE
+    before it builds anything; the sizes are read at a bound of 50."""
+
+    # (family call, tasks plus resources it builds)
+    FAMILIES = [
+        pytest.param(lambda: gen_random(45, 5, (F(1), F(2)), (F(1), F(2)), seed=1), 50, id="random"),
+        pytest.param(lambda: gen_big_nash(48), 50, id="big-nash"),
+        pytest.param(lambda: gen_nash_ratio_lb(F(2, 5)), 49, id="nash-ratio-lb"),  # 6 * 5 + 13 tasks
+    ]
+
+    @pytest.mark.parametrize("build, size", FAMILIES)
+    def test_a_family_at_the_bound_is_built(self, build, size, monkeypatch):
+        monkeypatch.setattr(instances, "MAX_GEN_SIZE", size)
+        inst = build()
+        inst = inst[0] if isinstance(inst, tuple) else inst
+        assert inst.n + inst.m == size
+
+    @pytest.mark.parametrize("build, size", FAMILIES)
+    def test_a_family_above_the_bound_is_refused(self, build, size, monkeypatch):
+        monkeypatch.setattr(instances, "MAX_GEN_SIZE", size - 1)
+        with pytest.raises(ValueError, match=rf"^the instance would have {size} tasks and resources,"
+                                             rf" above the bound {size - 1}$"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: gen_random(10**18, 1, (F(1), F(2)), (F(1), F(2)), seed=1),
+        lambda: gen_random(1, 10**18, (F(1), F(2)), (F(1), F(2)), seed=1),
+        lambda: gen_big_nash(10**100),
+        lambda: gen_nash_ratio_lb(F(1, 10**9)),
+    ])
+    def test_huge_sizes_are_refused_before_anything_is_built(self, build):
+        # these would build lists of 10**9 entries and more
+        with pytest.raises(ValueError, match=f"above the bound {instances.MAX_GEN_SIZE}$"):
+            build()
 
 
 class TestSplitMix64:

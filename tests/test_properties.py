@@ -54,7 +54,7 @@ from selfish_assign import (
     task_load,
 )
 from selfish_assign import cli, model
-from selfish_assign.model import _TEMPLATE_MIN_ROWS, dumps_json
+from selfish_assign.model import _TEMPLATE_MIN_ROWS, _RunArray, dumps_json
 
 from helpers import (
     OneDrawSplitMix64,
@@ -978,9 +978,22 @@ def test_grid_steps_equal_counting_loop(ratio, epsilon):
     assert algorithms._grid_steps(ratio, epsilon) == count_grid_steps(ratio, epsilon)
 
 
+def _runs(counts) -> _RunArray:
+    """The run array of a count vector, as the CLI writes its assignment."""
+    return cli._written(CountAssignment(tuple(counts)).to_assignment())
+
+
+# Count vectors with empty resources (m > n included), one task, one
+# resource and long runs; the writer writes their run arrays from the counts.
+COUNT_VECTORS = st.one_of(
+    st.lists(st.integers(0, 3), min_size=1, max_size=8),
+    st.lists(st.sampled_from((0, 0, 1, 40, 300)), min_size=1, max_size=4),
+)
+RUN_ARRAYS = COUNT_VECTORS.map(_runs)
+
 # Report-shaped JSON: str-keyed dicts and lists, ints (bools mixed into int
-# lists), floats of every kind, any text, and the 17-digit scientific
-# strings the CLI writes for approximations outside float range.
+# lists), floats of every kind, any text, the 17-digit scientific strings
+# the CLI writes for approximations outside float range, and run arrays.
 JSON_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -993,7 +1006,7 @@ JSON_SCALARS = st.one_of(
     st.builds("{:.16e}".format, st.floats(allow_nan=False, allow_infinity=False)),
 )
 JSON_VALUES = st.recursive(
-    JSON_SCALARS,
+    JSON_SCALARS | RUN_ARRAYS,
     lambda children: st.one_of(
         st.lists(children, max_size=6),
         st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
@@ -1014,8 +1027,46 @@ JSON_VALUES = st.recursive(
 @example({"\n": [-(10**30), 10**30, 0]})
 @example((1, ("a", ()), [{}]))  # tuples are written as lists
 @example(["\u00e9t\u00e9", 123456789012345678901234567890, "3/2", -7, "\U0001f600", ""])
+@example({"a": _runs([0, 3, 0, 0, 1]), "b": [_runs([1]), {"c": [_runs([0, 0, 2])]}]})  # depths, zeros
+@example([_runs([1, 0, 0, 0, 0, 0])])  # n = 1, m > n
+@example(_runs([5]))  # one resource
+@example({"x": _runs([0, 0])})  # no task: written as json writes an empty array
 def test_writer_equals_json_dumps_indent_2(value):
     assert dumps_json(value) == json.dumps(value, indent=2)
+
+
+@PROPERTY
+@given(COUNT_VECTORS)
+@example([0])
+@example([1])
+@example([0, 0, 1, 0])
+def test_run_array_holds_the_count_vectors_assignment(counts):
+    """A run array's items are the vector's expanded assignment, whose
+    target stays a plain tuple, and it keeps the vector."""
+    target = CountAssignment(tuple(counts)).to_assignment().target
+    runs = _runs(counts)
+    assert type(runs) is _RunArray and runs == target and runs.counts == tuple(counts)
+    assert type(target) is tuple
+
+
+@PROPERTY
+@given(st.lists(RUN_ARRAYS, min_size=1, max_size=4))
+def test_run_arrays_never_reach_per_entry_rendering(arrays):
+    """A run array is written from its counts: `_scalar_texts`, which
+    renders a list entry by entry, never sees one, bare or nested, and a
+    run array whose items disagree with its counts is written as the
+    counts say."""
+    seen = []
+    render = model._scalar_texts
+    value = {"runs": arrays, "nested": [{"a": runs} for runs in arrays]}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_scalar_texts", lambda items, kinds: seen.append(items) or render(items, kinds))
+        assert dumps_json(value) == json.dumps(value, indent=2)
+    assert not any(isinstance(items, _RunArray) for items in seen)
+    for runs in arrays:
+        if runs:
+            decoy = _RunArray(("x",) * len(runs), runs.counts)
+            assert dumps_json([decoy]) == json.dumps([runs], indent=2)
 
 
 # Long int arrays whose values repeat, as an assignment, a count vector or
@@ -1066,7 +1117,7 @@ RECORD_LEAVES = st.one_of(
 )
 ODD_LEAVES = st.sampled_from([
     float("nan"), float("inf"), float("-inf"), True, None, [], [1, "%s"], ({"a": 1},),
-    _Str("%s"), _Float(2.5), {}, {"%": 1},
+    _Str("%s"), _Float(2.5), {}, {"%": 1}, _runs([2, 0, 3]),
 ])
 PERTURBATIONS = (
     "none", "reorder", "extra-key", "missing-key", "emptied", "odd-leaf", "dict-subclass", "str-subclass-key",
