@@ -2,10 +2,14 @@
 
 Exact solvers: two O(n + m log m) greedy builders for identical-weight tasks
 (one for the optimum, one for the cheapest Nash equilibrium), seeded in closed
-form from the fractional optimum, an O(n log m + classes * m) greedy
+form from the fractional optimum, an O(n log m' + classes * m') greedy
 equilibrium builder for arbitrary weights, and dynamic programs for few
 distinct delays (identical delays being its one-class case) and for few
-distinct weights.  Both programs keep table values only and rebuild their
+distinct weights.  Every optimum and every Nash state leaves empty the
+resources slower than d_(n), the n-th smallest delay, so the equilibrium
+builder and both programs run on the first m' resources alone, those of
+delay at most d_(n) (`_usable`; m' = m when n >= m), and so does the
+oracle's walk.  Both programs keep table values only and rebuild their
 choices on the reconstruction path alone.  The delay program solves each
 (count vector, class) row in O(n log n) by divide and conquer: a run's cost
 obeys the quadrangle inequality, so the best start of the last run never
@@ -150,6 +154,25 @@ def find_opt_nash(inst: Instance) -> CountAssignment:
     return _marginal_greedy(inst, 1, _fewest_tasks)
 
 
+def _usable(delays, n: int) -> int:
+    """m', the resources that an optimum or a Nash state of n tasks on the
+    sorted `delays` can use: all m when n >= m, else those of delay at most
+    d_(n), the n-th smallest, the whole boundary delay class kept.
+
+    At most n resources are used, so while a resource of delay above d_(n)
+    is used, one of the first n is empty.  Moving the used resource's group
+    there strictly lowers the cost, and each of its tasks strictly gains;
+    so every optimum and every Nash state leaves resources m' + 1..m empty.
+    A state on the first m' resources is Nash there iff it is Nash on all
+    m: while one of the first n is empty every task may move there, at a
+    load below any move beyond m', and otherwise each task is alone on a
+    resource of delay at most d_(n).  The trim is a prefix, so every
+    resource keeps its index.  O(log m)."""
+    if n >= len(delays):
+        return len(delays)
+    return bisect.bisect_right(delays, delays[n - 1])
+
+
 def greedy_nash(inst: Instance) -> Assignment:
     """A Nash assignment for arbitrary weights.
 
@@ -158,12 +181,14 @@ def greedy_nash(inst: Instance) -> Assignment:
     lowest resource index).  Because later tasks are never heavier, no task
     ever gains by moving afterwards, so the result is an equilibrium.  Within
     a weight class a heap keyed by (load the task would incur, resource)
-    finds that resource; it is rebuilt when the weight changes:
-    O(n log m + classes * m).  Sums and heap keys are the instance's
-    scaled ints.
+    finds that resource; it is rebuilt when the weight changes.  A task
+    never goes beyond the first m' resources (`_usable`): while it is
+    placed, one of the first n is empty and cheaper.  So the heap holds
+    those alone: O(n log m' + classes * m').  Sums and heap keys are the
+    instance's scaled ints.
     """
     delays, weights = inst._kernel.delays, inst._kernel.weights
-    sums = [0] * inst.m
+    sums = [0] * _usable(delays, inst.n)  # zip below stops at the last usable resource
     target = [0] * inst.n
     heap, w = [], None
     # a stable sort keeps equal weights in task order
@@ -200,7 +225,8 @@ def _vector_count(sizes) -> int:
 
 def _delay_dp_steps(n: int, sizes) -> int:
     """An upper bound on the candidates `_delay_class_dp` scans for n tasks
-    on K delay classes of n_c resources (`sizes`, see `_vector_count`).
+    on K delay classes of n_c resources (`sizes`, see `_vector_count`), the
+    classes of the first m' resources that the program runs on.
 
     Of the V count vectors, V * n_c / (n_c + 1) have v_c > 0, so the
     (vector, class) rows number the sum of that over the classes.
@@ -210,7 +236,7 @@ def _delay_dp_steps(n: int, sizes) -> int:
     most n * (n.bit_length() + 1) + n + 1 <= (n + 1)(n.bit_length() + 2)
     candidates, and the rows of one resource and of the full vector (one
     `_last_run` each) at most n + 1.  The path takes
-    at most m = sum n_c steps, each at most K `_last_run` scans of at most
+    at most m' = sum n_c steps, each at most K `_last_run` scans of at most
     n + 1 candidates.  The bound is at least the (n + 1) * V entries of the
     table, as n_c / (n_c + 1) >= 1/2 and the row bound is at least 2(n + 1).
     """
@@ -237,9 +263,10 @@ def _run_take_count(sizes) -> int:
 
 
 def _weight_dp_steps(m: int, cost_rows: int, sizes) -> int:
-    """An upper bound on the steps of `dp_few_weights` on m resources with
-    `cost_rows` distinct delays and weight classes of n_a tasks (`sizes`,
-    see `_vector_count`): (m - 1) * sum_v R(v) + (cost_rows + m) * V.
+    """An upper bound on the steps of `dp_few_weights` on m resources (the
+    m' that it runs on) with `cost_rows` distinct delays among them and
+    weight classes of n_a tasks (`sizes`, see `_vector_count`):
+    (m - 1) * sum_v R(v) + (cost_rows + m) * V.
 
     The forward pass sums each take that `_run_takes` yields once on each
     of the resources 2..m-1, and on resource m only the full vector's
@@ -332,9 +359,10 @@ def _last_run(prev, scaled, j: int):
     return best, bi
 
 
-def _delay_class_dp(inst: Instance, delays, members) -> DPSolution:
-    """Optimal assignment on resources of the scaled-int `delays`, class c
-    being the 0-based resources `members[c]`.
+def _delay_class_dp(inst: Instance) -> DPSolution:
+    """Optimal assignment on the instance's first m' resources (`_usable`),
+    the rest left empty; class c is the 0-based resources `members[c]` of
+    the c-th smallest of their scaled-int `delays`.
 
     With tasks sorted by non-increasing weight there is an optimal assignment
     whose resource groups are consecutive runs of that order.  table[v][j] is
@@ -360,7 +388,8 @@ def _delay_class_dp(inst: Instance, delays, members) -> DPSolution:
     with the largest i that does (the shortest last run); at j = 0 the
     resources left stay empty, first class first.
     """
-    n = inst.n
+    n, delays = inst.n, inst._kernel.delays
+    delays, members = _classes(delays[:_usable(delays, n)])
     radix, strides, vectors = _count_vectors(
         members, _delay_dp_steps(n, Counter(map(len, members))))
     weights = inst._kernel.weights
@@ -409,11 +438,12 @@ def dp_identical_delays(inst: Instance) -> DPSolution:
     The delay-class program with one class: a table over (resources used,
     tasks handled) with the best size of the last run of tasks in weight
     order.  Each of the m rows takes O(n log n), since run costs obey the
-    quadrangle inequality: O(m n log n).
+    quadrangle inequality: O(m n log n).  The one class is the boundary
+    class, so nothing is trimmed.
     """
     if not inst.identical_delays:
         raise ValueError("this dynamic program needs all resource delays to be identical")
-    return _delay_class_dp(inst, *_classes(inst._kernel.delays))
+    return _delay_class_dp(inst)
 
 
 def dp_few_delays(inst: Instance) -> DPSolution:
@@ -421,11 +451,14 @@ def dp_few_delays(inst: Instance) -> DPSolution:
 
     Extends the identical-delay program: the state counts how many resources
     of each delay class have been used, and each step peels the lightest
-    remaining run of tasks onto a resource of some class.  Each (count
-    vector, class) row takes O(n log n), by the quadrangle inequality of
-    run costs; a program predicted above MAX_DP_STEPS steps is refused.
+    remaining run of tasks onto a resource of some class.  The program runs
+    on the first m' resources (`_usable`), whose K' classes are the K
+    classes less those of delay above d_(n), each kept whole: with
+    V' = prod(n_c + 1) over them, O(V' K' n log n), as each (count vector,
+    class) row takes O(n log n) by the quadrangle inequality of run costs.
+    A program predicted above MAX_DP_STEPS steps is refused.
     """
-    return _delay_class_dp(inst, *_classes(inst._kernel.delays))
+    return _delay_class_dp(inst)
 
 
 def _run_takes(radix, strides):
@@ -456,6 +489,9 @@ def dp_few_weights(inst: Instance) -> DPSolution:
     The state is the number of tasks of each weight class already placed on
     the first k resources; each step chooses how many tasks of each class the
     k-th resource receives, the first minimum in itertools.product order.
+    The program runs on the first m' resources (`_usable`) alone: an
+    optimum leaves the rest empty, and so, taking the empty take first,
+    does the path on all m.
 
     Swapping a heavier task a on resource r with a lighter task b on
     resource s changes the cost by (w_a - w_b)(d_s * c_s - d_r * c_r), so
@@ -468,12 +504,16 @@ def dp_few_weights(inst: Instance) -> DPSolution:
     and its takes t with one `operator.itemgetter` each, built once and
     applied to every resource, so an entry is one `min` over the pairwise
     sums of two gathered tuples.  The choices are rebuilt on the path
-    alone: at each of the m - 1 steps, the first take in product order
-    whose value attains the entry.  A program predicted above MAX_DP_STEPS
-    steps is refused (`_weight_dp_steps`).
+    alone: at each of the m' - 1 steps, the first take in product order
+    whose value attains the entry.  With V the count vectors and R(v) the
+    run takes of v, that is O((m' - 1) * sum_v R(v) + (D' + m') * V) for
+    D' distinct delays among the m'; a program predicted above
+    MAX_DP_STEPS steps is refused (`_weight_dp_steps`).
     """
     weights, members = _classes(inst._kernel.weights)
-    delays, m = inst._kernel.delays, inst.m
+    delays = inst._kernel.delays
+    m = _usable(delays, inst.n)
+    delays = delays[:m]
     radix, strides, vectors = _count_vectors(
         members, _weight_dp_steps(m, len(set(delays)), Counter(map(len, members))))
     # group[t]: tasks in take vector t times their weight, before the delay

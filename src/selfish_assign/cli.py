@@ -31,11 +31,12 @@ UTF-8 once, with "\\r\\n" and a lone "\\r" read as "\\n", as a text-mode read
 gives them.  Instance files are read by `model.loads_instance` and written
 by `model.dumps_instance`; reports are written by `model.dumps_json`, the
 instance digest rendered from the int pairs in lowest terms that the
-`Instance` properties are built from, with no Fraction built.  An
-assignment that expands a count vector (`solve`'s find-opt route, `nash
---mode best` and `ratio`'s identical-weight witnesses) goes to the writer
-as a run array (`_written`), which it writes from the counts, one repeated
-text per resource.  `nash` and `verify` evaluate an assignment through
+`Instance` properties are built from, with no Fraction built.  A count
+vector (`solve`'s find-opt route and `nash --mode best`, whose entries
+are built once, for the report alone) and an assignment that expands one
+(`ratio`'s identical-weight witnesses) go to the writer as a run array
+(`_written`), which it writes from the counts, one repeated text per
+resource.  `nash` and `verify` evaluate an assignment through
 `model`'s public evaluators, which walk its tasks once per instance.
 `verify` renders each distinct new load once; its improving moves take one
 lower envelope of the move lines per call and one O(log m) lookup on it
@@ -55,10 +56,12 @@ from fractions import Fraction
 from . import algorithms, instances, oracle
 from .model import (
     Assignment,
+    CountAssignment,
     Instance,
     NumberTooLongError,
     _RunArray,
     _digits,
+    _expanded,
     cost,
     dumps_instance,
     dumps_json,
@@ -181,17 +184,20 @@ def _parse_epsilon(raw, required_by: str, positive: bool = True) -> Fraction:
     return value
 
 
-def _written(assignment: Assignment) -> tuple:
-    """The report's array of `assignment`: its target, as a run array
-    (`model._RunArray`, written from the counts) when it expands a count
-    vector."""
+def _written(assignment) -> tuple:
+    """The report's array of `assignment`, an Assignment or a count vector:
+    a run array (`model._RunArray`, written from the counts) where there
+    is a vector, its entries expanded once or copied from the target, the
+    cheaper where one exists; else the target."""
+    if isinstance(assignment, CountAssignment):
+        return _RunArray(_expanded(assignment.counts), assignment.counts)
     counts = assignment._counts
     return assignment.target if counts is None else _RunArray(assignment.target, counts)
 
 
 def _find_opt(inst: Instance, epsilon):
     counts = algorithms.find_opt(inst)
-    return counts.to_assignment(), cost(inst, counts), {"counts": counts.counts}
+    return counts, cost(inst, counts), {"counts": counts.counts}
 
 
 def _approx(inst: Instance, epsilon):
@@ -218,9 +224,9 @@ def _dp(solution):
 
 #: `solve`'s algorithms in the order `auto` tries them: each name with the
 #: condition under which `auto` picks it and the call that runs it, which
-#: returns (assignment, cost, the report's extra fields).  The calls look
-#: their functions up in `algorithms` as they run, so a wrapper installed
-#: on a module attribute sees every call.
+#: returns (assignment or count vector, cost, the report's extra fields).
+#: The calls look their functions up in `algorithms` as they run, so a
+#: wrapper installed on a module attribute sees every call.
 _SOLVERS = {
     "find-opt": (lambda inst: inst.identical_weights, _find_opt),
     "dp-delays": (lambda inst: _few(inst._kernel.delays),
@@ -253,22 +259,17 @@ def _cmd_solve(args, inst: Instance, _references) -> dict:
 
 
 def _cmd_nash(args, inst: Instance, _references) -> dict:
-    if args.mode == "any":
-        assignment = algorithms.greedy_nash(inst)
-        counts = None
-    else:
-        counts = algorithms.find_opt_nash(inst)
-        assignment = counts.to_assignment()
-    # the count vector, where there is one, evaluates in O(m)
-    evaluated = assignment if counts is None else counts
+    # best's count vector evaluates in O(m) and is expanded for the report alone
+    best = args.mode == "best"
+    assignment = algorithms.find_opt_nash(inst) if best else algorithms.greedy_nash(inst)
     result = {
         "mode": args.mode,
-        "cost": _rat(*cost(inst, evaluated).as_integer_ratio()),
+        "cost": _rat(*cost(inst, assignment).as_integer_ratio()),
         "assignment": _written(assignment),
-        "is_nash": is_nash(inst, evaluated),
+        "is_nash": is_nash(inst, assignment),
     }
-    if counts is not None:
-        result["counts"] = counts.counts
+    if best:
+        result["counts"] = assignment.counts
     return result
 
 

@@ -493,21 +493,25 @@ class CountAssignment:
         return sum(self.counts)
 
     def to_assignment(self) -> Assignment:
-        """Materialize: tasks in index order fill resources in index order.
-        The assignment keeps the vector (`_counts`), from which a report
-        writes its target (`_RunArray`)."""
-        a = Assignment._built(tuple(itertools.chain.from_iterable(
-            map(itertools.repeat, range(1, len(self.counts) + 1), self.counts)
-        )))
+        """Materialize (`_expanded`).  The assignment keeps the vector
+        (`_counts`), from which a report writes its target (`_RunArray`)."""
+        a = Assignment._built(tuple(_expanded(self.counts)))
         object.__setattr__(a, "_counts", self.counts)
         return a
+
+
+def _expanded(counts):
+    """The entries of the assignment the count vector `counts` expands to,
+    as an iterator: tasks in index order fill resources in index order."""
+    return itertools.chain.from_iterable(map(itertools.repeat, range(1, len(counts) + 1), counts))
 
 
 class _RunArray(tuple):
     """The entries of the assignment a count vector expands to, keeping the
     vector in `counts`: `dumps_json` writes it from the counts, one repeated
     text per resource, and json.dumps reads it as the tuple it is.  Only
-    reports hold one; `Assignment.target` stays a plain tuple."""
+    reports hold one; `Assignment.target` stays a plain tuple.  `target`
+    is any iterable of the entries, such as `_expanded(counts)`."""
 
     def __new__(cls, target: tuple, counts: tuple):
         runs = super().__new__(cls, target)

@@ -32,15 +32,20 @@ each extreme cost, the minimum of its own orbit, so witnesses are those of
 a full enumeration: the lexicographically smallest assignment of each
 extreme cost.  Costs become Fractions only for
 the three extremes; `cost` and `is_nash` stay the public evaluators, which
-`verify_bounds` re-checks the witnesses with.  The one budget, an int of
-states, bounds the walk: its m^n assignments are counted before any work.
+`verify_bounds` re-checks the witnesses with.  Every optimum and every Nash
+state leaves empty the resources slower than d_(n), the n-th smallest
+delay, and a state on the rest is Nash there iff it is Nash on all m, so
+the walk runs on the first m' resources alone, those of delay at most
+d_(n) (`algorithms._usable`): at most m'^n assignments.  The one budget, an
+int of states, bounds the walk: it counts all m^n assignments, before any
+work.
 """
 
 import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algorithms import _fewest_tasks, _lowest_index, _marginal_counts, _shown_count
+from .algorithms import _fewest_tasks, _lowest_index, _marginal_counts, _shown_count, _usable
 from .model import Assignment, CountAssignment, Instance, RatioReport, cost, is_nash
 
 DEFAULT_MAX_STATES = 10**7
@@ -135,7 +140,9 @@ def _lightest_tasks_stay(delays, sums, lightest) -> bool:
 def _walk_assignments(weights, delays):
     """Cheapest state, cheapest and dearest Nash state over the assignments
     of tasks with the scaled-int `weights` to resources with the scaled-int
-    `delays`, as (cost, Assignment) pairs.
+    `delays`, as (cost, Assignment) pairs.  The walk runs on the first m'
+    resources (`_usable`), where every extreme lies, the rest left empty:
+    it visits at most m'^n assignments.
 
     An explicit-stack odometer over tasks 0..n-2 in itertools.product
     order, with two canonical rules.  Tasks of equal weight are
@@ -167,7 +174,9 @@ def _walk_assignments(weights, delays):
     get the equilibrium check, and only when the state's cost would replace
     a Nash extreme.
     """
-    n, m = len(weights), len(delays)
+    n = len(weights)
+    m = _usable(delays, n)
+    delays = delays[:m]
     counts, sums, lightest = [0] * m, [0] * m, [0] * m  # lightest 0: no task
     target = [0] * n  # the first unplaced task's is where it goes next
     # the slot holding each task's floor: the previous task of its weight,
@@ -264,7 +273,9 @@ def enumerate_extremes(inst: Instance, max_states: int = DEFAULT_MAX_STATES) -> 
     replace the cheapest or the dearest Nash cost found so far.  Either way the
     witnesses are those of a full enumeration.  `max_states` bounds the
     walk alone: more than that many assignments, m^n, raise
-    BudgetExceededError before any work; the closed form takes no budget.
+    BudgetExceededError before any work, though the walk visits at most
+    m'^n of them, on the first m' resources (`algorithms._usable`); the
+    closed form takes no budget.
     """
     if max_states < 1:
         raise ValueError("max_states must be positive")

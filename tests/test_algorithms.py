@@ -33,7 +33,7 @@ from selfish_assign import (
 )
 
 from helpers import (all_targets, brute_extremes, brute_min_cost, nash_targets,
-                     reference_sweep_round_up_geometric)
+                     reference_dp_identical_delays, reference_sweep_round_up_geometric)
 
 
 class TestFindOpt:
@@ -249,15 +249,27 @@ class TestDpFewDelays:
                         delays=(F(1), F(2), F(2), F(3), F(4), F(5)))
         assert dp_few_delays(inst).cost == brute_min_cost(inst)
 
+    def test_runs_on_the_resources_an_optimum_can_use(self):
+        # 12 tasks on 4 delay classes of 20: the program runs on the 20
+        # resources of delay 1 (`_usable`), one class, where all 80 took
+        # 3.8 s (5.8e7 predicted steps) on a 2-core x86_64 VM
+        weights = tuple(map(F, range(1, 13)))
+        delays = tuple(F(d) for d in range(1, 5) for _ in range(20))
+        started = time.perf_counter()
+        solution = dp_few_delays(Instance(weights, delays))
+        assert time.perf_counter() - started < 0.5
+        assert solution == reference_dp_identical_delays(Instance(weights, delays[:20]))
+
     def test_guard_shows_a_huge_step_count_by_a_power_of_ten(self):
-        # 10**4 delay classes: the prediction has over 10**4 bits, more than
-        # an int may print (4300 digits by default on Python 3.11)
-        inst = Instance(weights=(F(1),), delays=tuple(map(F, range(1, 10**4 + 1))))
+        # 10**4 tasks on 10**4 delay classes, none trimmed: the prediction
+        # has over 10**4 bits, more than an int may print (4300 digits by
+        # default on Python 3.11)
+        inst = Instance(weights=(F(1),) * 10**4, delays=tuple(map(F, range(1, 10**4 + 1))))
         with pytest.raises(ValueError) as refused:
             dp_few_delays(inst)
         power = re.fullmatch(r"dynamic programming would need more than 10\*\*(\d+) steps,"
                              r" above the bound 100000000", str(refused.value))
-        steps = algorithms._delay_dp_steps(1, {1: 10**4})
+        steps = algorithms._delay_dp_steps(10**4, {1: 10**4})
         assert 10 ** int(power[1]) < steps < 10 ** (int(power[1]) + 2)
 
 

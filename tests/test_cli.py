@@ -97,9 +97,10 @@ class TestSolve:
         assert err == "error: dynamic programming would need 40 steps, above the bound 5\n"
 
     @pytest.mark.parametrize("weights, delays, options, steps", [
-        # auto routes 4 weight classes of 10 tasks on 100 distinct delays to
-        # dp-weights: 99 * 171 * 11**4 + 200 * 11**4 steps
-        ([w for w in range(1, 5) for _ in range(10)], range(1, 101), [], 250785689),
+        # auto routes 4 weight classes of 11 tasks on 100 distinct delays to
+        # dp-weights, which runs on the 44 fastest (`_usable`):
+        # 43 * 4240512 + 88 * 12**4 steps
+        ([w for w in range(1, 5) for _ in range(11)], range(1, 101), [], 184166784),
         # n = 2000 on 4 delay classes of 10 resources, routed to dp-delays:
         # 4 * 10 * 11**3 rows of 2001 * 13 candidates, and the path
         (range(1, 2001), [d for d in range(1, 5) for _ in range(10)], [], 1385252280),

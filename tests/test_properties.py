@@ -182,6 +182,23 @@ def weight_class_instances(draw, max_n=9, max_m=5):
     return Instance(tuple(draw(st.permutations(weights))), tuple(delays))
 
 
+@st.composite
+def trimmed_instances(draw, max_n=6, max_m=9):
+    """n tasks on m resources, often m > n: delays from a pool of one to
+    three values, so that the boundary delay class d_(n) often reaches past
+    resource n and the trim to m' (`algorithms._usable`) keeps it whole,
+    or takes every resource; n >= m is the control.  Weights from a pool of
+    one to three values, so the DPs apply; m^n stays at most 4096, for the
+    reference enumeration."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max(k for k in range(1, max_m + 1) if k**n <= 4096)))
+    delays = draw(st.lists(st.sampled_from(draw(st.lists(draw(VALUES), min_size=1, max_size=3))),
+                           min_size=m, max_size=m))
+    weights = draw(st.lists(st.sampled_from(draw(st.lists(draw(VALUES), min_size=1, max_size=3))),
+                            min_size=n, max_size=n))
+    return Instance(tuple(weights), tuple(delays))
+
+
 #: 1, 9/8, ..., 2: the nine-point grid `gen random` samples 1..2 from.
 #: Rounding with epsilon = 1/2 maps these onto 1, sqrt 2 and 2, the middle
 #: point taken as its cell's largest value, so they fall in three classes.
@@ -558,26 +575,38 @@ def test_row_scan_reads_at_most_the_predicted_candidates(case):
     assert reads[0] <= (n + 1) * (n.bit_length() + 2)
 
 
+def _usable_delays(inst) -> tuple:
+    """The delays of the first m' resources, which the DPs run on."""
+    return inst.delays[:algorithms._usable(inst._kernel.delays, inst.n)]
+
+
 @PROPERTY
-@given(st.one_of(few_valued_instances(max_delays=5), tied_run_instances()))
+@given(st.one_of(few_valued_instances(max_delays=5), tied_run_instances(),
+                 trimmed_instances(max_n=6, max_m=12)))
 @example(Instance((F(1),), (F(1),)))  # n = 1, m = 1: no rows, one path scan
 @example(Instance((F(1),) * 7, (F(1), F(2), F(3), F(4), F(5))))  # five classes of one
+@example(Instance((F(1), F(2)), (F(1), F(2), F(2), F(3), F(3), F(3))))  # m' = 3 of 6
 def test_delay_dp_steps_bound_the_candidates_scanned(inst):
-    sizes = _class_sizes(inst.delays)
+    delays = _usable_delays(inst)
+    sizes = _class_sizes(delays)
     with pytest.MonkeyPatch.context() as patch:
         reads = _counting_row_reads(patch)
         solution = dp_few_delays(inst)
     steps = algorithms._delay_dp_steps(inst.n, sizes)
     assert reads[0] <= steps
-    assert steps >= (inst.n + 1) * prod(s + 1 for s in Counter(inst.delays).values())
+    assert steps >= (inst.n + 1) * prod(s + 1 for s in Counter(delays).values())
     assert solution == reference_dp_few_delays(inst)
 
 
 @PROPERTY
-@given(st.one_of(few_valued_instances(max_n=7, max_m=5, max_delays=5), weight_class_instances()))
+@given(st.one_of(few_valued_instances(max_n=7, max_m=5, max_delays=5), weight_class_instances(),
+                 trimmed_instances(max_n=5, max_m=12)))
 @example(Instance((F(4),), (F(1),)))  # m = 1: no takes are yielded
 @example(Instance((F(1), F(2), F(3), F(4), F(5)), (F(1), F(2))))  # five classes of one
+@example(Instance((F(4),), (F(1), F(3))))  # m' = 1 of 2: no takes are yielded
+@example(Instance((F(1), F(2)), (F(1), F(2), F(2), F(3), F(3), F(3))))  # m' = 3 of 6
 def test_weight_dp_steps_bound_the_takes_tried(inst):
+    delays = _usable_delays(inst)
     sizes = _class_sizes(inst.weights)
     takes = [0]
     run_takes = algorithms._run_takes
@@ -591,12 +620,89 @@ def test_weight_dp_steps_bound_the_takes_tried(inst):
         patch.setattr(algorithms, "_run_takes", counted)
         solution = dp_few_weights(inst)
     vectors = prod(s + 1 for s in Counter(inst.weights).values())
-    cost_rows = len(set(inst.delays))
-    steps = algorithms._weight_dp_steps(inst.m, cost_rows, sizes)
-    assert takes[0] == (algorithms._run_take_count(sizes) if inst.m > 1 else 0)
+    m, cost_rows = len(delays), len(set(delays))
+    steps = algorithms._weight_dp_steps(m, cost_rows, sizes)
+    assert takes[0] == (algorithms._run_take_count(sizes) if m > 1 else 0)
     assert takes[0] <= steps
-    assert steps >= (inst.m + cost_rows) * vectors
+    assert steps >= (m + cost_rows) * vectors
     assert solution == reference_dp_few_weights(inst)
+
+
+# The trim: greedy_nash, both exact DPs and the oracle walk run on the
+# first m' resources, and must give exactly what the untrimmed references
+# give, on tied boundary delay classes as well.
+
+TRIMMED = [
+    Instance((F(4),), (F(1), F(3))),  # n = 1, m' = 1
+    Instance((F(4),), (F(2), F(2), F(3))),  # n = 1, a tied boundary class of two
+    Instance((F(2), F(1)), (F(1), F(2), F(2), F(2), F(3))),  # m' = 4 of 5
+    Instance((F(1), F(1), F(2)), (F(1), F(1), F(1), F(1), F(2))),  # m' = 4 of 5
+    Instance((F(3), F(1), F(3)), (F(1), F(2), F(3), F(3), F(3))),  # m' = 5: nothing trimmed
+    Instance((F(1), F(2), F(3), F(4)), (F(1), F(2))),  # n > m
+]
+
+
+def _trimmed_examples(test):
+    for inst in TRIMMED:
+        test = example(inst)(test)
+    return test
+
+
+@PROPERTY
+@given(trimmed_instances(max_n=12, max_m=30))
+@_trimmed_examples
+def test_trimmed_greedy_nash_equals_reference(inst):
+    assert greedy_nash(inst) == reference_greedy_nash(inst)
+
+
+@PROPERTY
+@given(trimmed_instances())
+@_trimmed_examples
+def test_trimmed_delay_dp_equals_reference(inst):
+    assert dp_few_delays(inst) == reference_dp_few_delays(inst)
+
+
+@PROPERTY
+@given(trimmed_instances())
+@_trimmed_examples
+def test_trimmed_weight_dp_equals_reference(inst):
+    assert dp_few_weights(inst) == reference_dp_few_weights(inst)
+
+
+@PROPERTY
+@given(trimmed_instances())
+@_trimmed_examples
+def test_trimmed_walk_equals_reference(inst):
+    assert enumerate_extremes(inst, 4096) == reference_enumerate_extremes(inst)
+
+
+@st.composite
+def widened_instances(draw):
+    """An instance with m >= n and one to three delays above its d_(n),
+    which sort after its first m' resources, so every index stays."""
+    inst = draw(trimmed_instances(max_n=5, max_m=6).filter(lambda inst: inst.m >= inst.n))
+    boundary = inst.delays[inst.n - 1]
+    extra = draw(st.lists(st.builds(boundary.__add__, draw(VALUES)), min_size=1, max_size=3))
+    return inst, tuple(extra)
+
+
+@PROPERTY
+@given(widened_instances())
+@example((Instance((F(2), F(1)), (F(1), F(3))), (F(4), F(7, 2))))  # m = n: d_(n) is the largest
+@example((Instance((F(4),), (F(2), F(2), F(3))), (F(5, 2),)))  # between d_(n) and the largest
+@example((Instance((F(1),) * 3, (F(1), F(2), F(2))), (F(3),)))  # identical weights
+def test_slower_resources_change_no_result(case):
+    inst, extra = case
+    wider = Instance(inst.weights, inst.delays + extra)
+    assert algorithms._usable(wider._kernel.delays, wider.n) == (
+        algorithms._usable(inst._kernel.delays, inst.n))
+    assert greedy_nash(wider) == greedy_nash(inst)
+    assert dp_few_delays(wider) == dp_few_delays(inst)
+    assert dp_few_weights(wider) == dp_few_weights(inst)
+    assert enumerate_extremes(wider, 10**5) == enumerate_extremes(inst, 10**5)
+    if inst.identical_weights:
+        assert find_opt(wider).to_assignment() == find_opt(inst).to_assignment()
+        assert find_opt_nash(wider).to_assignment() == find_opt_nash(inst).to_assignment()
 
 
 def _reference_approx(inst, rounding, dp):
