@@ -31,13 +31,14 @@ UTF-8 once, with "\\r\\n" and a lone "\\r" read as "\\n", as a text-mode read
 gives them.  Instance files are read by `model.loads_instance` and written
 by `model.dumps_instance`; reports are written by `model.dumps_json`, the
 instance digest rendered from the int pairs in lowest terms that the
-`Instance` properties are built from, with no Fraction built.  A count
-vector (`solve`'s find-opt route and `nash --mode best`, whose entries
-are built once, for the report alone) and an assignment that expands one
-(`ratio`'s identical-weight witnesses) go to the writer as a run array
-(`_written`), which it writes from the counts, one repeated text per
-resource.  `nash` and `verify` evaluate an assignment through
-`model`'s public evaluators, which walk its tasks once per instance.
+`Instance` properties are built from, with no Fraction built.  A report
+holds the `Assignment` or `CountAssignment` its command built, which the
+writer writes as the array of its target.  A count vector (`solve`'s
+find-opt route and `nash --mode best`, which build no n-entry target) and
+an assignment that expands one (`ratio`'s identical-weight witnesses) are
+written from the counts, one repeated text per resource.  `nash` and `verify`
+evaluate an assignment through `model`'s public evaluators, which walk
+its tasks once per instance.
 `verify` renders each distinct new load once; its improving moves take one
 lower envelope of the move lines per call and one O(log m) lookup on it
 per distinct task weight, and its report's record lists are written column
@@ -56,12 +57,9 @@ from fractions import Fraction
 from . import algorithms, instances, oracle
 from .model import (
     Assignment,
-    CountAssignment,
     Instance,
     NumberTooLongError,
-    _RunArray,
     _digits,
-    _expanded,
     cost,
     dumps_instance,
     dumps_json,
@@ -184,17 +182,6 @@ def _parse_epsilon(raw, required_by: str, positive: bool = True) -> Fraction:
     return value
 
 
-def _written(assignment) -> tuple:
-    """The report's array of `assignment`, an Assignment or a count vector:
-    a run array (`model._RunArray`, written from the counts) where there
-    is a vector, its entries expanded once or copied from the target, the
-    cheaper where one exists; else the target."""
-    if isinstance(assignment, CountAssignment):
-        return _RunArray(_expanded(assignment.counts), assignment.counts)
-    counts = assignment._counts
-    return assignment.target if counts is None else _RunArray(assignment.target, counts)
-
-
 def _find_opt(inst: Instance, epsilon):
     counts = algorithms.find_opt(inst)
     return counts, cost(inst, counts), {"counts": counts.counts}
@@ -253,19 +240,19 @@ def _cmd_solve(args, inst: Instance, _references) -> dict:
         "algorithm": algorithm,
         "approximate": algorithm == "approx",
         "cost": _rat(*value.as_integer_ratio()),
-        "assignment": _written(assignment),
+        "assignment": assignment,
         **extra,
     }
 
 
 def _cmd_nash(args, inst: Instance, _references) -> dict:
-    # best's count vector evaluates in O(m) and is expanded for the report alone
+    # best's count vector evaluates in O(m) and is written from its counts
     best = args.mode == "best"
     assignment = algorithms.find_opt_nash(inst) if best else algorithms.greedy_nash(inst)
     result = {
         "mode": args.mode,
         "cost": _rat(*cost(inst, assignment).as_integer_ratio()),
-        "assignment": _written(assignment),
+        "assignment": assignment,
         "is_nash": is_nash(inst, assignment),
     }
     if best:
@@ -290,9 +277,9 @@ def _cmd_ratio(args, inst: Instance, _references) -> dict:
         "nash_gap": _rat(*report.nash_gap.as_integer_ratio()),
         "opt_gap": _rat(*report.opt_gap.as_integer_ratio()),
         "witnesses": {
-            "min_cost": _written(report.min_cost_witness),
-            "min_nash": _written(report.min_nash_witness),
-            "max_nash": _written(report.max_nash_witness),
+            "min_cost": report.min_cost_witness,
+            "min_nash": report.min_nash_witness,
+            "max_nash": report.max_nash_witness,
         },
         "bounds": [
             {"bound": c.name, "satisfied": c.satisfied,

@@ -40,9 +40,9 @@ def gen_big_nash(n: int) -> Instance:
     if n <= 2:
         raise ValueError("this family needs more than two tasks")
     _check_size(n, 2)
-    heavy = Fraction(n * n)
-    weights = (heavy, heavy) + (Fraction(1),) * (n - 2)
-    return Instance(weights=weights, delays=(Fraction(1), Fraction(1)))
+    # ints: an int array is its own kernel, read with no per-task work
+    heavy = n * n
+    return Instance(weights=(heavy, heavy) + (1,) * (n - 2), delays=(1, 1))
 
 
 def gen_uniform_gap(epsilon) -> Instance:
@@ -80,10 +80,8 @@ def gen_nash_ratio_lb(epsilon):
     n = 6 * big + 13
     _check_size(n, 6)
     # tasks 1..6 weigh 3M, tasks 7..12 weigh 6M, tasks 13..n weigh 1
-    weights = (
-        (Fraction(3 * big),) * 6 + (Fraction(6 * big),) * 6 + (Fraction(1),) * (6 * big + 1)
-    )
-    inst = Instance(weights=weights, delays=(Fraction(1),) * 6)
+    weights = (3 * big,) * 6 + (6 * big,) * 6 + (1,) * (6 * big + 1)
+    inst = Instance(weights=weights, delays=(1,) * 6)
 
     segregated = [0] * n
     for i in range(6 * big + 1):  # all unit tasks share resource 1

@@ -25,8 +25,10 @@ property, with no first-access lock.  The Fraction tuples `weights` and
 `delays` are built only when something reads them.  Instance texts are
 read by one module-level JSON decoder.  `dumps_json` writes every JSON
 document the package emits, byte-identical to `json.dumps(value,
-indent=2)`, a list of records column by column and a count vector's
-expanded assignment (`_RunArray`) from its counts.
+indent=2)`, a list of records column by column.  An assignment in a
+document is written as the array of its target, and one that expands a
+count vector (a `CountAssignment`, or its `to_assignment()`) from its
+counts alone.
 
 A task of weight w that moves to resource r pays d_r * (S_r + w), a line
 in w.  `improving_moves` builds the lower envelope of those m lines once
@@ -453,7 +455,8 @@ class Assignment:
 
     #: (kernel, counts, sums) of the last walk of the tasks; None before one
     _walked = None
-    #: the count vector the target expands (`CountAssignment.to_assignment`)
+    #: the count vector the target expands (`CountAssignment.to_assignment`),
+    #: from which `dumps_json` writes the target; None for any other target
     _counts = None
 
     def __post_init__(self):
@@ -493,30 +496,14 @@ class CountAssignment:
         return sum(self.counts)
 
     def to_assignment(self) -> Assignment:
-        """Materialize (`_expanded`).  The assignment keeps the vector
-        (`_counts`), from which a report writes its target (`_RunArray`)."""
-        a = Assignment._built(tuple(_expanded(self.counts)))
-        object.__setattr__(a, "_counts", self.counts)
+        """Materialize: tasks in index order fill resources in index order.
+        The assignment keeps the vector (`_counts`), from which a report
+        writes its target."""
+        counts = self.counts
+        runs = map(itertools.repeat, range(1, len(counts) + 1), counts)
+        a = Assignment._built(tuple(itertools.chain.from_iterable(runs)))
+        object.__setattr__(a, "_counts", counts)
         return a
-
-
-def _expanded(counts):
-    """The entries of the assignment the count vector `counts` expands to,
-    as an iterator: tasks in index order fill resources in index order."""
-    return itertools.chain.from_iterable(map(itertools.repeat, range(1, len(counts) + 1), counts))
-
-
-class _RunArray(tuple):
-    """The entries of the assignment a count vector expands to, keeping the
-    vector in `counts`: `dumps_json` writes it from the counts, one repeated
-    text per resource, and json.dumps reads it as the tuple it is.  Only
-    reports hold one; `Assignment.target` stays a plain tuple.  `target`
-    is any iterable of the entries, such as `_expanded(counts)`."""
-
-    def __new__(cls, target: tuple, counts: tuple):
-        runs = super().__new__(cls, target)
-        runs.counts = counts
-        return runs
 
 
 AnyAssignment = Union[Assignment, CountAssignment]
@@ -802,14 +789,17 @@ def instance_from_jsonable(obj):
 
 
 def dumps_json(value) -> str:
-    """`json.dumps(value, indent=2)`, byte for byte, for a document of
-    str-keyed dicts, lists and scalars, without json's pure-Python indenting
-    encoder.  Scalars of the exact types str, int, float, bool and None have
-    one encoder (`_SCALAR_TEXT`), built on the functions json itself calls;
-    a list of ints, at most half of them distinct, takes one text per value
-    (`_scalar_texts`, which says why bools and floats do not).  A run array
-    (`_RunArray`, a count vector's expanded assignment) is written from its
-    counts, one repeated text per resource, and never entry by entry.
+    """`json.dumps(value, indent=2, default=lambda a: list(_target(a)))`,
+    byte for byte, for a document of str-keyed dicts, lists, scalars and
+    assignments, without json's pure-Python indenting encoder.  Scalars of
+    the exact types str, int, float, bool and None have one encoder
+    (`_SCALAR_TEXT`), built on the functions json itself calls; a list of
+    ints, at most half of them distinct, takes one text per value
+    (`_scalar_texts`, which says why bools and floats do not).  An
+    `Assignment` or `CountAssignment` is written as the array of its
+    target: from its count vector, where it has one (a `CountAssignment`,
+    or the `_counts` that `to_assignment` keeps), one repeated text per
+    resource and never entry by entry; else as its target tuple.
     A non-empty list is written in one piece when its items are all such
     scalars, or at least `_TEMPLATE_MIN_ROWS` records of one shape:
     non-empty plain dicts with the same keys in the same order, each value
@@ -892,14 +882,10 @@ def _record_texts(rows, newline: str):
 
 
 def _one_piece(items, newline: str):
-    """The text of the non-empty list `items` in one piece: a run array
-    (`_RunArray`, from its counts), all scalars, or at least
-    `_TEMPLATE_MIN_ROWS` records of one shape; None for any other list."""
+    """The text of the non-empty list `items` in one piece: all scalars, or
+    at least `_TEMPLATE_MIN_ROWS` records of one shape; None for any other
+    list."""
     inner = newline + "  "
-    if type(items) is _RunArray:
-        separator = "," + inner
-        runs = "".join((repr(r) + separator) * c for r, c in enumerate(items.counts, 1))
-        return "[" + inner + runs[: -len(separator)] + newline + "]"
     kinds = set(map(type, items))
     if kinds <= _SCALAR_TEXT.keys():
         pieces = _scalar_texts(items, kinds)
@@ -937,6 +923,17 @@ def _write_json(value, newline: str, write):
             _write_json(item, inner, write)
             separator = "," + inner
         write(newline + "}")
+    elif isinstance(value, (Assignment, CountAssignment)):
+        counts = value._counts if isinstance(value, Assignment) else value.counts
+        if counts is None:
+            _write_json(value.target, newline, write)
+        elif any(counts):
+            inner = newline + "  "
+            separator = "," + inner
+            runs = "".join((repr(r) + separator) * c for r, c in enumerate(counts, 1))
+            write("[" + inner + runs[: -len(separator)] + newline + "]")
+        else:  # no task
+            write("[]")
     else:  # one line: scalar subclasses and empty containers
         write(json.dumps(value))
 

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 import selfish_assign
 from selfish_assign import (
+    Assignment,
+    CountAssignment,
     Instance,
     algorithms,
     dumps_instance,
@@ -1024,8 +1026,9 @@ class TestReportBytes:
     def test_count_vector_reports_equal_plain_tuples(self, argv, weights, delays, tmp_path, capsys,
                                                      monkeypatch):
         """`solve` (find-opt), `nash --mode best` and identical-weight
-        `ratio` hand the writer each assignment a count vector expands as a
-        run array; their reports equal the same document with plain tuples."""
+        `ratio` put each assignment they built in the report, which the
+        writer writes from its counts; their reports equal the same document
+        with plain tuples."""
         path = tmp_path / "instance.json"
         path.write_text(json.dumps({"weights": weights, "delays": delays}), encoding="utf-8")
         documents = []
@@ -1041,14 +1044,38 @@ class TestReportBytes:
                 return {key: plain(item) for key, item in value.items()}
             if isinstance(value, list):
                 return list(map(plain, value))
-            if type(value) is model._RunArray:
+            if isinstance(value, (Assignment, CountAssignment)):
                 found.append(value)
-                return tuple(value)
+                return model._target(value)
             return value
 
         plain_document = plain(document)
         assert len(found) == (3 if argv[0] == "ratio" else 1)
-        assert out == model.dumps_json(plain_document) + "\n" == json.dumps(document, indent=2) + "\n"
+        expected = json.dumps(document, indent=2, default=lambda a: list(model._target(a))) + "\n"
+        assert out == model.dumps_json(plain_document) + "\n" == expected
+
+    @pytest.mark.parametrize("argv", [["solve"], ["nash", "--mode", "best"]],
+                             ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+    def test_count_vector_routes_build_no_target(self, argv, tmp_path, capsys, monkeypatch):
+        """`solve` (find-opt) and `nash --mode best` evaluate and write
+        their count vector alone: with every way to its n-entry target
+        refused, they exit 0 with the same report."""
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"weights": [1] * 600, "delays": [1, 2, 3, 5, 8, 13, 21, 34]}),
+                        encoding="utf-8")
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        argv = [argv[0], str(path), *argv[1:]]
+        assert main(argv) == 0
+        report = capsys.readouterr().out
+
+        def refuse(*args):
+            raise AssertionError("an n-entry target was built")
+
+        monkeypatch.setattr(CountAssignment, "to_assignment", refuse)
+        monkeypatch.setattr(Assignment, "_built", refuse)
+        monkeypatch.setattr(model, "_target", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr() == (report, "")
 
 
 # One number grammar on every Python version: each form is read, or refused,

@@ -6,7 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from selfish_assign import (
+    Instance,
     SplitMix64,
+    dumps_instance,
     instances,
     cost,
     enumerate_extremes,
@@ -63,6 +65,28 @@ class TestNashRatioLb:
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
             gen_nash_ratio_lb(F(0))
+
+
+@pytest.mark.parametrize("family, parameter", [
+    ("big-nash", 3), ("big-nash", 1000),
+    ("nash-ratio-lb", F(1)), ("nash-ratio-lb", F(1, 2)), ("nash-ratio-lb", F(1, 7)),
+])
+def test_int_built_families_equal_their_fraction_built_instances(family, parameter):
+    """big-nash and nash-ratio-lb build their instances from int arrays,
+    each its own kernel; the instance and its file are those of the same
+    family built from Fractions."""
+    if family == "big-nash":
+        n = parameter
+        inst, references = gen_big_nash(n), None
+        expected = Instance((F(n * n),) * 2 + (F(1),) * (n - 2), (F(1), F(1)))
+    else:
+        inst, segregated, mixed = gen_nash_ratio_lb(parameter)
+        references = {"N1": segregated, "N2": mixed}
+        b = math.ceil(F(2) / parameter)
+        expected = Instance((F(3 * b),) * 6 + (F(6 * b),) * 6 + (F(1),) * (6 * b + 1), (F(1),) * 6)
+    assert inst == expected and inst._kernel == expected._kernel
+    assert inst.weights == expected.weights and inst.delays == expected.delays
+    assert dumps_instance(inst, references) == dumps_instance(expected, references)
 
 
 class TestUniformGap:

@@ -3,9 +3,10 @@ builders on the integer kernel, the integer dynamic programs and the
 incremental oracle walk against the straightforward loops and Fraction
 programs in helpers.py and against brute force, on generated instances.
 
-The report writer is checked against `json.dumps(value, indent=2)`, the
-instance-file reader against `parse_rational` on generated documents, and
-`parse_rational` against `Fraction` on strings of the number grammar.
+The report writer is checked against `json.dumps(value, indent=2)`, with
+an assignment written as the array of its target, the instance-file reader
+against `parse_rational` on generated documents, and `parse_rational`
+against `Fraction` on strings of the number grammar.
 
 Examples are derandomized and bounded, so every run checks the same cases.
 Values are drawn either from small integers (many exact ties) or from
@@ -54,7 +55,7 @@ from selfish_assign import (
     task_load,
 )
 from selfish_assign import cli, model
-from selfish_assign.model import _TEMPLATE_MIN_ROWS, _RunArray, dumps_json
+from selfish_assign.model import _TEMPLATE_MIN_ROWS, dumps_json
 
 from helpers import (
     OneDrawSplitMix64,
@@ -1084,22 +1085,37 @@ def test_grid_steps_equal_counting_loop(ratio, epsilon):
     assert algorithms._grid_steps(ratio, epsilon) == count_grid_steps(ratio, epsilon)
 
 
-def _runs(counts) -> _RunArray:
-    """The run array of a count vector, as the CLI writes its assignment."""
-    return cli._written(CountAssignment(tuple(counts)).to_assignment())
+def _counted(counts) -> Assignment:
+    """The assignment a count vector expands to, keeping the vector, as
+    `ratio`'s identical-weight witnesses are built."""
+    return CountAssignment(tuple(counts)).to_assignment()
 
 
-# Count vectors with empty resources (m > n included), one task, one
-# resource and long runs; the writer writes their run arrays from the counts.
+def _json_dumps(value) -> str:
+    """json's own indent=2 text of a report, an assignment written as the
+    array of its target."""
+    return json.dumps(value, indent=2, default=lambda a: list(model._target(a)))
+
+
+# Count vectors with empty resources (m > n and no task included), one
+# resource and long runs; the writer writes them, and the assignments that
+# expand them, from the counts.
 COUNT_VECTORS = st.one_of(
     st.lists(st.integers(0, 3), min_size=1, max_size=8),
     st.lists(st.sampled_from((0, 0, 1, 40, 300)), min_size=1, max_size=4),
 )
-RUN_ARRAYS = COUNT_VECTORS.map(_runs)
+COUNTED_ASSIGNMENTS = st.one_of(
+    COUNT_VECTORS.map(lambda counts: CountAssignment(tuple(counts))),
+    COUNT_VECTORS.map(_counted),
+)
+# The assignments a report holds: those and plain ones, written as their targets.
+ASSIGNMENTS = COUNTED_ASSIGNMENTS | st.builds(
+    Assignment, st.lists(st.integers(1, 5), max_size=30).map(tuple)
+)
 
 # Report-shaped JSON: str-keyed dicts and lists, ints (bools mixed into int
 # lists), floats of every kind, any text, the 17-digit scientific strings
-# the CLI writes for approximations outside float range, and run arrays.
+# the CLI writes for approximations outside float range, and assignments.
 JSON_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -1112,7 +1128,7 @@ JSON_SCALARS = st.one_of(
     st.builds("{:.16e}".format, st.floats(allow_nan=False, allow_infinity=False)),
 )
 JSON_VALUES = st.recursive(
-    JSON_SCALARS | RUN_ARRAYS,
+    JSON_SCALARS | ASSIGNMENTS,
     lambda children: st.one_of(
         st.lists(children, max_size=6),
         st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
@@ -1133,12 +1149,14 @@ JSON_VALUES = st.recursive(
 @example({"\n": [-(10**30), 10**30, 0]})
 @example((1, ("a", ()), [{}]))  # tuples are written as lists
 @example(["\u00e9t\u00e9", 123456789012345678901234567890, "3/2", -7, "\U0001f600", ""])
-@example({"a": _runs([0, 3, 0, 0, 1]), "b": [_runs([1]), {"c": [_runs([0, 0, 2])]}]})  # depths, zeros
-@example([_runs([1, 0, 0, 0, 0, 0])])  # n = 1, m > n
-@example(_runs([5]))  # one resource
-@example({"x": _runs([0, 0])})  # no task: written as json writes an empty array
+@example({"a": _counted([0, 3, 0, 0, 1]), "b": [_counted([1]), {"c": [_counted([0, 0, 2])]}]})  # depths, zeros
+@example([_counted([1, 0, 0, 0, 0, 0])])  # n = 1, m > n
+@example(_counted([5]))  # one resource
+@example({"x": _counted([0, 0]), "y": CountAssignment((0,))})  # no task: written as json writes an empty array
+@example([CountAssignment((0, 2, 1)), Assignment((2, 2, 1, 3)), Assignment(())])
+@example([{"a": CountAssignment((2, 1))}] * _TEMPLATE_MIN_ROWS)  # a record column of assignments
 def test_writer_equals_json_dumps_indent_2(value):
-    assert dumps_json(value) == json.dumps(value, indent=2)
+    assert dumps_json(value) == _json_dumps(value)
 
 
 @PROPERTY
@@ -1146,33 +1164,33 @@ def test_writer_equals_json_dumps_indent_2(value):
 @example([0])
 @example([1])
 @example([0, 0, 1, 0])
-def test_run_array_holds_the_count_vectors_assignment(counts):
-    """A run array's items are the vector's expanded assignment, whose
-    target stays a plain tuple, and it keeps the vector."""
-    target = CountAssignment(tuple(counts)).to_assignment().target
-    runs = _runs(counts)
-    assert type(runs) is _RunArray and runs == target and runs.counts == tuple(counts)
-    assert type(target) is tuple
+def test_to_assignment_keeps_its_count_vector(counts):
+    """A count vector's assignment fills resources in index order, its
+    target a plain tuple, and keeps the vector it expands."""
+    a = _counted(counts)
+    assert a.target == tuple(r for r, c in enumerate(counts, 1) for _ in range(c))
+    assert type(a.target) is tuple and a._counts == tuple(counts)
 
 
 @PROPERTY
-@given(st.lists(RUN_ARRAYS, min_size=1, max_size=4))
-def test_run_arrays_never_reach_per_entry_rendering(arrays):
-    """A run array is written from its counts: `_scalar_texts`, which
-    renders a list entry by entry, never sees one, bare or nested, and a
-    run array whose items disagree with its counts is written as the
-    counts say."""
+@given(st.lists(COUNTED_ASSIGNMENTS, min_size=1, max_size=6))
+def test_count_vectors_never_reach_per_entry_rendering(assignments):
+    """An assignment with a count vector is written from its counts:
+    `_scalar_texts`, which renders a list entry by entry, is never called
+    on one, bare or nested, and one whose target disagrees with its counts
+    is written as the counts say."""
     seen = []
     render = model._scalar_texts
-    value = {"runs": arrays, "nested": [{"a": runs} for runs in arrays]}
+    value = {"runs": assignments, "nested": [{"a": a} for a in assignments]}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "_scalar_texts", lambda items, kinds: seen.append(items) or render(items, kinds))
-        assert dumps_json(value) == json.dumps(value, indent=2)
-    assert not any(isinstance(items, _RunArray) for items in seen)
-    for runs in arrays:
-        if runs:
-            decoy = _RunArray(("x",) * len(runs), runs.counts)
-            assert dumps_json([decoy]) == json.dumps([runs], indent=2)
+        assert dumps_json(value) == _json_dumps(value)
+    assert seen == []
+    for a in assignments:
+        counts = a.counts if isinstance(a, CountAssignment) else a._counts
+        decoy = Assignment._built(("x",) * sum(counts))
+        object.__setattr__(decoy, "_counts", counts)
+        assert dumps_json([decoy]) == _json_dumps([a])
 
 
 # Long int arrays whose values repeat, as an assignment, a count vector or
@@ -1223,7 +1241,7 @@ RECORD_LEAVES = st.one_of(
 )
 ODD_LEAVES = st.sampled_from([
     float("nan"), float("inf"), float("-inf"), True, None, [], [1, "%s"], ({"a": 1},),
-    _Str("%s"), _Float(2.5), {}, {"%": 1}, _runs([2, 0, 3]),
+    _Str("%s"), _Float(2.5), {}, {"%": 1}, _counted([2, 0, 3]), CountAssignment((1, 0)),
 ])
 PERTURBATIONS = (
     "none", "reorder", "extra-key", "missing-key", "emptied", "odd-leaf", "dict-subclass", "str-subclass-key",
@@ -1295,8 +1313,8 @@ def record_lists(draw):
 @example([{"x": SHARED}] * _TEMPLATE_MIN_ROWS + [{"x": dict(SHARED)}])  # shared, and an equal copy
 @example([{"a": {"b": 1, "c": 2}}] * _TEMPLATE_MIN_ROWS + [{"a": {"c": 2, "b": 1}}])  # nested key order
 def test_record_lists_equal_json_dumps_indent_2(value):
-    assert dumps_json(value) == json.dumps(value, indent=2)
-    assert dumps_json({"rows": value, "x": [value]}) == json.dumps({"rows": value, "x": [value]}, indent=2)
+    assert dumps_json(value) == _json_dumps(value)
+    assert dumps_json({"rows": value, "x": [value]}) == _json_dumps({"rows": value, "x": [value]})
 
 
 # Strings of the number grammar: optional whitespace and sign, then "D/D" or
