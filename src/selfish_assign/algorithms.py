@@ -272,8 +272,8 @@ def _weight_dp_steps(m: int, cost_rows: int, sizes) -> int:
     of the resources 2..m-1, and on resource m only the full vector's
     R(full) <= sum_v R(v) takes: at most (m - 1) * sum_v R(v) sums
     (`_run_take_count`, exact for the takes yielded).  The cost rows hold
-    cost_rows * V entries, `group` V more, and the path rescans at most
-    (m - 1) * V takes.  The bound is at least the (m + cost_rows) * V
+    cost_rows * V entries, `group` V more, and the path tries at most
+    (m - 1) * V takes, as a vector's run takes are at most V.  The bound is at least the (m + cost_rows) * V
     entries that the table, the cost rows and `group` hold.
     """
     return (m - 1) * _run_take_count(sizes) + (cost_rows + m) * _vector_count(sizes)
@@ -300,44 +300,57 @@ def _count_vectors(members, steps: int):
     return radix, strides[::-1], math.prod(radix)
 
 
-def _row_minima(prev, scaled, n: int, into=None):
+def _schedule(n: int) -> list:
+    """The order in which `_row_minima` solves j = 0..n, coarsest step
+    first, as (j, lo, hi) triples.  At step h, a power of two, each j with
+    j + 1 an odd multiple of h is listed with lo = j - h, or the sentinel
+    slot n + 1 (whose start stays 0) when j < h, and hi = j + h, or None
+    when j + h > n; each of j - h and j + h comes earlier in the list.  It
+    depends on n alone, so the delay program builds it once per table."""
+    order = []
+    half = 1 << n.bit_length()
+    while half:
+        order += [(j, j - half if j >= half else n + 1, j + half if j + half <= n else None)
+                  for j in range(half - 1, n + 1, 2 * half)]
+        half >>= 1
+    return order
+
+
+def _row_minima(prev, scaled, n: int, into, schedule):
     """value[j] = min over i <= j of prev[i] + (j - i) * (scaled[j] - scaled[i])
-    for j = 0..n; with `into`, each into[j] is lowered to value[j] in place
-    and `into` is returned.
+    for j = 0..n, in the order of `schedule` = `_schedule(n)`; with `into`
+    not None, each into[j] is lowered to value[j] in place and `into` is
+    returned.
 
     The run cost (j - i) * (scaled[j] - scaled[i]) obeys the quadrangle
     inequality for non-decreasing `scaled`, and adding prev[i] keeps it, so
-    start[j], the largest minimizing i, never decreases with j.  The j are
-    solved coarsest first: at step h, a power of two, each j with j + 1 an
-    odd multiple of h scans only the i between the starts of j - h and
-    j + h, solved at a coarser step: O(n log n) per row.  Each scan runs
-    down from its upper bound and keeps a candidate only if strictly
+    start[j], the largest minimizing i, never decreases with j.  So each j
+    scans only the i between the starts of its schedule slots lo and hi:
+    O(n log n) per row.  A j whose hi is None, or whose hi's start is at
+    least j, starts at i = j with best = prev[j], the empty run.  Each scan
+    runs down from its upper bound and keeps a candidate only if strictly
     smaller, so the first minimum it meets is the largest minimizing i.
     """
     fresh = into is None
     value = [0] * (n + 1) if fresh else into
-    start = [0] * (n + 1)
-    half = 1 << n.bit_length()
-    while half:
-        j, step = half - 1, 2 * half
-        while j <= n:
-            ilo = start[j - half] if j >= half else 0
+    start = [0] * (n + 2)  # start[n + 1], the sentinel lo slot, stays 0
+    for j, lo, hi in schedule:
+        top = scaled[j]
+        if hi is None or (i := start[hi]) >= j:
             i = j
-            if j + half <= n and start[j + half] < j:
-                i = start[j + half]
-            top = scaled[j]
+            best = prev[j]
+        else:
             best = prev[i] + (j - i) * (top - scaled[i])
-            bi = i
-            while i > ilo:
-                i -= 1
-                candidate = prev[i] + (j - i) * (top - scaled[i])
-                if candidate < best:
-                    best, bi = candidate, i
-            if fresh or best < value[j]:
-                value[j] = best
-            start[j] = bi
-            j += step
-        half >>= 1
+        bi = i
+        ilo = start[lo]
+        while i > ilo:
+            i -= 1
+            candidate = prev[i] + (j - i) * (top - scaled[i])
+            if candidate < best:
+                best, bi = candidate, i
+        if fresh or best < value[j]:
+            value[j] = best
+        start[j] = bi
     return value
 
 
@@ -379,9 +392,12 @@ def _delay_class_dp(inst: Instance) -> DPSolution:
     C(i, j') + C(i', j) - C(i, j) - C(i', j') =
     (i' - i)(P_j' - P_j) + (j' - j)(P_i' - P_i) >= 0 (the quadrangle
     inequality), so the largest minimizing i, the shortest run, never
-    decreases with j, and `_row_minima` solves a row in O(n log n).  The
-    full vector is read only at j = n, so each of its class rows is one
-    O(n) scan.
+    decreases with j, and `_row_minima` solves a row in O(n log n).  Its
+    order of j and the neighbours that bound each j's starts depend on n
+    alone, so `_schedule(n)` lists them once for every row of the table.
+    The tasks are in the stable non-increasing weight order, ties by task
+    index.  The full vector is read only at j = n, so each of its class
+    rows is one O(n) scan.
 
     The choices are rebuilt on the path alone, from the full vector at
     j = n back to no resources: the first class whose row attains the entry,
@@ -393,11 +409,13 @@ def _delay_class_dp(inst: Instance) -> DPSolution:
     radix, strides, vectors = _count_vectors(
         members, _delay_dp_steps(n, Counter(map(len, members))))
     weights = inst._kernel.weights
-    order = sorted(range(n), key=lambda i: (-weights[i], i))
+    # a stable sort keeps equal weights in task order
+    order = sorted(range(n), key=weights.__getitem__, reverse=True)
     prefix = list(itertools.accumulate(map(weights.__getitem__, order), initial=0))
     # scaled[cls][i] = d * P_i, so a run i+1..j on class cls costs (j - i)(scaled[j] - scaled[i])
     scaled = [[d * p for p in prefix] for d in delays]
     table = [None] * vectors  # table[0], no resources, stays None
+    schedule = _schedule(n)
     # count vectors in index order: v reads only rows v - stride < v, all complete
     vecs = itertools.islice(itertools.product(*map(range, radix)), 1, vectors - 1)
     for v, vec in enumerate(vecs, 1):
@@ -407,7 +425,7 @@ def _delay_class_dp(inst: Instance) -> DPSolution:
                 if v == stride:  # one resource takes all j
                     row = [j * x for j, x in enumerate(scaled[cls])]
                 else:
-                    row = _row_minima(table[v - stride], scaled[cls], n, row)
+                    row = _row_minima(table[v - stride], scaled[cls], n, row, schedule)
         table[v] = row
     full = vectors - 1
     best = min(_last_run(table[full - stride], scaled[cls], n)[0]
@@ -461,26 +479,48 @@ def dp_few_delays(inst: Instance) -> DPSolution:
     return _delay_class_dp(inst)
 
 
+def _take_step(takes, heads, count: int, stride: int):
+    """One class of the run-take sweep: the takes ending at this class of
+    `count` members added to `takes`, and the new heads.  `heads` holds
+    what a take that goes on to this class holds below it: 0 for a take
+    that starts here, then the takes that began below and took every class
+    since whole."""
+    parts = range(stride, (count + 1) * stride, stride)  # this class in part or whole
+    return (takes + [h + x for h in heads for x in parts],
+            [0, *parts, *[h + count * stride for h in heads[1:]]])
+
+
 def _run_takes(radix, strides):
     """For each count vector v in product order, the take vectors t <= v, as
     mixed-radix ints, whose classes with t_c > 0 form an interval a..b of
     the weight order, the classes strictly inside taken whole and the two
     ends in part or whole: 1 + sum v_a + sum over a < b of v_a * v_b takes.
-    Vectors with a common prefix share the takes that end within it."""
+    Vectors with a common prefix share the takes that end within it.  The
+    last class has stride 1: each of its counts adds one take per head, so
+    a prefix's vectors are yielded from one loop, with no generator and no
+    head list of their own."""
+    last = len(radix) - 1
 
     def extend(c, takes, heads):
-        # takes: those ending below class c; heads: what a take that goes on
-        # to class c holds below it
-        if c == len(radix):
-            yield takes
+        if c < last:
+            for count in range(radix[c]):
+                yield from extend(c + 1, *_take_step(takes, heads, count, strides[c]))
             return
-        stride = strides[c]
-        for count in range(radix[c]):
-            parts = range(stride, (count + 1) * stride, stride)  # class c in part or whole
-            yield from extend(c + 1, takes + [h + x for h in heads for x in parts],
-                              [0, *parts, *[h + count * stride for h in heads[1:]]])
+        yield takes
+        for count in range(1, radix[c]):
+            takes = takes + [h + count for h in heads]
+            yield takes
 
     return extend(0, [0], [0])
+
+
+def _vector_run_takes(v: int, radix, strides) -> list:
+    """The run takes of the one count vector v (see `_run_takes`), in
+    ascending mixed-radix order, which is product order."""
+    takes, heads = [0], [0]
+    for stride, base in zip(strides, radix):
+        takes, heads = _take_step(takes, heads, v // stride % base, stride)
+    return sorted(takes)
 
 
 def dp_few_weights(inst: Instance) -> DPSolution:
@@ -499,16 +539,20 @@ def dp_few_weights(inst: Instance) -> DPSolution:
     the weight order, and the minimum runs over those takes alone
     (`_run_takes`).  The table keeps values only, and the last resource is
     filled only at the full vector, the one entry of it that is read.
-    costs[k][t] = d_k * group[t], the cost of take t on resource k + 1, is
-    computed once per distinct delay.  Each vector gathers its rests v - t
-    and its takes t with one `operator.itemgetter` each, built once and
-    applied to every resource, so an entry is one `min` over the pairwise
-    sums of two gathered tuples.  The choices are rebuilt on the path
-    alone: at each of the m' - 1 steps, the first take in product order
-    whose value attains the entry.  With V the count vectors and R(v) the
-    run takes of v, that is O((m' - 1) * sum_v R(v) + (D' + m') * V) for
-    D' distinct delays among the m'; a program predicted above
-    MAX_DP_STEPS steps is refused (`_weight_dp_steps`).
+    group[t], the tasks of take t times their weight, comes from one
+    mixed-radix sweep of counts and weight sums, and costs[k][t] =
+    d_k * group[t], the cost of take t on resource k + 1, is computed once
+    per distinct delay.  Each vector gathers its rests v - t and its takes
+    t with one `operator.itemgetter` each, built once and applied to every
+    resource, so an entry is one `min` over the pairwise sums of two
+    gathered tuples.  The choices are rebuilt on the path alone: at each of
+    the m' - 1 steps, the first take in product order whose value attains
+    the entry.  That take is a run take (ROADMAP item 9 gives the swap
+    argument), so the path tries v's run takes alone, ascending
+    (`_vector_run_takes`).  With V the count vectors and R(v) the run
+    takes of v, that is O((m' - 1) * sum_v R(v) + (D' + m') * V) for D'
+    distinct delays among the m'; a program predicted above MAX_DP_STEPS
+    steps is refused (`_weight_dp_steps`).
     """
     weights, members = _classes(inst._kernel.weights)
     delays = inst._kernel.delays
@@ -517,9 +561,12 @@ def dp_few_weights(inst: Instance) -> DPSolution:
     radix, strides, vectors = _count_vectors(
         members, _weight_dp_steps(m, len(set(delays)), Counter(map(len, members))))
     # group[t]: tasks in take vector t times their weight, before the delay
-    group = [sum(t) * sum(map(operator.mul, t, weights))
-             for t in itertools.product(*map(range, radix))]
-    cost_rows = {d: [d * g for g in group] for d in set(delays)}
+    counts, sums = [0], [0]
+    for base, w in zip(radix, weights):
+        counts = [c + x for c in counts for x in range(base)]
+        sums = [s + x * w for s in sums for x in range(base)]
+    group = list(map(operator.mul, counts, sums))
+    cost_rows = {d: list(map(d.__mul__, group)) for d in set(delays)}
     costs = [cost_rows[d] for d in delays]
 
     # table[k][v], k < m - 1: cheapest placement of the tasks counted by v on
@@ -534,7 +581,7 @@ def dp_few_weights(inst: Instance) -> DPSolution:
     for v, takes in enumerate(_run_takes(radix, strides) if m > 1 else ()):
         if not v:
             continue  # v = 0 has one take, the empty one, and its entries stay 0
-        rest = operator.itemgetter(*[v - t for t in takes])
+        rest = operator.itemgetter(*map(v.__sub__, takes))
         take = operator.itemgetter(*takes)
         for prev, row, cost_row in steps:
             row[v] = min(map(add, rest(prev), take(cost_row)))
@@ -543,10 +590,8 @@ def dp_few_weights(inst: Instance) -> DPSolution:
 
     v, value, taken = full, best, []
     for k in range(m - 1, 0, -1):
-        takes = [0]  # every take vector t <= v, in product order
-        for stride, base in zip(strides, radix):
-            takes = [t + x * stride for t in takes for x in range(v // stride % base + 1)]
-        values = map(add, map(table[k - 1].__getitem__, [v - t for t in takes]),
+        takes = _vector_run_takes(v, radix, strides)
+        values = map(add, map(table[k - 1].__getitem__, map(v.__sub__, takes)),
                      map(costs[k].__getitem__, takes))
         try:
             take = takes[operator.indexOf(values, value)]

@@ -9,6 +9,7 @@ of what it would build, tasks plus resources, against MAX_GEN_SIZE before
 it builds anything.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -83,26 +84,18 @@ def gen_nash_ratio_lb(epsilon):
     weights = (3 * big,) * 6 + (6 * big,) * 6 + (1,) * (6 * big + 1)
     inst = Instance(weights=weights, delays=(1,) * 6)
 
-    segregated = [0] * n
-    for i in range(6 * big + 1):  # all unit tasks share resource 1
-        segregated[12 + i] = 1
-    for i in range(6):  # weight-6M tasks in pairs on resources 2..4
-        segregated[6 + i] = 2 + i // 2
-    for i in range(6):  # weight-3M tasks in triples on resources 5..6
-        segregated[i] = 5 + i // 3
+    # Both targets are runs of tasks on one resource each, built from
+    # repeated tuples; their entries are ints made here, so they take
+    # `Assignment._built` and no per-entry check.
+    # segregated: 3M tasks in triples on resources 5..6, 6M tasks in pairs
+    # on resources 2..4, all unit tasks on resource 1
+    segregated = (5,) * 3 + (6,) * 3 + (2, 2, 3, 3, 4, 4) + (1,) * (6 * big + 1)
+    # mixed: each resource one 3M and one 6M task, M unit tasks on each of
+    # resources 1..5 and M + 1 on resource 6
+    units = itertools.chain.from_iterable(itertools.repeat(r, big) for r in range(1, 7))
+    mixed = (1, 2, 3, 4, 5, 6) * 2 + tuple(units) + (6,)
 
-    mixed = [0] * n
-    for r in range(1, 6):  # resources 1..5: one 6M, one 3M, M unit tasks
-        mixed[6 + (r - 1)] = r
-        mixed[r - 1] = r
-        for i in range(big):
-            mixed[12 + (r - 1) * big + i] = r
-    mixed[11] = 6  # resource 6: one 6M, one 3M, M+1 unit tasks
-    mixed[5] = 6
-    for i in range(5 * big, 6 * big + 1):
-        mixed[12 + i] = 6
-
-    return inst, Assignment(tuple(segregated)), Assignment(tuple(mixed))
+    return inst, Assignment._built(segregated), Assignment._built(mixed)
 
 
 _MASK64 = (1 << 64) - 1

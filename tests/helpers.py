@@ -407,6 +407,40 @@ def brute_row_minima(prev, scaled):
     return row
 
 
+def reference_nash_ratio_lb_targets(big):
+    """The two reference targets of nash-ratio-lb for block size `big`,
+    built entry by entry as the family's definition states them:
+    (segregated, mixed)."""
+    n = 6 * big + 13
+    segregated = [0] * n
+    for i in range(6 * big + 1):  # all unit tasks share resource 1
+        segregated[12 + i] = 1
+    for i in range(6):  # weight-6M tasks in pairs on resources 2..4
+        segregated[6 + i] = 2 + i // 2
+    for i in range(6):  # weight-3M tasks in triples on resources 5..6
+        segregated[i] = 5 + i // 3
+    mixed = [0] * n
+    for r in range(1, 6):  # resources 1..5: one 6M, one 3M, M unit tasks
+        mixed[6 + (r - 1)] = r
+        mixed[r - 1] = r
+        for i in range(big):
+            mixed[12 + (r - 1) * big + i] = r
+    mixed[11] = 6  # resource 6: one 6M, one 3M, M+1 unit tasks
+    mixed[5] = 6
+    for i in range(5 * big, 6 * big + 1):
+        mixed[12 + i] = 6
+    return tuple(segregated), tuple(mixed)
+
+
+def all_takes(v, radix, strides):
+    """Every take vector t <= v, as mixed-radix ints, in product order: the
+    few-weights DP's path rescan before it tried run takes alone."""
+    takes = [0]
+    for stride, base in zip(strides, radix):
+        takes = [t + x * stride for t in takes for x in range(v // stride % base + 1)]
+    return takes
+
+
 # Reference dynamic programs: the straightforward Fraction implementations
 # the package's integer kernels must agree with, answer and tie-breaks alike.
 

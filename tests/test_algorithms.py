@@ -319,7 +319,10 @@ class TestDpFewWeights:
         radix = [c + 1 for c in counts]
         strides = [prod(radix[c + 1:]) for c in range(len(radix))]
         vectors = list(itertools.product(*map(range, radix)))
-        for vec, takes in zip(vectors, algorithms._run_takes(radix, strides), strict=True):
+        for v, (vec, takes) in enumerate(zip(vectors, algorithms._run_takes(radix, strides),
+                                             strict=True)):
+            # the path's takes of one vector: the same, ascending
+            assert algorithms._vector_run_takes(v, radix, strides) == sorted(takes)
             expected = set()
             for take in itertools.product(*(range(c + 1) for c in vec)):
                 used = [c for c, t in enumerate(take) if t]

@@ -6,8 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from selfish_assign import (
+    Assignment,
     Instance,
     SplitMix64,
+    cli,
     dumps_instance,
     instances,
     cost,
@@ -21,7 +23,7 @@ from selfish_assign import (
     verify_bounds,
 )
 
-from helpers import OneDrawSplitMix64
+from helpers import OneDrawSplitMix64, reference_nash_ratio_lb_targets
 
 
 class TestBigNash:
@@ -65,6 +67,22 @@ class TestNashRatioLb:
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
             gen_nash_ratio_lb(F(0))
+
+    @pytest.mark.parametrize("epsilon", ["2", "1", "1/2", "1/7", "3/1000", "1/2000"])
+    def test_run_built_targets_equal_the_per_entry_construction(self, epsilon, tmp_path, capsys):
+        """N1 and N2 are built from runs, past the constructor's check: they
+        are the targets built entry by entry, and `gen`'s file is the one
+        those checked assignments give, byte for byte."""
+        inst, segregated, mixed = gen_nash_ratio_lb(epsilon)
+        expected = reference_nash_ratio_lb_targets(math.ceil(2 / F(epsilon)))
+        assert (segregated.target, mixed.target) == expected
+        assert all(type(r) is int for r in segregated.target + mixed.target)
+        assert (segregated, mixed) == tuple(map(Assignment, expected))
+        out = tmp_path / "lb.json"
+        assert cli.main(["gen", "nash-ratio-lb", "--epsilon", epsilon, "--out", str(out)]) == 0
+        capsys.readouterr()
+        references = {"N1": Assignment(expected[0]), "N2": Assignment(expected[1])}
+        assert out.read_text(encoding="utf-8") == dumps_instance(inst, references)
 
 
 @pytest.mark.parametrize("family, parameter", [

@@ -59,6 +59,7 @@ from selfish_assign.model import _TEMPLATE_MIN_ROWS, dumps_json
 
 from helpers import (
     OneDrawSplitMix64,
+    all_takes,
     brute_min_cost,
     brute_row_minima,
     count_grid_steps,
@@ -464,20 +465,35 @@ def kernel_rows(draw, max_n=24):
 # alone cannot tell the smallest minimizing i from the largest: both never
 # decrease with j.
 @PROPERTY
-@given(kernel_rows())
+@given(kernel_rows(max_n=200))
 @example(([0, 0], [0, 0], [0, 0]))  # a tie between i = 0 and 1
 @example(([0, 1], [0, 0], [9, 9]))  # j = 1's one minimum at i = 0, its range's low end
 @example(([0, 0, 1, 1], [0, 1, 1, 1], [9, 9, 9, 9]))  # j = 1's one minimum at j + 1's start
 def test_row_kernels_equal_brute_force(case):
     prev, scaled, into = case
     n = len(scaled) - 1
+    schedule = algorithms._schedule(n)
     brute = brute_row_minima(prev, scaled)
     assert [algorithms._last_run(prev, scaled, j) for j in range(n + 1)] == brute
     assert algorithms._last_run(None, scaled, n) == (n * scaled[n], 0)
-    assert algorithms._row_minima(prev, scaled, n) == [low for low, _ in brute]
+    assert algorithms._row_minima(prev, scaled, n, None, schedule) == [low for low, _ in brute]
     lowered = list(into)
-    assert algorithms._row_minima(prev, scaled, n, lowered) is lowered
+    assert algorithms._row_minima(prev, scaled, n, lowered, schedule) is lowered
     assert lowered == [min(x, low) for x, (low, _) in zip(into, brute)]
+
+
+@pytest.mark.parametrize("n", [*range(70), 127, 128, 200, 1000])
+def test_schedule_solves_each_j_after_its_bounds(n):
+    """`_schedule(n)` lists each j in 0..n once, and each j's lo slot is
+    the sentinel n + 1 or a j listed before it, its hi slot None or a j
+    listed before it: the starts a scan reads are solved by then."""
+    schedule = algorithms._schedule(n)
+    assert sorted(j for j, _, _ in schedule) == list(range(n + 1))
+    solved = set()
+    for j, lo, hi in schedule:
+        assert lo == n + 1 or lo in solved
+        assert hi is None or hi in solved
+        solved.add(j)
 
 
 @PROPERTY
@@ -535,6 +551,20 @@ def test_few_weight_dp_equals_reference(inst):
     assert dp_few_weights(inst) == reference_dp_few_weights(inst)
 
 
+# The few-weights path tries each vector's run takes alone: the first take
+# in product order that attains an entry is a run take (ROADMAP item 9).
+# Three or four tied weight classes on tied d * c make many takes attain.
+@PROPERTY
+@given(weight_class_instances(max_n=14, max_m=7))
+@example(Instance((F(1), F(2), F(3), F(1), F(2), F(3)), (F(1), F(2), F(3), F(6))))
+@example(Instance((F(1), F(2), F(3), F(4)) * 3, (F(2), F(2), F(3), F(6))))
+def test_few_weight_path_equals_the_all_takes_rescan(inst):
+    solution = dp_few_weights(inst)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algorithms, "_vector_run_takes", all_takes)
+        assert solution == dp_few_weights(inst)
+
+
 # The DP guards refuse by predicted steps, before any table exists.  Each
 # prediction must bound the steps the run takes, counted on the run itself,
 # and be at least the entries the tables hold, so that memory stays bounded.
@@ -572,8 +602,24 @@ def test_row_scan_reads_at_most_the_predicted_candidates(case):
     n = len(scaled) - 1
     with pytest.MonkeyPatch.context() as patch:
         reads = _counting_row_reads(patch)
-        algorithms._row_minima(prev, scaled, n)
+        algorithms._row_minima(prev, scaled, n, None, algorithms._schedule(n))
     assert reads[0] <= (n + 1) * (n.bit_length() + 2)
+
+
+def test_row_scan_with_long_last_runs_stays_n_log_n():
+    """A row whose last runs are long: `prev` is one slow resource's row
+    (delay 100, unit weights) and `scaled` a faster class's (delay 1), so
+    start[j] is about j / 101.  A scan from each j's own start up to j, or
+    from start[j - 1] left to right, would read O(n^2) candidates; the
+    divide and conquer reads O(n log n)."""
+    n = 2000
+    prev = [100 * i * i for i in range(n + 1)]
+    scaled = list(range(n + 1))
+    with pytest.MonkeyPatch.context() as patch:
+        reads = _counting_row_reads(patch)
+        row = algorithms._row_minima(prev, scaled, n, None, algorithms._schedule(n))
+    assert reads[0] <= (n + 1) * (n.bit_length() + 2)
+    assert row[n] == min(prev[i] + (n - i) ** 2 for i in range(n + 1))
 
 
 def _usable_delays(inst) -> tuple:
@@ -617,14 +663,24 @@ def test_weight_dp_steps_bound_the_takes_tried(inst):
             takes[0] += len(vector_takes)
             yield vector_takes
 
+    path_takes = [0]
+    vector_run_takes = algorithms._vector_run_takes
+
+    def counted_path(v, radix, strides):
+        vector_takes = vector_run_takes(v, radix, strides)
+        path_takes[0] += len(vector_takes)
+        return vector_takes
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(algorithms, "_run_takes", counted)
+        patch.setattr(algorithms, "_vector_run_takes", counted_path)
         solution = dp_few_weights(inst)
     vectors = prod(s + 1 for s in Counter(inst.weights).values())
     m, cost_rows = len(delays), len(set(delays))
     steps = algorithms._weight_dp_steps(m, cost_rows, sizes)
     assert takes[0] == (algorithms._run_take_count(sizes) if m > 1 else 0)
-    assert takes[0] <= steps
+    assert path_takes[0] <= (m - 1) * vectors
+    assert takes[0] + path_takes[0] <= steps
     assert steps >= (m + cost_rows) * vectors
     assert solution == reference_dp_few_weights(inst)
 
